@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import equilibrium as eq
@@ -33,23 +32,6 @@ EXIT_VERDICT_FALSE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNAVAILABLE = 3
 EXIT_CAPPED = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: command, paths and numeric knobs."""
-
-    command: str
-    out: str | None
-    grid: int | None
-    cap: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.grid is not None and self.grid < 2:
-            raise InvalidInput(f"--grid must be at least 2, got {self.grid}")
-        if self.cap < 1:
-            raise InvalidInput(f"--cap must be positive, got {self.cap}")
 
 
 def _parse_game(text: str) -> Game:
@@ -91,11 +73,11 @@ def _emit(payload, out: str | None) -> None:
         print(text)
 
 
-def cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_construct(args: argparse.Namespace) -> int:
     game = _parse_game(args.game)
     if args.kind == "pure":
         profile = eq.construct_pure(game)
-        _emit(ser.profile_document(game, profile), config.out)
+        _emit(ser.profile_document(game, profile), args.out)
         return EXIT_OK
     if args.kind == "mixed":
         dom = has_dominant_player(game)
@@ -110,15 +92,15 @@ def cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
                 "no integral block partition exists for this game"
             )
         profile = eq.construct_mixed(game, plan)
-        _emit(ser.profile_document(game, profile), config.out)
+        _emit(ser.profile_document(game, profile), args.out)
         return EXIT_OK
     # two-player
     profile = eq.two_player_equilibrium(game)
-    _emit(ser.profile_document(game, profile), config.out)
+    _emit(ser.profile_document(game, profile), args.out)
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     game, profile = _load_document(args.profile)
     if isinstance(profile, PureProfile):
         report = eq.verify_multi_unit(game, profile)
@@ -129,51 +111,51 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     payload = ser.report_to_json(report)
     if not report.verdict and isinstance(profile, PureProfile):
         # attach the strongest refutation: a concrete beneficial deviation
-        results = certify_no_deviation(game, profile, cap=config.cap, seed=config.seed)
+        results = certify_no_deviation(game, profile, cap=args.cap, seed=args.seed)
         player = max(range(game.num_players), key=lambda i: results[i].gain)
         payload["deviation"] = {"player": player, **ser.deviation_to_json(results[player])}
-    _emit(payload, config.out)
+    _emit(payload, args.out)
     for cond in report.conditions:
         status = "pass" if cond.passed else "FAIL"
         print(f"[{status}] {cond.condition}: {eq.CONDITION_NAMES[cond.condition]}", file=sys.stderr)
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 
-def cmd_payoff(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_payoff(args: argparse.Namespace) -> int:
     game, profile = _load_document(args.profile)
     if isinstance(profile, PureProfile):
         report = masses(profile)
         if args.full:
-            _emit(ser.mass_report_to_json(report), config.out)
+            _emit(ser.mass_report_to_json(report), args.out)
             return EXIT_OK
         payoffs = report.payoffs
     else:
         if args.full:
             raise InvalidInput("--full needs a pure profile; mixed profiles have no single mass report")
         payoffs = mixed_payoff(game, profile)
-    _emit([ser.format_fraction(u) for u in payoffs], config.out)
+    _emit([ser.format_fraction(u) for u in payoffs], args.out)
     return EXIT_OK
 
 
-def cmd_social_cost(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_social_cost(args: argparse.Namespace) -> int:
     locations = [as_fraction(part.strip()) for part in args.locations.split(",") if part.strip()]
-    _emit(ser.format_fraction(social_cost(locations)), config.out)
+    _emit(ser.format_fraction(social_cost(locations)), args.out)
     return EXIT_OK
 
 
-def cmd_best_response(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_best_response(args: argparse.Namespace) -> int:
     game, profile = _load_document(args.against)
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile)
     result = best_response(
-        list(profile.strategies), args.m, cap=config.cap, seed=config.seed
+        list(profile.strategies), args.m, cap=args.cap, seed=args.seed
     )
     payload = ser.deviation_to_json(result)
-    if config.grid is not None:
+    if args.grid is not None:
         payload["grid_max"] = ser.format_fraction(
-            grid_search(list(profile.strategies), args.m, config.grid, cap=config.cap)
+            grid_search(list(profile.strategies), args.m, args.grid, cap=args.cap)
         )
-    _emit(payload, config.out)
+    _emit(payload, args.out)
     return EXIT_OK if result.exhaustive else EXIT_CAPPED
 
 
@@ -218,7 +200,7 @@ def _atlas_row(counts: tuple[int, ...]) -> dict:
     return row
 
 
-def cmd_atlas(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_atlas(args: argparse.Namespace) -> int:
     rows = [_atlas_row(counts) for counts in _atlas_multisets(args.max_n)]
     if args.svg:
         svg_dir = Path(args.svg)
@@ -233,8 +215,8 @@ def cmd_atlas(args: argparse.Namespace, config: RunConfig) -> int:
             (svg_dir / f"{name}.svg").write_text(
                 render_profile(game, profile, title=f"counts={counts}")
             )
-    if config.out and config.out.endswith(".csv"):
-        with open(config.out, "w", newline="") as handle:
+    if args.out and args.out.endswith(".csv"):
+        with open(args.out, "w", newline="") as handle:
             writer = csv.DictWriter(
                 handle,
                 fieldnames=[
@@ -249,7 +231,7 @@ def cmd_atlas(args: argparse.Namespace, config: RunConfig) -> int:
                     flat[key] = json.dumps(flat[key])
                 writer.writerow(flat)
         return EXIT_OK
-    _emit({"max_n": args.max_n, "games": rows}, config.out)
+    _emit({"max_n": args.max_n, "games": rows}, args.out)
     return EXIT_OK
 
 
@@ -306,14 +288,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            out=args.out,
-            grid=args.grid,
-            cap=args.cap,
-            seed=args.seed,
-        )
-        return args.func(args, config)
+        if args.grid is not None and args.grid < 2:
+            raise InvalidInput(f"--grid must be at least 2, got {args.grid}")
+        if args.cap < 1:
+            raise InvalidInput(f"--cap must be positive, got {args.cap}")
+        return args.func(args)
     except (InvalidInput, InvalidGame) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

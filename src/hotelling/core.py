@@ -26,7 +26,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -47,7 +47,7 @@ class Game:
         if not self.counts:
             raise InvalidGame("a game needs at least one player")
         for i, c in enumerate(self.counts):
-            if not isinstance(c, int) or c < 1:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise InvalidGame(f"facility count of player {i} must be a positive integer, got {c!r}")
 
     @property
@@ -234,12 +234,6 @@ class FlattenedPair:
     game: Game
     profile: PureProfile
     back_map: tuple[tuple[int, int], ...]
-
-    def to_flat(self, player: int, slot: int) -> int:
-        return self.back_map.index((player, slot))
-
-    def to_original(self, flat_index: int) -> tuple[int, int]:
-        return self.back_map[flat_index]
 
 
 def flatten(game: Game, profile: PureProfile) -> FlattenedPair:

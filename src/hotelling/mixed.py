@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     ONE,
@@ -125,6 +125,14 @@ def _require_mixed(game: Game, profile: MixedProfile) -> None:
         )
 
 
+def _draws(
+    strategies: Sequence[MixedStrategy],
+) -> Iterator[tuple[Fraction, tuple[PureStrategy, ...]]]:
+    """Every joint draw of independent players with its probability."""
+    for combo in itertools.product(*(x.support for x in strategies)):
+        yield math.prod((p for _, p in combo), start=ONE), tuple(s for s, _ in combo)
+
+
 def mixed_payoff(
     game: Game,
     profile: MixedProfile,
@@ -137,9 +145,8 @@ def mixed_payoff(
             f"product support has {profile.support_size()} combinations (cap {support_cap})"
         )
     totals = [ZERO] * game.num_players
-    for combo in itertools.product(*(x.support for x in profile.strategies)):
-        weight = math.prod((p for _, p in combo), start=ONE)
-        outcome = masses(PureProfile(tuple(s for s, _ in combo))).payoffs
+    for weight, drawn in _draws(profile.strategies):
+        outcome = masses(PureProfile(drawn)).payoffs
         for i, u in enumerate(outcome):
             totals[i] += weight * u
     return tuple(totals)
@@ -269,9 +276,8 @@ def combined_strategy(
     if size > support_cap:
         raise SupportTooLarge(f"joint support has {size} combinations (cap {support_cap})")
     merged: dict[PureStrategy, Fraction] = {}
-    for combo in itertools.product(*(x.support for x in strategies)):
-        weight = math.prod((p for _, p in combo), start=ONE)
-        locations = sorted(loc for s, _ in combo for loc in s)
+    for weight, drawn in _draws(strategies):
+        locations = sorted(loc for s in drawn for loc in s)
         joint = PureStrategy(tuple(locations))  # raises if two players collide
         merged[joint] = merged.get(joint, ZERO) + weight
     return MixedStrategy(tuple(merged.items()))

@@ -20,15 +20,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import ONE, ZERO, Game, PureProfile
-from .errors import SearchTooLarge
+from .errors import InvalidInput, SearchTooLarge
 from .mixed import (
     DEFAULT_SUPPORT_CAP,
     MixedProfile,
     MixedStrategy,
+    _draws,
     mixed_payoff,
     optimal_locations,
 )
-from .payoff import OffsetLocation
+from .payoff import OffsetLocation, _catchments
 
 DEFAULT_SEARCH_CAP = 10**5
 ASCENT_STARTS = 32
@@ -58,10 +59,9 @@ class DeviationResult:
 
 def _opponent_combos(opponents: Sequence[MixedStrategy]) -> list[_Combo]:
     combos: list[_Combo] = []
-    for drawn in itertools.product(*(x.support for x in opponents)):
-        prob = math.prod((p for _, p in drawn), start=ONE)
+    for prob, drawn in _draws(opponents):
         counts: dict[Fraction, int] = {}
-        for strategy, _ in drawn:
+        for strategy in drawn:
             for loc in strategy:
                 counts[loc] = counts.get(loc, 0) + 1
         combos.append((prob, tuple(sorted(counts.items()))))
@@ -70,37 +70,38 @@ def _opponent_combos(opponents: Sequence[MixedStrategy]) -> list[_Combo]:
 
 def _deviator_mass(candidates: Sequence[OffsetLocation], opponents: tuple[tuple[Fraction, int], ...]) -> Fraction:
     """Limit customer mass of the candidate facilities against one draw."""
-    # merge the two sorted streams into (position, players, deviator-here)
-    events: list[tuple[Fraction, int, bool]] = []
+    # merge the two sorted streams into the occupied positions, noting the
+    # index and head count of every point the deviator occupies
+    positions: list[Fraction] = []
+    own: list[tuple[int, int]] = []
     i = j = 0
     while i < len(candidates) and j < len(opponents):
         cand = candidates[i]
-        opp_pos = opponents[j][0]
-        ckey = cand.sort_key()
-        okey = (opp_pos, ZERO)
-        if ckey == okey:  # exact co-location shares the cell
-            events.append((opp_pos, opponents[j][1] + 1, True))
+        opp_pos, count = opponents[j]
+        x = cand.position
+        # offset order: (x, below) < (x, exact) < (x, above)
+        if x < opp_pos or (x == opp_pos and cand.side == "below"):
+            own.append((len(positions), 1))
+            positions.append(x)
+            i += 1
+        elif x == opp_pos and cand.side == "exact":  # co-location shares the cell
+            own.append((len(positions), count + 1))
+            positions.append(x)
             i += 1
             j += 1
-        elif ckey < okey:
-            events.append((cand.position, 1, True))
-            i += 1
         else:
-            events.append((opp_pos, opponents[j][1], False))
+            positions.append(opp_pos)
             j += 1
     for cand in candidates[i:]:
-        events.append((cand.position, 1, True))
-    for opp_pos, count in opponents[j:]:
-        events.append((opp_pos, count, False))
+        own.append((len(positions), 1))
+        positions.append(cand.position)
+    positions.extend([opp_pos for opp_pos, _ in opponents[j:]])
 
+    bounds = _catchments(positions)
     total = ZERO
-    prev = ZERO
-    for k, (pos, count, dev) in enumerate(events):
-        bound = (pos + events[k + 1][0]) / 2 if k + 1 < len(events) else ONE
-        if dev:
-            cell = bound - prev
-            total += cell if count == 1 else cell / count
-        prev = bound
+    for k, count in own:
+        cell = bounds[k + 1] - bounds[k]
+        total += cell if count == 1 else cell / count
     return total
 
 
@@ -194,7 +195,7 @@ def best_response(
     witness reported is the smallest all-exact maximizer.
     """
     if m < 1:
-        raise SearchTooLarge(f"player must place at least one facility, got m={m}")
+        raise InvalidInput(f"player must place at least one facility, got m={m}")
     positions = sorted({loc for x in opponents for s, _ in x.support for loc in s})
     if not positions:
         # no competition: every strategy collects the whole customer mass

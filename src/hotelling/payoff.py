@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, Sequence
 
 from .core import ONE, ZERO, FacilityRef, PureProfile, RationalLike, as_fraction
 from .errors import InvalidDeviation, InvalidInput
@@ -84,32 +84,50 @@ class MassReport:
         return self.payoffs[player]
 
 
+def _catchments(positions: Sequence[Fraction]) -> list[Fraction]:
+    """Catchment boundaries [0, midpoints..., 1] of sorted positions.
+
+    Cell j, the customers nearest to positions[j], spans b[j]..b[j+1].
+    Positions may repeat, as one-sided limits beside an occupied point do;
+    the boundary between two copies of a point is the point itself.
+    """
+    bounds = [(a + b) / 2 for a, b in zip(positions, positions[1:])]
+    bounds.insert(0, ZERO)
+    bounds.append(ONE)
+    return bounds
+
+
+def _mass_report(num_players: int, groups: Mapping[Any, list[FacilityRef]]) -> MassReport:
+    """Split the cell of every occupied point among the facilities there.
+
+    ``groups`` maps the sort key of each occupied point to its facilities,
+    which all share that point's position.
+    """
+    points = [groups[key] for key in sorted(groups)]
+    bounds = _catchments([refs[0].position for refs in points])
+    payoffs = [ZERO] * num_players
+    fac: dict[FacilityRef, Fraction] = {}
+    left: dict[FacilityRef, Fraction] = {}
+    right: dict[FacilityRef, Fraction] = {}
+    for j, refs in enumerate(points):
+        p = refs[0].position
+        c_l = p - bounds[j]
+        c_r = bounds[j + 1] - p
+        share = (c_l + c_r) / len(refs)
+        for ref in refs:
+            fac[ref] = share
+            left[ref] = c_l
+            right[ref] = c_r
+            payoffs[ref.player] += share
+    return MassReport(tuple(payoffs), fac, left, right)
+
+
 def masses(profile: PureProfile) -> MassReport:
     """Evaluate V, c_l, c_r and u for every facility of a pure profile."""
     owners: dict[Fraction, list[FacilityRef]] = {}
     for ref in profile.refs():
         owners.setdefault(ref.position, []).append(ref)
-    positions = sorted(owners)
-
-    payoffs = [ZERO] * profile.num_players
-    fac: dict[FacilityRef, Fraction] = {}
-    left: dict[FacilityRef, Fraction] = {}
-    right: dict[FacilityRef, Fraction] = {}
-
-    prev_boundary = ZERO
-    for j, p in enumerate(positions):
-        next_boundary = (p + positions[j + 1]) / 2 if j + 1 < len(positions) else ONE
-        c_l = p - prev_boundary
-        c_r = next_boundary - p
-        share = (c_l + c_r) / len(owners[p])
-        for ref in owners[p]:
-            fac[ref] = share
-            left[ref] = c_l
-            right[ref] = c_r
-            payoffs[ref.player] += share
-        prev_boundary = next_boundary
-
-    return MassReport(tuple(payoffs), fac, left, right)
+    return _mass_report(profile.num_players, owners)
 
 
 def payoff_vector(profile: PureProfile) -> tuple[Fraction, ...]:
@@ -117,20 +135,16 @@ def payoff_vector(profile: PureProfile) -> tuple[Fraction, ...]:
     return masses(profile).payoffs
 
 
-OffsetEntry = Union[OffsetLocation, Fraction, int, str]
-OffsetProfileLike = Union[PureProfile, Sequence[Sequence[OffsetEntry]]]
-
-# First-order expansions a + b*eps, represented as (a, b) pairs.
-_Dual = tuple[Fraction, Fraction]
-
-
-def _as_offset(entry: OffsetEntry) -> OffsetLocation:
+def _as_offset(entry: OffsetLocation | RationalLike) -> OffsetLocation:
     if isinstance(entry, OffsetLocation):
         return entry
     return OffsetLocation(as_fraction(entry), "exact")
 
 
-def limit_payoff(profile: OffsetProfileLike, deviator: int) -> MassReport:
+def limit_payoff(
+    profile: PureProfile | Sequence[Sequence[OffsetLocation | RationalLike]],
+    deviator: int,
+) -> MassReport:
     """Masses of a profile whose deviating player uses one-sided limits.
 
     Evaluates lim eps->0+ of masses() with (x, above) read as x + eps and
@@ -155,34 +169,14 @@ def limit_payoff(profile: OffsetProfileLike, deviator: int) -> MassReport:
                 f"deviator offsets must strictly increase, got {a} then {b}"
             )
 
-    groups: dict[_Dual, list[FacilityRef]] = {}
+    # eps coordinates only decide the ordering; every boundary's eps term
+    # vanishes as eps -> 0+, so masses use constant coordinates alone
+    groups: dict[tuple[Fraction, Fraction], list[FacilityRef]] = {}
     for i, strat in enumerate(strategies):
         for j, loc in enumerate(strat):
             key = (loc.position, _SIDE_EPS[loc.side])
             groups.setdefault(key, []).append(FacilityRef(i, j, loc.position))
-    points = sorted(groups)
-
-    payoffs = [ZERO] * len(strategies)
-    fac: dict[FacilityRef, Fraction] = {}
-    left: dict[FacilityRef, Fraction] = {}
-    right: dict[FacilityRef, Fraction] = {}
-
-    # eps coordinates only decide the ordering; every boundary's eps term
-    # vanishes as eps -> 0+, so masses use constant coordinates alone
-    prev = ZERO
-    for j, pt in enumerate(points):
-        bound = (pt[0] + points[j + 1][0]) / 2 if j + 1 < len(points) else ONE
-        c_l = pt[0] - prev
-        c_r = bound - pt[0]
-        share = (c_l + c_r) / len(groups[pt])
-        for ref in groups[pt]:
-            fac[ref] = share
-            left[ref] = c_l
-            right[ref] = c_r
-            payoffs[ref.player] += share
-        prev = bound
-
-    return MassReport(tuple(payoffs), fac, left, right)
+    return _mass_report(len(strategies), groups)
 
 
 def social_cost(locations: Iterable[RationalLike]) -> Fraction:

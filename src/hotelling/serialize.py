@@ -23,7 +23,7 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text: Any, path: str = "value") -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:  # JSON true/false are ints to Python, not rationals
         return Fraction(text)
     if not isinstance(text, str):
         raise InvalidInput(f"{path}: expected a rational string, got {type(text).__name__}")
@@ -41,7 +41,7 @@ def game_from_json(data: Any, path: str = "game") -> Game:
     if not isinstance(data, dict) or "counts" not in data:
         raise InvalidInput(f"{path}: expected an object with a 'counts' field")
     counts = data["counts"]
-    if not isinstance(counts, list) or not all(isinstance(c, int) for c in counts):
+    if not isinstance(counts, list) or not all(type(c) is int for c in counts):
         raise InvalidInput(f"{path}.counts: expected a list of integers")
     return Game(tuple(counts))
 

@@ -82,6 +82,19 @@ class TestVerify:
         assert F(deviation["gain"]) > 0
         assert all(w["side"] in ("below", "exact", "above") for w in deviation["witness"])
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"game": {"counts": [True, True]}, "strategies": [["1/2"], ["1/2"]]},
+            {"game": {"counts": [1, 1]}, "strategies": [[True], ["1/2"]]},
+        ],
+    )
+    def test_booleans_rejected(self, capsys, tmp_path, doc):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--profile", str(path))
+        assert code == 2 and "input error" in err
+
     def test_malformed_rational(self, capsys, tmp_path):
         doc = {"game": {"counts": [1, 1]}, "strategies": [["1/0"], ["1/2"]]}
         path = tmp_path / "bad.json"
@@ -131,6 +144,13 @@ class TestScalarCommands:
         )
         assert code == 0
         assert F(doc["grid_max"]) <= F(doc["sup"])
+
+    @pytest.mark.parametrize(
+        "knob", [("--m", "0"), ("--m", "1", "--grid", "1"), ("--m", "1", "--cap", "0")]
+    )
+    def test_best_response_bad_knobs(self, capsys, knob):
+        code, _, err = run(capsys, "best-response", "--against", "1/4", *knob)
+        assert code == 2 and "input error" in err
 
     def test_capped_search_exit_code(self, capsys):
         code, doc, _ = run_json(

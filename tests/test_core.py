@@ -39,7 +39,7 @@ class TestMakeGame:
         assert not g.is_canonical
         assert g.ascending_order() == (1, 2, 0)
 
-    @pytest.mark.parametrize("bad", [[], [0], [-1, 2], [1, 0, 2]])
+    @pytest.mark.parametrize("bad", [[], [0], [-1, 2], [1, 0, 2], [True, True]])
     def test_rejects(self, bad):
         with pytest.raises(InvalidGame):
             make_game(bad)
@@ -69,6 +69,10 @@ class TestPureStrategy:
     def test_rejects_floats(self):
         with pytest.raises(InvalidStrategy):
             PureStrategy((0.5,))
+
+    def test_rejects_booleans(self):
+        with pytest.raises(InvalidStrategy):
+            PureStrategy((True,))
 
 
 class TestClassify:

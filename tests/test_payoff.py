@@ -1,11 +1,16 @@
 """Tests for customer masses, one-sided limits and social cost."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hotelling
 from hotelling import (
     InvalidDeviation,
     InvalidInput,
@@ -205,3 +210,25 @@ class TestSocialCost:
         base = social_cost(points)
         for extra in (F(1, 3), F(9, 40), F(1)):
             assert social_cost(points + [extra]) <= base
+
+
+class TestReimport:
+    def test_reimport_releases_previous_module_generation(self):
+        # Module-level typing constructs over the package's own classes enter
+        # typing's global caches and pin every earlier import generation.
+        script = """
+import gc, sys, weakref
+import hotelling, hotelling.cli
+ref = weakref.ref(hotelling.payoff.OffsetLocation)
+del hotelling
+for name in [n for n in sys.modules if n == "hotelling" or n.startswith("hotelling.")]:
+    del sys.modules[name]
+import hotelling, hotelling.cli
+gc.collect()
+sys.exit(0 if ref() is None else 1)
+"""
+        src = str(Path(hotelling.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, timeout=60
+        )
+        assert proc.returncode == 0
