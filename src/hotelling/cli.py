@@ -111,7 +111,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = ser.report_to_json(report)
     if not report.verdict and isinstance(profile, PureProfile):
         # attach the strongest refutation: a concrete beneficial deviation
-        results = certify_no_deviation(game, profile, cap=args.cap, seed=args.seed)
+        results = certify_no_deviation(game, profile, cap=args.cap)
         player = max(range(game.num_players), key=lambda i: results[i].gain)
         payload["deviation"] = {"player": player, **ser.deviation_to_json(results[player])}
     _emit(payload, args.out)
@@ -147,14 +147,14 @@ def cmd_best_response(args: argparse.Namespace) -> int:
     game, profile = _load_document(args.against)
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile)
-    result = best_response(
-        list(profile.strategies), args.m, cap=args.cap, seed=args.seed
-    )
+    opponents = list(profile.strategies)
+    grid_max = None
+    if args.grid is not None:  # cross-check first, so a bad --grid fails before the search
+        grid_max = grid_search(opponents, args.m, args.grid, cap=args.cap)
+    result = best_response(opponents, args.m, cap=args.cap)
     payload = ser.deviation_to_json(result)
-    if args.grid is not None:
-        payload["grid_max"] = ser.format_fraction(
-            grid_search(list(profile.strategies), args.m, args.grid, cap=args.cap)
-        )
+    if grid_max is not None:
+        payload["grid_max"] = ser.format_fraction(grid_max)
     _emit(payload, args.out)
     return EXIT_OK if result.exhaustive else EXIT_CAPPED
 
@@ -243,12 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write JSON output to this path instead of stdout")
-    common.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP,
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP,
                         help="cap on exhaustive search size")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for capped-search restarts")
-    common.add_argument("--grid", type=int, default=None,
-                        help="grid resolution for the best-response cross-check")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="construct an equilibrium profile", parents=[common])
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("pure", "mixed", "two-player"), default="pure")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="verify a profile document", parents=[common])
+    p = sub.add_parser("verify", help="verify a profile document", parents=[common, search])
     p.add_argument("--profile", required=True, help="path to a profile JSON document")
     p.set_defaults(func=cmd_verify)
 
@@ -270,10 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locations", required=True, help="comma-separated rationals")
     p.set_defaults(func=cmd_social_cost)
 
-    p = sub.add_parser("best-response", help="exact best response against a profile", parents=[common])
+    p = sub.add_parser("best-response", help="exact best response against a profile",
+                       parents=[common, search])
     p.add_argument("--against", required=True,
                    help="profile document path, or inline like '1/4' or '1/8,3/8;1/2'")
     p.add_argument("--m", type=int, required=True, help="number of facilities to place")
+    p.add_argument("--grid", type=int, default=None,
+                   help="grid resolution for the best-response cross-check")
     p.set_defaults(func=cmd_best_response)
 
     p = sub.add_parser("atlas", help="existence/construction table over all games", parents=[common])
@@ -288,9 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.grid is not None and args.grid < 2:
-            raise InvalidInput(f"--grid must be at least 2, got {args.grid}")
-        if args.cap < 1:
+        if "cap" in args and args.cap < 1:
             raise InvalidInput(f"--cap must be positive, got {args.cap}")
         return args.func(args)
     except (InvalidInput, InvalidGame) as exc:

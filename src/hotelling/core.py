@@ -174,15 +174,15 @@ class FacilityClass:
 
     A position hosting exactly one facility is lone, exactly two is paired.
     Peripheral means the position is the leftmost or rightmost occupied one.
-    Neighbors are the nearest distinct occupied positions on each side;
-    co-located facilities are never neighbors of each other.
+    A neighbor is the nearest distinct occupied position on its side, None
+    at either end; co-located facilities are never neighbors of each other.
     """
 
     is_lone: bool
     is_paired: bool
     is_peripheral: bool
-    left_neighbors: frozenset[Fraction]
-    right_neighbors: frozenset[Fraction]
+    left_neighbor: Fraction | None
+    right_neighbor: Fraction | None
     co_located_players: frozenset[int]
 
 
@@ -200,14 +200,12 @@ def classify(profile: PureProfile) -> dict[FacilityRef, FacilityClass]:
     for ref in profile.refs():
         k = index[ref.position]
         hosts = owners[ref.position]
-        left = frozenset({positions[k - 1]}) if k > 0 else frozenset()
-        right = frozenset({positions[k + 1]}) if k + 1 < len(positions) else frozenset()
         out[ref] = FacilityClass(
             is_lone=len(hosts) == 1,
             is_paired=len(hosts) == 2,
             is_peripheral=ref.position in (lo, hi),
-            left_neighbors=left,
-            right_neighbors=right,
+            left_neighbor=positions[k - 1] if k > 0 else None,
+            right_neighbor=positions[k + 1] if k + 1 < len(positions) else None,
             co_located_players=frozenset(hosts),
         )
     return out

@@ -16,11 +16,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    FacilityRef,
     Game,
     PureProfile,
     PureStrategy,
     classify,
-    flatten,
     has_dominant_player,
     require_profile,
 )
@@ -33,7 +33,7 @@ from .mixed import (
     make_olk,
     optimal_locations,
 )
-from .payoff import masses
+from .payoff import MassReport, masses
 
 # Stable condition codes used in reports and JSON output.
 COND_PAIRED_EXTREMES = "T3-1"
@@ -87,13 +87,19 @@ def verify_single_unit(profile: PureProfile) -> VerificationReport:
     """Equilibrium check for profiles where every player owns one facility."""
     if any(len(s) != 1 for s in profile.strategies):
         raise WrongGameKind("verify_single_unit needs exactly one facility per player")
+    return _report(_single_unit_conditions(profile.refs(), masses(profile)))
 
-    report = masses(profile)
-    occupied = profile.occupied()
-    lo, hi = occupied[0], occupied[-1]
+
+def _single_unit_conditions(refs: Sequence[FacilityRef], report: MassReport) -> list[ConditionResult]:
+    """T3-1 and T3-2 with each facility as its own player, numbered in ``refs`` order.
+
+    Masses depend only on how many facilities share each position, so the
+    report of a multi-unit profile serves its flattening unchanged.
+    """
     hosts: dict[Fraction, int] = {}
-    for ref in profile.refs():
+    for ref in refs:
         hosts[ref.position] = hosts.get(ref.position, 0) + 1
+    lo, hi = min(hosts), max(hosts)
 
     lone_extremes = [p for p in dict.fromkeys((lo, hi)) if hosts[p] < 2]
     cond1 = ConditionResult(
@@ -104,13 +110,14 @@ def verify_single_unit(profile: PureProfile) -> VerificationReport:
 
     # max one-sided mass, scanned in deterministic (position, side) order
     best = None
-    for ref in sorted(profile.refs(), key=lambda r: r.position):
+    for ref in sorted(refs, key=lambda r: r.position):
         for side, value in (("left", report.left_masses[ref]), ("right", report.right_masses[ref])):
             if best is None or value > best[2]:
                 best = (ref.position, side, value)
     assert best is not None
     cond2_witness = None
-    for player, payoff in enumerate(report.payoffs):
+    for player, ref in enumerate(refs):
+        payoff = report.facility_masses[ref]
         if payoff < best[2]:
             cond2_witness = {
                 "player": player,
@@ -121,8 +128,7 @@ def verify_single_unit(profile: PureProfile) -> VerificationReport:
             }
             break
     cond2 = ConditionResult(COND_PAYOFF_COVERS_SIDES, cond2_witness is None, cond2_witness)
-
-    return _report([cond1, cond2])
+    return [cond1, cond2]
 
 
 def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
@@ -142,10 +148,7 @@ def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
         if not cls.is_lone:
             continue
         own_positions = set(profile.strategies[ref.player])
-        neighbor = next(
-            (p for p in sorted(cls.left_neighbors | cls.right_neighbors) if p in own_positions),
-            None,
-        )
+        neighbor = next((p for p in (cls.left_neighbor, cls.right_neighbor) if p in own_positions), None)
         if neighbor is not None:
             witness1 = {"player": ref.player, "position": ref.position, "neighbor": neighbor}
             break
@@ -171,8 +174,8 @@ def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
             break
     cond2 = ConditionResult(COND_EQUAL_OWN_MASSES, witness2 is None, witness2)
 
-    flat = flatten(game, profile)
-    flat_report = verify_single_unit(flat.profile)
+    # the flattened profile lists facilities in (player, slot) order, as refs() does
+    flat_report = _report(_single_unit_conditions(profile.refs(), report))
     witness3 = None
     if not flat_report.verdict:
         first = flat_report.failed()[0]

@@ -133,16 +133,12 @@ def _draws(
         yield math.prod((p for _, p in combo), start=ONE), tuple(s for s, _ in combo)
 
 
-def mixed_payoff(
-    game: Game,
-    profile: MixedProfile,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> tuple[Fraction, ...]:
+def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     """Exact expected payoffs, enumerating the product of supports."""
     _require_mixed(game, profile)
-    if profile.support_size() > support_cap:
+    if profile.support_size() > DEFAULT_SUPPORT_CAP:
         raise SupportTooLarge(
-            f"product support has {profile.support_size()} combinations (cap {support_cap})"
+            f"product support has {profile.support_size()} combinations (cap {DEFAULT_SUPPORT_CAP})"
         )
     totals = [ZERO] * game.num_players
     for weight, drawn in _draws(profile.strategies):
@@ -261,10 +257,7 @@ def make_olk(l: int, k: int) -> MixedStrategy:
     return MixedStrategy.uniform(subsets)
 
 
-def combined_strategy(
-    strategies: Sequence[MixedStrategy],
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> MixedStrategy:
+def combined_strategy(strategies: Sequence[MixedStrategy]) -> MixedStrategy:
     """Merge independent players into one strategy over their joint locations.
 
     Every joint draw must produce pairwise distinct locations, otherwise the
@@ -273,8 +266,8 @@ def combined_strategy(
     if not strategies:
         raise InvalidStrategy("nothing to combine")
     size = math.prod(len(x.support) for x in strategies)
-    if size > support_cap:
-        raise SupportTooLarge(f"joint support has {size} combinations (cap {support_cap})")
+    if size > DEFAULT_SUPPORT_CAP:
+        raise SupportTooLarge(f"joint support has {size} combinations (cap {DEFAULT_SUPPORT_CAP})")
     merged: dict[PureStrategy, Fraction] = {}
     for weight, drawn in _draws(strategies):
         locations = sorted(loc for s in drawn for loc in s)

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 from .core import ONE, ZERO, Game, PureProfile
 from .errors import InvalidInput, SearchTooLarge
 from .mixed import (
-    DEFAULT_SUPPORT_CAP,
     MixedProfile,
     MixedStrategy,
     _draws,
@@ -151,10 +150,9 @@ def _coordinate_ascent(
     family: tuple[OffsetLocation, ...],
     m: int,
     combos: Sequence[_Combo],
-    seed: int,
 ) -> tuple[Fraction, tuple[OffsetLocation, ...]]:
     """Deterministic local search used when exhaustive enumeration is capped."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     indices = list(range(len(family)))
     best_value: Fraction | None = None
     best_subset: tuple[OffsetLocation, ...] | None = None
@@ -185,7 +183,6 @@ def best_response(
     m: int,
     current_payoff: Fraction | None = None,
     cap: int = DEFAULT_SEARCH_CAP,
-    seed: int = 0,
 ) -> DeviationResult:
     """Exact supremum payoff of an m-facility player against the opponents.
 
@@ -214,7 +211,7 @@ def best_response(
         return DeviationResult(value, False, witness, gain, True)
 
     if math.comb(len(family), m) > cap:
-        value, witness = _coordinate_ascent(family, m, combos, seed)
+        value, witness = _coordinate_ascent(family, m, combos)
         gain = None if current_payoff is None else value - current_payoff
         return DeviationResult(value, False, witness, gain, exhaustive=False)
 
@@ -241,8 +238,6 @@ def certify_no_deviation(
     game: Game,
     profile: MixedProfile | PureProfile,
     cap: int = DEFAULT_SEARCH_CAP,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-    seed: int = 0,
 ) -> tuple[DeviationResult, ...]:
     """Best response for every player; all gains <= 0 certifies equilibrium.
 
@@ -251,18 +246,12 @@ def certify_no_deviation(
     """
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile)
-    current = mixed_payoff(game, profile, support_cap)
+    current = mixed_payoff(game, profile)
     results = []
     for player in range(game.num_players):
         opponents = [x for i, x in enumerate(profile.strategies) if i != player]
         results.append(
-            best_response(
-                opponents,
-                game.counts[player],
-                current_payoff=current[player],
-                cap=cap,
-                seed=seed,
-            )
+            best_response(opponents, game.counts[player], current_payoff=current[player], cap=cap)
         )
     return tuple(results)
 
@@ -283,7 +272,7 @@ def grid_search(
     true supremum by at most one grid cell per side.
     """
     if resolution < 2:
-        raise SearchTooLarge(f"grid resolution must be at least 2, got {resolution}")
+        raise InvalidInput(f"grid resolution must be at least 2, got {resolution}")
     if math.comb(resolution + 1, m) > cap:
         raise SearchTooLarge(
             f"grid search over C({resolution + 1},{m}) points exceeds cap {cap}"

@@ -133,15 +133,6 @@ def offset_to_json(offset: OffsetLocation) -> dict:
     return {"position": format_fraction(offset.position), "side": offset.side}
 
 
-def offset_from_json(data: Any, path: str = "offset") -> OffsetLocation:
-    if not isinstance(data, dict) or "position" not in data:
-        raise InvalidInput(f"{path}: expected an object with 'position'")
-    return OffsetLocation(
-        parse_fraction(data["position"], f"{path}.position"),
-        data.get("side", "exact"),
-    )
-
-
 def _jsonify_witness(witness: dict | None) -> dict | None:
     if witness is None:
         return None

@@ -146,11 +146,33 @@ class TestScalarCommands:
         assert F(doc["grid_max"]) <= F(doc["sup"])
 
     @pytest.mark.parametrize(
-        "knob", [("--m", "0"), ("--m", "1", "--grid", "1"), ("--m", "1", "--cap", "0")]
+        "knob",
+        [
+            ("best-response", "--against", "1/4", "--m", "0"),
+            ("best-response", "--against", "1/4", "--m", "1", "--grid", "1"),
+            ("best-response", "--against", "1/4", "--m", "1", "--cap", "0"),
+            ("verify", "--profile", "1/4;3/4", "--cap", "0"),
+        ],
     )
     def test_best_response_bad_knobs(self, capsys, knob):
-        code, _, err = run(capsys, "best-response", "--against", "1/4", *knob)
+        code, _, err = run(capsys, *knob)
         assert code == 2 and "input error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--game", "1,2,2", "--seed", "1"),
+            ("payoff", "--profile", "1/4;3/4", "--grid", "5"),
+            ("social-cost", "--locations", "1/2", "--cap", "9"),
+            ("atlas", "--max-n", "3", "--seed", "2"),
+            ("verify", "--profile", "1/4;3/4", "--grid", "5"),
+            ("best-response", "--against", "1/4", "--m", "1", "--seed", "0"),
+        ],
+    )
+    def test_flag_outside_its_command_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
 
     def test_capped_search_exit_code(self, capsys):
         code, doc, _ = run_json(

@@ -82,15 +82,15 @@ class TestClassify:
         cls = classify(profile)[FacilityRef(2, 1, Fraction(3, 7))]
         assert cls.is_lone and not cls.is_paired
         assert not cls.is_peripheral
-        assert cls.left_neighbors == frozenset({Fraction(1, 7)})
-        assert cls.right_neighbors == frozenset({Fraction(4, 7)})
+        assert cls.left_neighbor == Fraction(1, 7)
+        assert cls.right_neighbor == Fraction(4, 7)
 
     def test_midpoint_pairing(self):
         profile = PureProfile.of(["1/2"], ["1/2"])
         for facility_class in classify(profile).values():
             assert facility_class.is_paired and not facility_class.is_lone
             assert facility_class.is_peripheral  # min and max coincide
-            assert not facility_class.left_neighbors and not facility_class.right_neighbors
+            assert facility_class.left_neighbor is None and facility_class.right_neighbor is None
             assert facility_class.co_located_players == frozenset({0, 1})
 
     def test_three_lone_facilities(self):
@@ -98,14 +98,14 @@ class TestClassify:
         cls = classify(profile)
         assert all(c.is_lone for c in cls.values())
         middle = cls[FacilityRef(1, 0, Fraction(1, 2))]
-        assert middle.left_neighbors == frozenset({Fraction(1, 4)})
-        assert middle.right_neighbors == frozenset({Fraction(3, 4)})
+        assert middle.left_neighbor == Fraction(1, 4)
+        assert middle.right_neighbor == Fraction(3, 4)
 
     def test_co_located_not_neighbors(self):
         profile = PureProfile.of(["1/3"], ["1/3", "2/3"])
         cls = classify(profile)[FacilityRef(0, 0, Fraction(1, 3))]
-        assert cls.left_neighbors == frozenset()
-        assert cls.right_neighbors == frozenset({Fraction(2, 3)})
+        assert cls.left_neighbor is None
+        assert cls.right_neighbor == Fraction(2, 3)
 
     def test_owner_count_partition(self):
         rng = random.Random(11)
@@ -131,7 +131,7 @@ class TestClassify:
             moved = FacilityRef(inverse[ref.player], ref.slot, ref.position)
             other = renamed[moved]
             assert other.is_lone == facility_class.is_lone
-            assert other.left_neighbors == facility_class.left_neighbors
+            assert other.left_neighbor == facility_class.left_neighbor
             assert other.co_located_players == frozenset(
                 inverse[p] for p in facility_class.co_located_players
             )

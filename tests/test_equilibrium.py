@@ -1,6 +1,7 @@
 """Tests for verifiers, existence classification and constructors."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,10 +39,13 @@ from hotelling import (
 )
 from hotelling.equilibrium import (
     COND_EQUAL_OWN_MASSES,
+    COND_FLATTENED_EQUILIBRIUM,
     COND_LONE_ISOLATION,
     COND_OPTIMAL_POINT_MASS,
     COND_PAIRED_EXTREMES,
 )
+
+from helpers import rand_profile
 
 F = Fraction
 
@@ -145,6 +149,30 @@ class TestVerifyMultiUnit:
                     assert len(c.co_located_players) >= 2
                 if c.is_paired:
                     assert report.left_masses[ref] == report.right_masses[ref]
+
+    def test_flattened_condition_matches_single_unit_route(self):
+        # T4-3 reuses the multi-unit mass report; flattening is the reference route
+        rng = random.Random(43)
+        outcomes = set()
+        for _ in range(300):
+            k = rng.randint(2, 4)
+            game = make_game([rng.randint(1, 8 // k) for _ in range(k)])
+            profile = rand_profile(rng, game, denom=rng.choice([4, 6, 8]))
+            if exists_pure(game) and rng.random() < 0.5:
+                # a constructed equilibrium, half the time with one player redrawn
+                strategies = list(construct_pure(game).strategies)
+                if rng.random() < 0.5:
+                    i = rng.randrange(k)
+                    strategies[i] = profile.strategies[i]
+                profile = PureProfile(tuple(strategies))
+            t43 = verify_multi_unit(game, profile).result(COND_FLATTENED_EQUILIBRIUM)
+            reference = verify_single_unit(flatten(game, profile).profile)
+            assert t43.passed == reference.verdict
+            if not reference.verdict:
+                first = reference.failed()[0]
+                assert t43.witness == {"condition": first.condition, **first.witness}
+            outcomes.add((t43.passed, (t43.witness or {}).get("condition")))
+        assert outcomes == {(True, None), (False, "T3-1"), (False, "T3-2")}
 
 
 class TestExistsPure:
@@ -263,7 +291,7 @@ class TestConstructPure:
             for ref, c in cls.items():
                 if not c.is_lone:
                     continue
-                neighbors = set(c.left_neighbors | c.right_neighbors)
+                neighbors = {c.left_neighbor, c.right_neighbor} - {None}
                 if neighbors and neighbors <= paired_positions:
                     assert flat_payoffs[ref.player] > paired_value
 

@@ -83,13 +83,14 @@ class TestMixedPayoff:
         assert mixed_payoff(game, profile) == (F(1, 4), F(3, 4))
 
     def test_support_cap(self):
-        game = make_game([1, 1])
+        # 101**3 draws exceed the cap of 10**6; the guard fires before enumerating
+        game = make_game([1, 1, 1])
         big = MixedStrategy.uniform(
-            [PureStrategy((F(i, 40),)) for i in range(30)]
+            [PureStrategy((F(i, 100),)) for i in range(101)]
         )
-        profile = MixedProfile((big, big))
+        profile = MixedProfile((big, big, big))
         with pytest.raises(SupportTooLarge):
-            mixed_payoff(game, profile, support_cap=100)
+            mixed_payoff(game, profile)
 
 
 class TestMeasure:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hotelling import (
+    InvalidInput,
     MixedProfile,
     MixedStrategy,
     OffsetLocation,
@@ -72,8 +73,8 @@ class TestBestResponse:
     def test_capped_fallback_is_deterministic_lower_bound(self):
         opp = [point(*(F(i, 17) for i in range(1, 17)))]
         full_family = candidate_family([F(i, 17) for i in range(1, 17)])
-        a = best_response(opp, 3, cap=10, seed=42)
-        b = best_response(opp, 3, cap=10, seed=42)
+        a = best_response(opp, 3, cap=10)
+        b = best_response(opp, 3, cap=10)
         exhaustive = best_response(opp, 3)
         assert a == b
         assert not a.exhaustive and exhaustive.exhaustive
@@ -119,6 +120,10 @@ class TestGridComparison:
     def test_grid_cap(self):
         with pytest.raises(SearchTooLarge):
             grid_search([point("1/2")], 3, 1000, cap=100)
+
+    def test_grid_resolution_is_an_input_error(self):
+        with pytest.raises(InvalidInput):
+            grid_search([point("1/2")], 1, 1)
 
     def test_adding_grid_candidates_never_raises_supremum(self):
         # the offset family is already complete: enriching it with exact
