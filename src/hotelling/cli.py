@@ -23,7 +23,7 @@ from .errors import (
     SearchTooLarge,
 )
 from .mixed import MixedProfile, mixed_payoff
-from .oracle import DEFAULT_SEARCH_CAP, best_response, certify_no_deviation, grid_search
+from .oracle import best_response, certify_no_deviation, grid_search
 from .payoff import masses, social_cost
 from .svg import render_profile
 
@@ -57,7 +57,7 @@ def _load_document(path_or_inline: str):
     if path.exists():
         try:
             data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8
             raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
         return ser.parse_profile_document(data)
     profile = _parse_inline_profile(path_or_inline)
@@ -107,11 +107,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if game.num_players != 2:
             raise InvalidInput("mixed verification is supported for two-player games")
-        report = eq.verify_two_player(game, profile.strategies[0], profile.strategies[1])
+        # the player with fewer facilities goes first
+        (l, x1), (k, x2) = sorted(zip(game.counts, profile.strategies), key=lambda pair: pair[0])
+        report = eq.verify_two_player(Game((l, k)), x1, x2)
     payload = ser.report_to_json(report)
     if not report.verdict and isinstance(profile, PureProfile):
         # attach the strongest refutation: a concrete beneficial deviation
-        results = certify_no_deviation(game, profile, cap=args.cap)
+        results = certify_no_deviation(game, profile)
         player = max(range(game.num_players), key=lambda i: results[i].gain)
         payload["deviation"] = {"player": player, **ser.deviation_to_json(results[player])}
     _emit(payload, args.out)
@@ -150,8 +152,8 @@ def cmd_best_response(args: argparse.Namespace) -> int:
     opponents = list(profile.strategies)
     grid_max = None
     if args.grid is not None:  # cross-check first, so a bad --grid fails before the search
-        grid_max = grid_search(opponents, args.m, args.grid, cap=args.cap)
-    result = best_response(opponents, args.m, cap=args.cap)
+        grid_max = grid_search(opponents, args.m, args.grid)
+    result = best_response(opponents, args.m)
     payload = ser.deviation_to_json(result)
     if grid_max is not None:
         payload["grid_max"] = ser.format_fraction(grid_max)
@@ -243,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write JSON output to this path instead of stdout")
-    search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP,
-                        help="cap on exhaustive search size")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="construct an equilibrium profile", parents=[common])
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("pure", "mixed", "two-player"), default="pure")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="verify a profile document", parents=[common, search])
+    p = sub.add_parser("verify", help="verify a profile document", parents=[common])
     p.add_argument("--profile", required=True, help="path to a profile JSON document")
     p.set_defaults(func=cmd_verify)
 
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_social_cost)
 
     p = sub.add_parser("best-response", help="exact best response against a profile",
-                       parents=[common, search])
+                       parents=[common])
     p.add_argument("--against", required=True,
                    help="profile document path, or inline like '1/4' or '1/8,3/8;1/2'")
     p.add_argument("--m", type=int, required=True, help="number of facilities to place")
@@ -288,10 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "cap" in args and args.cap < 1:
-            raise InvalidInput(f"--cap must be positive, got {args.cap}")
         return args.func(args)
-    except (InvalidInput, InvalidGame) as exc:
+    except (InvalidInput, InvalidGame, OSError) as exc:  # OSError: unreadable or unwritable path
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ConstructionUnavailable as exc:

@@ -30,7 +30,6 @@ from .mixed import (
     MixedStrategy,
     SoiResult,
     is_soi,
-    make_olk,
     optimal_locations,
 )
 from .payoff import MassReport, masses
@@ -447,12 +446,9 @@ def verify_two_player(
 
 
 def two_player_equilibrium(game: Game) -> MixedProfile:
-    """The canonical mixed equilibrium of a two-player game with l <= k."""
+    """The canonical (imitation, optimum) equilibrium of a two-player game, counts in any order."""
     if game.num_players != 2:
         raise WrongGameKind("two-player construction needs exactly two players")
-    l, k = game.counts
-    if l > k:
-        raise WrongGameKind(f"counts must satisfy l <= k, got ({l}, {k})")
-    return MixedProfile(
-        (make_olk(l, k), MixedStrategy.point(PureStrategy(optimal_locations(k))))
-    )
+    if has_dominant_player(game) is not None:
+        return construct_mixed(game, find_partition(game))
+    return MixedProfile.from_pure(construct_pure(game))

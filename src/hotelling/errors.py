@@ -38,4 +38,4 @@ class InvalidPartition(HotellingError):
 
 
 class SearchTooLarge(HotellingError):
-    """A requested exhaustive search exceeds the configured cap."""
+    """A requested exhaustive search exceeds the search cap."""

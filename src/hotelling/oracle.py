@@ -178,11 +178,36 @@ def _coordinate_ascent(
     return best_value, best_subset
 
 
+def _best_subset(
+    family: Sequence[OffsetLocation],
+    m: int,
+    combos: Sequence[_Combo],
+) -> tuple[Fraction, tuple[OffsetLocation, ...] | None, tuple[OffsetLocation, ...] | None]:
+    """Exhaustive search over ordered m-subsets of the sorted ``family``.
+
+    Returns the best expected value, the lexicographically smallest
+    maximizer and the smallest all-exact maximizer (None when no maximizer
+    is all-exact). With no m-subset at all the value is 0 and both
+    maximizers are None.
+    """
+    best = ZERO
+    best_witness: tuple[OffsetLocation, ...] | None = None
+    best_exact: tuple[OffsetLocation, ...] | None = None
+    for subset in itertools.combinations(family, m):
+        value = _expected_value(subset, combos)
+        if best_witness is None or value > best:
+            best = value
+            best_witness = subset
+            best_exact = subset if all(c.side == "exact" for c in subset) else None
+        elif value == best and best_exact is None and all(c.side == "exact" for c in subset):
+            best_exact = subset
+    return best, best_witness, best_exact
+
+
 def best_response(
     opponents: Sequence[MixedStrategy],
     m: int,
     current_payoff: Fraction | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
 ) -> DeviationResult:
     """Exact supremum payoff of an m-facility player against the opponents.
 
@@ -210,24 +235,13 @@ def best_response(
         # exact strategies always leave opponents positive mass, limits do not
         return DeviationResult(value, False, witness, gain, True)
 
-    if math.comb(len(family), m) > cap:
+    if math.comb(len(family), m) > DEFAULT_SEARCH_CAP:
         value, witness = _coordinate_ascent(family, m, combos)
         gain = None if current_payoff is None else value - current_payoff
         return DeviationResult(value, False, witness, gain, exhaustive=False)
 
-    best: Fraction | None = None
-    best_witness: tuple[OffsetLocation, ...] | None = None
-    best_exact: tuple[OffsetLocation, ...] | None = None
-    for subset in itertools.combinations(family, m):
-        value = _expected_value(subset, combos)
-        if best is None or value > best:
-            best = value
-            best_witness = subset
-            best_exact = subset if all(c.side == "exact" for c in subset) else None
-        elif value == best and best_exact is None and all(c.side == "exact" for c in subset):
-            best_exact = subset
-    assert best is not None and best_witness is not None
-
+    best, best_witness, best_exact = _best_subset(family, m, combos)
+    assert best_witness is not None
     attained = best_exact is not None
     witness = best_exact if attained else best_witness
     gain = None if current_payoff is None else best - current_payoff
@@ -235,9 +249,7 @@ def best_response(
 
 
 def certify_no_deviation(
-    game: Game,
-    profile: MixedProfile | PureProfile,
-    cap: int = DEFAULT_SEARCH_CAP,
+    game: Game, profile: MixedProfile | PureProfile
 ) -> tuple[DeviationResult, ...]:
     """Best response for every player; all gains <= 0 certifies equilibrium.
 
@@ -250,9 +262,7 @@ def certify_no_deviation(
     results = []
     for player in range(game.num_players):
         opponents = [x for i, x in enumerate(profile.strategies) if i != player]
-        results.append(
-            best_response(opponents, game.counts[player], current_payoff=current[player], cap=cap)
-        )
+        results.append(best_response(opponents, game.counts[player], current_payoff=current[player]))
     return tuple(results)
 
 
@@ -264,24 +274,19 @@ def grid_search(
     opponents: Sequence[MixedStrategy],
     m: int,
     resolution: int,
-    cap: int = DEFAULT_SEARCH_CAP,
 ) -> Fraction:
     """Best expected payoff over m-subsets of the uniform grid {i/resolution}.
 
     A blunt cross-check for the offset oracle: its maximum can trail the
-    true supremum by at most one grid cell per side.
+    true supremum by at most one grid cell per side. Raises
+    ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets.
     """
     if resolution < 2:
         raise InvalidInput(f"grid resolution must be at least 2, got {resolution}")
-    if math.comb(resolution + 1, m) > cap:
+    if math.comb(resolution + 1, m) > DEFAULT_SEARCH_CAP:
         raise SearchTooLarge(
-            f"grid search over C({resolution + 1},{m}) points exceeds cap {cap}"
+            f"grid search over C({resolution + 1},{m}) points exceeds cap {DEFAULT_SEARCH_CAP}"
         )
     combos = _opponent_combos(opponents)
     grid = [OffsetLocation(Fraction(i, resolution), "exact") for i in range(resolution + 1)]
-    best = ZERO
-    for subset in itertools.combinations(grid, m):
-        value = _expected_value(subset, combos)
-        if value > best:
-            best = value
-    return best
+    return _best_subset(grid, m, combos)[0]

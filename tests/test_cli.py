@@ -1,12 +1,17 @@
 """End-to-end CLI tests: exit codes, JSON round-trips, atlas, SVG."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hotelling.cli import main
-from hotelling.serialize import parse_profile_document
+from hotelling.serialize import parse_profile_document, profile_document
 
 F = Fraction
 
@@ -103,6 +108,53 @@ class TestVerify:
         assert code == 2
         assert "strategies[0][0]" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--game", "2,1", "--kind", "mixed"),
+            ("construct", "--game", "4,2", "--kind", "two-player"),
+        ],
+    )
+    def test_two_player_document_in_descending_order(self, capsys, tmp_path, argv):
+        out = tmp_path / "profile.json"
+        assert run(capsys, *argv, "--out", str(out))[0] == 0
+        code, report, _ = run_json(capsys, "verify", "--profile", str(out))
+        assert code == 0 and report["verdict"] is True
+
+
+class TestPaths:
+    @pytest.mark.parametrize("kind", ["directory", "invalid-utf8"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--profile"),
+            ("payoff", "--profile"),
+            ("best-response", "--m", "1", "--against"),
+        ],
+    )
+    def test_unreadable_input_is_an_input_error(self, capsys, tmp_path, argv, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 2 and "input error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--game", "2,2", "--out", "missing/x.json"),
+            ("atlas", "--max-n", "3", "--out", "missing/a.csv"),
+            ("atlas", "--max-n", "3", "--svg", "file"),
+        ],
+    )
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        *head, target = argv
+        code, _, err = run(capsys, *head, str(tmp_path / target))
+        assert code == 2 and "input error" in err
+
 
 class TestScalarCommands:
     def test_midpoint_payoff(self, capsys, tmp_path):
@@ -150,8 +202,6 @@ class TestScalarCommands:
         [
             ("best-response", "--against", "1/4", "--m", "0"),
             ("best-response", "--against", "1/4", "--m", "1", "--grid", "1"),
-            ("best-response", "--against", "1/4", "--m", "1", "--cap", "0"),
-            ("verify", "--profile", "1/4;3/4", "--cap", "0"),
         ],
     )
     def test_best_response_bad_knobs(self, capsys, knob):
@@ -167,6 +217,8 @@ class TestScalarCommands:
             ("atlas", "--max-n", "3", "--seed", "2"),
             ("verify", "--profile", "1/4;3/4", "--grid", "5"),
             ("best-response", "--against", "1/4", "--m", "1", "--seed", "0"),
+            ("best-response", "--against", "1/4", "--m", "1", "--cap", "0"),
+            ("verify", "--profile", "1/4;3/4", "--cap", "0"),
         ],
     )
     def test_flag_outside_its_command_rejected(self, argv):
@@ -175,12 +227,12 @@ class TestScalarCommands:
         assert exc.value.code == 2
 
     def test_capped_search_exit_code(self, capsys):
+        # C(30, 5) = 142,506 candidate subsets exceed the search cap
         code, doc, _ = run_json(
             capsys,
             "best-response",
             "--against", "1/17,2/17,3/17,4/17,5/17,6/17,7/17,8/17,9/17,10/17",
-            "--m", "4",
-            "--cap", "50",
+            "--m", "5",
         )
         assert code == 4 and doc["exhaustive"] is False
 
@@ -236,12 +288,32 @@ class TestRoundTrip:
             ("construct", "--game", "2,2,3", "--kind", "pure"),
             ("construct", "--game", "1,1,4", "--kind", "mixed"),
             ("construct", "--game", "3,4", "--kind", "two-player"),
+            ("construct", "--game", "4,2", "--kind", "two-player"),
         ],
     )
     def test_emitted_documents_reparse(self, capsys, argv):
         code, doc, _ = run_json(capsys, *argv)
         assert code == 0
         game, profile = parse_profile_document(doc)
-        from hotelling.serialize import profile_document
-
         assert profile_document(game, profile) == doc
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 8), min_size=2, max_size=4).filter(lambda c: sum(c) <= 10))
+    def test_constructions_reparse_and_verify(self, counts):
+        # counts in any order; N-player mixed documents are not verifiable yet
+        def quiet(*argv):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                return main(list(argv))
+
+        game = ",".join(str(c) for c in counts)
+        with tempfile.TemporaryDirectory() as tmp:
+            for kind in ("pure", "mixed", "two-player"):
+                path = Path(tmp) / f"{kind}.json"
+                if quiet("construct", "--game", game, "--kind", kind, "--out", str(path)) != 0:
+                    assert not (kind == "two-player" and len(counts) == 2)
+                    continue
+                doc = json.loads(path.read_text())
+                assert profile_document(*parse_profile_document(doc)) == doc
+                if kind != "mixed" or len(counts) == 2:
+                    assert quiet("verify", "--profile", str(path)) == 0

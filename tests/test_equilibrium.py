@@ -1,6 +1,7 @@
 """Tests for verifiers, existence classification and constructors."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hotelling import (
     FacilityRef,
     InvalidInput,
     InvalidPartition,
+    MixedProfile,
     MixedStrategy,
     PureProfile,
     PureStrategy,
@@ -44,6 +46,8 @@ from hotelling.equilibrium import (
     COND_OPTIMAL_POINT_MASS,
     COND_PAIRED_EXTREMES,
 )
+
+from hotelling.serialize import profile_document
 
 from helpers import rand_profile
 
@@ -351,6 +355,20 @@ class TestVerifyTwoPlayer:
         profile = two_player_equilibrium(game)
         report = verify_two_player(game, profile.strategies[0], profile.strategies[1])
         assert report.verdict
+
+    def test_canonical_equilibrium_in_either_order(self):
+        # (make_olk(l, k), optimum) for l <= k, the same pair swapped for (k, l)
+        for k in range(1, 7):
+            for l in range(1, k + 1):
+                optimum = MixedStrategy.point(PureStrategy(optimal_locations(k)))
+                cases = {
+                    (l, k): MixedProfile((make_olk(l, k), optimum)),
+                    (k, l): MixedProfile((optimum, make_olk(l, k))),
+                }
+                for counts, expected in cases.items():
+                    game = make_game(counts)
+                    emitted = profile_document(game, two_player_equilibrium(game))
+                    assert json.dumps(emitted) == json.dumps(profile_document(game, expected))
 
     def test_handmade_soi_passes(self):
         game = make_game([2, 4])

@@ -18,6 +18,7 @@ from hotelling import (
     construct_pure,
     grid_search,
     is_equilibrium,
+    limit_payoff,
     make_game,
     make_olk,
     mixed_payoff,
@@ -71,15 +72,16 @@ class TestBestResponse:
         assert len({o.sort_key() for o in result.witness}) == 5
 
     def test_capped_fallback_is_deterministic_lower_bound(self):
-        opp = [point(*(F(i, 17) for i in range(1, 17)))]
-        full_family = candidate_family([F(i, 17) for i in range(1, 17)])
-        a = best_response(opp, 3, cap=10)
-        b = best_response(opp, 3, cap=10)
-        exhaustive = best_response(opp, 3)
+        # 30 candidates and m = 5: C(30, 5) = 142,506 subsets exceed the cap
+        opponent = [F(i, 17) for i in range(1, 11)]
+        assert len(candidate_family(opponent)) == 30
+        a = best_response([point(*opponent)], 5)
+        b = best_response([point(*opponent)], 5)
         assert a == b
-        assert not a.exhaustive and exhaustive.exhaustive
-        assert a.supremum_payoff <= exhaustive.supremum_payoff
-        assert len(full_family) == 48
+        assert not a.exhaustive
+        # the flagged value is achieved by its own witness, so it is a lower bound
+        replay = limit_payoff([opponent, list(a.witness)], deviator=1)
+        assert replay.payoffs[1] == a.supremum_payoff
 
 
 class TestCompletenessArgument:
@@ -119,7 +121,7 @@ class TestGridComparison:
 
     def test_grid_cap(self):
         with pytest.raises(SearchTooLarge):
-            grid_search([point("1/2")], 3, 1000, cap=100)
+            grid_search([point("1/2")], 3, 1000)
 
     def test_grid_resolution_is_an_input_error(self):
         with pytest.raises(InvalidInput):
@@ -212,8 +214,6 @@ class TestCertify:
     def test_witness_evaluates_to_supremum(self):
         # the reported witness, replayed through the limit evaluator, must
         # reproduce the supremum exactly
-        from hotelling import limit_payoff
-
         rng = random.Random(19)
         for _ in range(10):
             counts = rng.choice([(1, 1), (1, 2), (2, 2), (1, 1, 2)])
