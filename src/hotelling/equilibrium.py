@@ -83,9 +83,15 @@ def _report(conditions: Sequence[ConditionResult]) -> VerificationReport:
 
 
 def verify_single_unit(profile: PureProfile) -> VerificationReport:
-    """Equilibrium check for profiles where every player owns one facility."""
+    """Equilibrium check for profiles where every player owns one facility.
+
+    A monopoly has no competitor to deviate against, so a one-player
+    profile gets a true report with no conditions.
+    """
     if any(len(s) != 1 for s in profile.strategies):
         raise WrongGameKind("verify_single_unit needs exactly one facility per player")
+    if profile.num_players == 1:
+        return _report([])
     return _report(_single_unit_conditions(profile.refs(), masses(profile)))
 
 
@@ -133,11 +139,13 @@ def _single_unit_conditions(refs: Sequence[FacilityRef], report: MassReport) -> 
 def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
     """Necessary-and-sufficient equilibrium check for multi-unit profiles.
 
-    Meaningful for games with at least two players; a monopoly has no
-    competitor to deviate against, so the structural conditions below are
-    not the right test for it.
+    A monopoly has no competitor to deviate against, so every one-player
+    profile is an equilibrium and gets a true report with no conditions,
+    as in ``exists_pure`` and ``certify_no_deviation``.
     """
     require_profile(game, profile)
+    if game.num_players == 1:
+        return _report([])
     report = masses(profile)
     classes = classify(profile)
 

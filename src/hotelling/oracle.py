@@ -8,13 +8,15 @@ just above each opponent position} is exhaustive: the true supremum equals
 the best value over ordered subsets of that family, evaluated as eps -> 0+
 limits. This family argument is validated empirically against dense-grid
 search in the test suite.
+
+Every answer is exact or refused: a search over more than
+``DEFAULT_SEARCH_CAP`` subsets raises ``SearchTooLarge``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -31,7 +33,6 @@ from .mixed import (
 from .payoff import OffsetLocation, _catchments
 
 DEFAULT_SEARCH_CAP = 10**5
-ASCENT_STARTS = 32
 
 # An opponent draw: probability plus sorted (position, #players) pairs.
 _Combo = tuple[Fraction, tuple[tuple[Fraction, int], ...]]
@@ -44,16 +45,14 @@ class DeviationResult:
     ``attained`` tells whether some all-exact witness reaches the supremum;
     otherwise the witness carries one-sided limits. ``gain`` is relative to
     the player's payoff in the profile under certification (None when no
-    baseline was supplied). ``exhaustive`` is False when the candidate
-    search was capped and fell back to coordinate ascent, in which case the
-    supremum is only a lower bound.
+    baseline was supplied). The supremum is always exact: a search too
+    large to run raises ``SearchTooLarge`` instead of returning a result.
     """
 
     supremum_payoff: Fraction
     attained: bool
     witness: tuple[OffsetLocation, ...]
     gain: Fraction | None = None
-    exhaustive: bool = True
 
 
 def _opponent_combos(opponents: Sequence[MixedStrategy]) -> list[_Combo]:
@@ -146,49 +145,16 @@ def _gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocat
     return fillers
 
 
-def _coordinate_ascent(
-    family: tuple[OffsetLocation, ...],
-    m: int,
-    combos: Sequence[_Combo],
-) -> tuple[Fraction, tuple[OffsetLocation, ...]]:
-    """Deterministic local search used when exhaustive enumeration is capped."""
-    rng = random.Random(0)
-    indices = list(range(len(family)))
-    best_value: Fraction | None = None
-    best_subset: tuple[OffsetLocation, ...] | None = None
-    for _ in range(ASCENT_STARTS):
-        current = sorted(rng.sample(indices, m))
-        value = _expected_value([family[i] for i in current], combos)
-        improved = True
-        while improved:
-            improved = False
-            for slot in range(m):
-                for replacement in indices:
-                    if replacement in current:
-                        continue
-                    trial = sorted(current[:slot] + current[slot + 1 :] + [replacement])
-                    trial_value = _expected_value([family[i] for i in trial], combos)
-                    if trial_value > value:
-                        current, value = trial, trial_value
-                        improved = True
-        subset = tuple(family[i] for i in current)
-        if best_value is None or value > best_value or (value == best_value and subset < best_subset):
-            best_value, best_subset = value, subset
-    assert best_value is not None and best_subset is not None
-    return best_value, best_subset
-
-
 def _best_subset(
     family: Sequence[OffsetLocation],
     m: int,
     combos: Sequence[_Combo],
-) -> tuple[Fraction, tuple[OffsetLocation, ...] | None, tuple[OffsetLocation, ...] | None]:
+) -> tuple[Fraction, tuple[OffsetLocation, ...], tuple[OffsetLocation, ...] | None]:
     """Exhaustive search over ordered m-subsets of the sorted ``family``.
 
-    Returns the best expected value, the lexicographically smallest
-    maximizer and the smallest all-exact maximizer (None when no maximizer
-    is all-exact). With no m-subset at all the value is 0 and both
-    maximizers are None.
+    Needs ``m <= len(family)``. Returns the best expected value, the
+    lexicographically smallest maximizer and the smallest all-exact
+    maximizer (None when no maximizer is all-exact).
     """
     best = ZERO
     best_witness: tuple[OffsetLocation, ...] | None = None
@@ -214,7 +180,8 @@ def best_response(
     Enumerates ordered m-subsets of the offset candidate family and
     evaluates each in the eps -> 0+ limit. Ties are broken toward the
     lexicographically smallest witness; when the supremum is attained, the
-    witness reported is the smallest all-exact maximizer.
+    witness reported is the smallest all-exact maximizer. Raises
+    ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets.
     """
     if m < 1:
         raise InvalidInput(f"player must place at least one facility, got m={m}")
@@ -223,7 +190,7 @@ def best_response(
         # no competition: every strategy collects the whole customer mass
         witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
         gain = None if current_payoff is None else ONE - current_payoff
-        return DeviationResult(ONE, True, witness, gain, True)
+        return DeviationResult(ONE, True, witness, gain)
 
     combos = _opponent_combos(opponents)
     family = candidate_family(positions)
@@ -233,19 +200,18 @@ def best_response(
         value = _expected_value(witness, combos)
         gain = None if current_payoff is None else value - current_payoff
         # exact strategies always leave opponents positive mass, limits do not
-        return DeviationResult(value, False, witness, gain, True)
+        return DeviationResult(value, False, witness, gain)
 
     if math.comb(len(family), m) > DEFAULT_SEARCH_CAP:
-        value, witness = _coordinate_ascent(family, m, combos)
-        gain = None if current_payoff is None else value - current_payoff
-        return DeviationResult(value, False, witness, gain, exhaustive=False)
+        raise SearchTooLarge(
+            f"best response over C({len(family)},{m}) candidate subsets exceeds cap {DEFAULT_SEARCH_CAP}"
+        )
 
     best, best_witness, best_exact = _best_subset(family, m, combos)
-    assert best_witness is not None
     attained = best_exact is not None
     witness = best_exact if attained else best_witness
     gain = None if current_payoff is None else best - current_payoff
-    return DeviationResult(best, attained, witness, gain, True)
+    return DeviationResult(best, attained, witness, gain)
 
 
 def certify_no_deviation(
@@ -254,7 +220,8 @@ def certify_no_deviation(
     """Best response for every player; all gains <= 0 certifies equilibrium.
 
     Any strictly positive gain is a constructive refutation: its witness is
-    a beneficial deviation for that player.
+    a beneficial deviation for that player. Raises ``SearchTooLarge`` when
+    any player's search exceeds ``DEFAULT_SEARCH_CAP`` subsets.
     """
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile)
@@ -283,6 +250,8 @@ def grid_search(
     """
     if resolution < 2:
         raise InvalidInput(f"grid resolution must be at least 2, got {resolution}")
+    if m > resolution + 1:
+        raise InvalidInput(f"{m} facilities do not fit on the {resolution + 1} grid points")
     if math.comb(resolution + 1, m) > DEFAULT_SEARCH_CAP:
         raise SearchTooLarge(
             f"grid search over C({resolution + 1},{m}) points exceeds cap {DEFAULT_SEARCH_CAP}"

@@ -186,7 +186,7 @@ def deviation_to_json(result: DeviationResult) -> dict:
         "attained": result.attained,
         "witness": [offset_to_json(o) for o in result.witness],
         "gain": None if result.gain is None else format_fraction(result.gain),
-        "exhaustive": result.exhaustive,
+        "exhaustive": True,  # every result is exact; kept so documents stay compatible
     }
 
 

@@ -21,7 +21,10 @@ def _x(position: Fraction) -> float:
 
 
 def render_profile(game: Game, profile: PureProfile, title: str = "") -> str:
-    """One row per player, plus a shared axis row with co-location stacking."""
+    """One row of circles per player, plus a shared axis marked at 0, 1/2 and 1.
+
+    Each circle drops a dashed line to the axis.
+    """
     height = _MARGIN * 2 + _ROW * (game.num_players + 1)
     axis_y = height - _MARGIN
     parts = [

@@ -87,6 +87,18 @@ class TestVerify:
         assert F(deviation["gain"]) > 0
         assert all(w["side"] in ("below", "exact", "above") for w in deviation["witness"])
 
+    def test_refused_search_leaves_out_deviation(self, capsys):
+        # player 0 has 30 candidates, C(30, 5) subsets: the refutation
+        # search is refused, and the structural verdict stands alone
+        code, report, _ = run_json(
+            capsys,
+            "verify",
+            "--profile", "12/17,13/17,14/17,15/17,16/17;1/17,2/17,3/17,4/17,5/17;"
+            "6/17,7/17,8/17,9/17,10/17",
+        )
+        assert code == 1 and report["verdict"] is False
+        assert "deviation" not in report
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -202,6 +214,7 @@ class TestScalarCommands:
         [
             ("best-response", "--against", "1/4", "--m", "0"),
             ("best-response", "--against", "1/4", "--m", "1", "--grid", "1"),
+            ("best-response", "--against", "1/4", "--m", "5", "--grid", "2"),
         ],
     )
     def test_best_response_bad_knobs(self, capsys, knob):
@@ -228,13 +241,13 @@ class TestScalarCommands:
 
     def test_capped_search_exit_code(self, capsys):
         # C(30, 5) = 142,506 candidate subsets exceed the search cap
-        code, doc, _ = run_json(
+        code, out, err = run(
             capsys,
             "best-response",
             "--against", "1/17,2/17,3/17,4/17,5/17,6/17,7/17,8/17,9/17,10/17",
             "--m", "5",
         )
-        assert code == 4 and doc["exhaustive"] is False
+        assert code == 4 and out == "" and "search capped" in err
 
 
 class TestAtlas:
@@ -298,7 +311,7 @@ class TestRoundTrip:
         assert profile_document(game, profile) == doc
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(1, 8), min_size=2, max_size=4).filter(lambda c: sum(c) <= 10))
+    @given(st.lists(st.integers(1, 8), min_size=1, max_size=4).filter(lambda c: sum(c) <= 10))
     def test_constructions_reparse_and_verify(self, counts):
         # counts in any order; N-player mixed documents are not verifiable yet
         def quiet(*argv):

@@ -100,6 +100,10 @@ class TestVerifySingleUnit:
         broken = PureProfile.of(["1/7"], ["1/7"], ["3/7"], ["4/7"], ["5/7"], ["6/7"])
         assert not verify_single_unit(broken).verdict
 
+    def test_monopoly_is_trivially_an_equilibrium(self):
+        report = verify_single_unit(PureProfile.of(["1/3"]))
+        assert report.verdict and report.conditions == ()
+
     def test_wrong_game_kind(self):
         with pytest.raises(WrongGameKind):
             verify_single_unit(PureProfile.of(["1/4", "3/4"], ["1/2"]))

@@ -71,17 +71,16 @@ class TestBestResponse:
         assert len(result.witness) == 5
         assert len({o.sort_key() for o in result.witness}) == 5
 
-    def test_capped_fallback_is_deterministic_lower_bound(self):
+    def test_over_cap_search_is_refused(self):
         # 30 candidates and m = 5: C(30, 5) = 142,506 subsets exceed the cap
         opponent = [F(i, 17) for i in range(1, 11)]
         assert len(candidate_family(opponent)) == 30
-        a = best_response([point(*opponent)], 5)
-        b = best_response([point(*opponent)], 5)
-        assert a == b
-        assert not a.exhaustive
-        # the flagged value is achieved by its own witness, so it is a lower bound
-        replay = limit_payoff([opponent, list(a.witness)], deviator=1)
-        assert replay.payoffs[1] == a.supremum_payoff
+        with pytest.raises(SearchTooLarge):
+            best_response([point(*opponent)], 5)
+        # player 0 of this profile faces exactly those opponents
+        profile = PureProfile.of([F(i, 17) for i in range(12, 17)], opponent[:5], opponent[5:])
+        with pytest.raises(SearchTooLarge):
+            certify_no_deviation(make_game([5, 5, 5]), profile)
 
 
 class TestCompletenessArgument:
@@ -126,6 +125,9 @@ class TestGridComparison:
     def test_grid_resolution_is_an_input_error(self):
         with pytest.raises(InvalidInput):
             grid_search([point("1/2")], 1, 1)
+        # four facilities do not fit on the three points {0, 1/2, 1}
+        with pytest.raises(InvalidInput):
+            grid_search([point("1/2")], 4, 2)
 
     def test_adding_grid_candidates_never_raises_supremum(self):
         # the offset family is already complete: enriching it with exact
@@ -243,6 +245,13 @@ class TestCertify:
             verdict = verify_multi_unit(game, profile).verdict
             certified = is_equilibrium(certify_no_deviation(game, profile))
             assert verdict == certified, (counts, profile)
+
+    def test_monopoly_routes_agree(self):
+        for counts in ([1], [3], [5]):
+            game = make_game(counts)
+            profile = construct_pure(game)
+            assert verify_multi_unit(game, profile).verdict
+            assert is_equilibrium(certify_no_deviation(game, profile))
 
     def test_constructed_equilibria_certify(self):
         for counts in [(2, 2), (1, 1, 2), (1, 2, 2), (1, 1, 2, 2)]:
