@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success / verdict true, 1 verdict
 false, 2 input error, 3 construction unavailable, 4 search capped (a
-search over more than 10^5 subsets is refused and nothing is written).
+search over more than 10^5 subsets, or an expectation over more than
+10^6 joint draws, is refused and nothing is written).
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from .errors import (
     HotellingError,
     InvalidGame,
     InvalidInput,
+    InvalidStrategy,
     SearchTooLarge,
+    SupportTooLarge,
 )
 from .mixed import MixedProfile, mixed_payoff
 from .oracle import best_response, certify_no_deviation, grid_search
@@ -48,12 +51,14 @@ def _parse_inline_profile(text: str) -> PureProfile:
     for i, chunk in enumerate(text.split(";")):
         locs = [part.strip() for part in chunk.split(",") if part.strip()]
         if not locs:
-            raise InvalidInput(f"--against: player {i} has no locations in {text!r}")
+            raise InvalidInput(f"player {i} has no locations in {text!r}")
         strategies.append(PureStrategy(tuple(as_fraction(x) for x in locs)))
     return PureProfile(tuple(strategies))
 
 
 def _load_document(path_or_inline: str):
+    if not path_or_inline:  # Path("") is the current directory
+        raise InvalidInput("expected a profile document path or an inline profile, got an empty string")
     path = Path(path_or_inline)
     if path.exists():
         try:
@@ -61,7 +66,10 @@ def _load_document(path_or_inline: str):
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8
             raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
         return ser.parse_profile_document(data)
-    profile = _parse_inline_profile(path_or_inline)
+    try:
+        profile = _parse_inline_profile(path_or_inline)
+    except (InvalidInput, InvalidStrategy) as exc:
+        raise InvalidInput(f"{path_or_inline}: no such file, and not an inline profile ({exc})") from exc
     game = Game(tuple(len(s) for s in profile.strategies))
     return game, profile
 
@@ -78,11 +86,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     game = _parse_game(args.game)
     if args.kind == "pure":
         profile = eq.construct_pure(game)
-        _emit(ser.profile_document(game, profile), args.out)
-        return EXIT_OK
-    if args.kind == "mixed":
-        dom = has_dominant_player(game)
-        if dom is None:
+    elif args.kind == "mixed":
+        if has_dominant_player(game) is None:
             raise ConstructionUnavailable(
                 "mixed construction targets games with a dominant player; "
                 "use --kind pure instead"
@@ -93,10 +98,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
                 "no integral block partition exists for this game"
             )
         profile = eq.construct_mixed(game, plan)
-        _emit(ser.profile_document(game, profile), args.out)
-        return EXIT_OK
-    # two-player
-    profile = eq.two_player_equilibrium(game)
+    else:  # two-player
+        profile = eq.two_player_equilibrium(game)
     _emit(ser.profile_document(game, profile), args.out)
     return EXIT_OK
 
@@ -108,9 +111,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if game.num_players != 2:
             raise InvalidInput("mixed verification is supported for two-player games")
-        # the player with fewer facilities goes first
-        (l, x1), (k, x2) = sorted(zip(game.counts, profile.strategies), key=lambda pair: pair[0])
-        report = eq.verify_two_player(Game((l, k)), x1, x2)
+        report = eq.verify_two_player(game, *profile.strategies)
     payload = ser.report_to_json(report)
     if not report.verdict and isinstance(profile, PureProfile):
         # attach the strongest refutation: a concrete beneficial deviation
@@ -299,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionUnavailable as exc:
         print(f"construction unavailable: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
-    except SearchTooLarge as exc:
+    except (SearchTooLarge, SupportTooLarge) as exc:
         print(f"search capped: {exc}", file=sys.stderr)
         return EXIT_CAPPED
     except HotellingError as exc:

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import InvalidGame, InvalidStrategy
+
+if TYPE_CHECKING:
+    from .mixed import MixedProfile
 
 RationalLike = Union[Fraction, int, str]
 
@@ -58,11 +61,6 @@ class Game:
     def n(self) -> int:
         """Total number of facilities."""
         return sum(self.counts)
-
-    @property
-    def is_canonical(self) -> bool:
-        """Whether counts already follow the ascending convention."""
-        return all(a <= b for a, b in zip(self.counts, self.counts[1:]))
 
     def ascending_order(self) -> tuple[int, ...]:
         """Player indices sorted by (count, index); a stable ascending view."""
@@ -133,10 +131,6 @@ class PureProfile:
     def num_players(self) -> int:
         return len(self.strategies)
 
-    def occupied(self) -> list[Fraction]:
-        """Sorted distinct occupied positions."""
-        return sorted({x for s in self.strategies for x in s})
-
     def refs(self) -> list["FacilityRef"]:
         return [
             FacilityRef(player=i, slot=j, position=x)
@@ -150,13 +144,10 @@ class PureProfile:
         )
 
 
-def require_profile(game: Game, profile: PureProfile) -> None:
-    """Raise InvalidStrategy unless the profile's shape matches the game."""
+def require_profile(game: Game, profile: PureProfile | MixedProfile) -> None:
+    """Raise InvalidStrategy unless the pure or mixed profile's shape matches the game."""
     if not profile.matches(game):
-        raise InvalidStrategy(
-            f"profile shape {tuple(len(s) for s in profile.strategies)} "
-            f"does not match game counts {game.counts}"
-        )
+        raise InvalidStrategy(f"profile shape does not match game counts {game.counts}")
 
 
 @dataclass(frozen=True)

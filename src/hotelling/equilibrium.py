@@ -353,13 +353,16 @@ def find_partition(game: Game) -> PartitionPlan | None:
 
     Needs a dominant player. Block sizes must satisfy b_i = n_i * n_N /
     (n - n_N) exactly; blocks are consecutive runs of the optimal locations
-    in ascending player order. Returns None when any size is fractional.
+    in ascending player order. Returns None when any size is fractional,
+    and for a monopoly, which has no weak player to mix.
     """
     dom = has_dominant_player(game)
     if dom is None:
         raise WrongGameKind("find_partition needs a dominant player")
     n_dom = game.counts[dom]
     rest = game.n - n_dom
+    if rest == 0:
+        return None
     sizes: list[int] = []
     for i, c in enumerate(game.counts):
         if i == dom:
@@ -424,27 +427,25 @@ def construct_mixed(game: Game, plan: PartitionPlan) -> MixedProfile:
 def verify_two_player(
     game: Game, x1: MixedStrategy, x2: MixedStrategy
 ) -> VerificationReport:
-    """Equilibrium check for two-player games with counts (l, k), l <= k.
+    """Equilibrium check for two-player games with counts l <= k, in either order.
 
     A profile is an equilibrium exactly when the smaller player's strategy
     puts expected mass l/k on each of the k optimal locations and the
     larger player occupies them all deterministically; payoffs are then
-    (l/2k, 1 - l/2k).
+    (l/2k, 1 - l/2k). With equal counts the first player is the imitator.
     """
     if game.num_players != 2:
         raise WrongGameKind("verify_two_player needs exactly two players")
-    l, k = game.counts
-    if l > k:
-        raise WrongGameKind(f"counts must satisfy l <= k, got ({l}, {k})")
-    if x1.num_facilities != l or x2.num_facilities != k:
+    if (x1.num_facilities, x2.num_facilities) != game.counts:
         raise WrongGameKind("strategy sizes do not match the game counts")
+    (l, weak), (k, strong) = sorted(zip(game.counts, (x1, x2)), key=lambda pair: pair[0])
 
-    soi: SoiResult = is_soi(x1, l, k)
+    soi: SoiResult = is_soi(weak, l, k)
     cond1 = ConditionResult(
         COND_SOI, soi.ok, None if soi.ok else {"position": soi.witness}
     )
     target = PureStrategy(optimal_locations(k))
-    pointy = x2.is_point() and x2.as_pure() == target
+    pointy = strong.is_point() and strong.as_pure() == target
     cond2 = ConditionResult(
         COND_OPTIMAL_POINT_MASS,
         pointy,

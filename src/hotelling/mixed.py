@@ -21,6 +21,7 @@ from .core import (
     PureStrategy,
     RationalLike,
     as_fraction,
+    require_profile,
 )
 from .errors import InvalidInput, InvalidStrategy, SupportTooLarge
 from .payoff import masses
@@ -118,28 +119,24 @@ class MixedProfile:
         return math.prod(len(x.support) for x in self.strategies)
 
 
-def _require_mixed(game: Game, profile: MixedProfile) -> None:
-    if not profile.matches(game):
-        raise InvalidStrategy(
-            f"mixed profile shape does not match game counts {game.counts}"
-        )
-
-
 def _draws(
     strategies: Sequence[MixedStrategy],
 ) -> Iterator[tuple[Fraction, tuple[PureStrategy, ...]]]:
-    """Every joint draw of independent players with its probability."""
+    """Every joint draw of independent players with its probability.
+
+    Raises ``SupportTooLarge`` before the first draw when there are more
+    than ``DEFAULT_SUPPORT_CAP`` of them.
+    """
+    size = math.prod(len(x.support) for x in strategies)
+    if size > DEFAULT_SUPPORT_CAP:
+        raise SupportTooLarge(f"product support has {size} combinations (cap {DEFAULT_SUPPORT_CAP})")
     for combo in itertools.product(*(x.support for x in strategies)):
         yield math.prod((p for _, p in combo), start=ONE), tuple(s for s, _ in combo)
 
 
 def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     """Exact expected payoffs, enumerating the product of supports."""
-    _require_mixed(game, profile)
-    if profile.support_size() > DEFAULT_SUPPORT_CAP:
-        raise SupportTooLarge(
-            f"product support has {profile.support_size()} combinations (cap {DEFAULT_SUPPORT_CAP})"
-        )
+    require_profile(game, profile)
     totals = [ZERO] * game.num_players
     for weight, drawn in _draws(profile.strategies):
         outcome = masses(PureProfile(drawn)).payoffs
@@ -195,14 +192,18 @@ class MeasureQuery:
         return self.lower == self.upper and not (self.lower_closed and self.upper_closed)
 
 
+def _expected_counts(x: MixedStrategy) -> dict[Fraction, Fraction]:
+    """Expected number of the strategy's facilities at each location it may use."""
+    counts: dict[Fraction, Fraction] = {}
+    for strategy, prob in x.support:
+        for loc in strategy:
+            counts[loc] = counts.get(loc, ZERO) + prob
+    return counts
+
+
 def mu(x: MixedStrategy, query: MeasureQuery) -> Fraction:
     """Expected number of the strategy's facilities inside the query set."""
-    total = ZERO
-    for strategy, prob in x.support:
-        count = sum(1 for loc in strategy if query.contains(loc))
-        if count:
-            total += prob * count
-    return total
+    return sum((c for loc, c in _expected_counts(x).items() if query.contains(loc)), ZERO)
 
 
 def optimal_locations(k: int) -> tuple[Fraction, ...]:
@@ -227,9 +228,8 @@ def is_soi(x: MixedStrategy, l: int, k: int) -> SoiResult:
     """Whether the strategy places expected mass l/k on every one of the k
     socially optimal points.
 
-    When that holds, every support entry is forced to live inside the
-    optimal set (total expected mass there already exhausts all l
-    facilities); this is asserted as an internal consistency check.
+    The expected counts of all locations sum to l, so when the k optimal
+    points carry l/k each, no support entry uses any other location.
     """
     if not 1 <= l <= k:
         raise InvalidInput(f"need 1 <= l <= k, got l={l}, k={k}")
@@ -237,14 +237,11 @@ def is_soi(x: MixedStrategy, l: int, k: int) -> SoiResult:
         raise InvalidInput(
             f"strategy places {x.num_facilities} facilities, expected l={l}"
         )
+    expected = _expected_counts(x)
     target = Fraction(l, k)
     for point in optimal_locations(k):
-        if mu(x, MeasureQuery.point(point)) != target:
+        if expected.get(point, ZERO) != target:
             return SoiResult(False, point)
-    optimal = set(optimal_locations(k))
-    for strategy, _ in x.support:
-        stray = [loc for loc in strategy if loc not in optimal]
-        assert not stray, f"measure check passed but support leaks outside the optimal set: {stray}"
     return SoiResult(True)
 
 
@@ -265,9 +262,6 @@ def combined_strategy(strategies: Sequence[MixedStrategy]) -> MixedStrategy:
     """
     if not strategies:
         raise InvalidStrategy("nothing to combine")
-    size = math.prod(len(x.support) for x in strategies)
-    if size > DEFAULT_SUPPORT_CAP:
-        raise SupportTooLarge(f"joint support has {size} combinations (cap {DEFAULT_SUPPORT_CAP})")
     merged: dict[PureStrategy, Fraction] = {}
     for weight, drawn in _draws(strategies):
         locations = sorted(loc for s in drawn for loc in s)

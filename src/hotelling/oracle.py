@@ -10,7 +10,8 @@ limits. This family argument is validated empirically against dense-grid
 search in the test suite.
 
 Every answer is exact or refused: a search over more than
-``DEFAULT_SEARCH_CAP`` subsets raises ``SearchTooLarge``.
+``DEFAULT_SEARCH_CAP`` subsets raises ``SearchTooLarge``, and opponents
+with more than ``DEFAULT_SUPPORT_CAP`` joint draws raise ``SupportTooLarge``.
 """
 
 from __future__ import annotations
@@ -181,35 +182,30 @@ def best_response(
     evaluates each in the eps -> 0+ limit. Ties are broken toward the
     lexicographically smallest witness; when the supremum is attained, the
     witness reported is the smallest all-exact maximizer. Raises
+    ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP`` opponent draws and
     ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets.
     """
     if m < 1:
         raise InvalidInput(f"player must place at least one facility, got m={m}")
     positions = sorted({loc for x in opponents for s, _ in x.support for loc in s})
-    if not positions:
-        # no competition: every strategy collects the whole customer mass
-        witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
-        gain = None if current_payoff is None else ONE - current_payoff
-        return DeviationResult(ONE, True, witness, gain)
-
     combos = _opponent_combos(opponents)
     family = candidate_family(positions)
-
-    if m > len(family):
+    if not positions:
+        # no competition: every strategy collects the whole customer mass
+        best, attained = ONE, True
+        witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
+    elif m > len(family):
         witness = tuple(sorted(family + tuple(_gap_fillers(positions, m - len(family)))))
-        value = _expected_value(witness, combos)
-        gain = None if current_payoff is None else value - current_payoff
         # exact strategies always leave opponents positive mass, limits do not
-        return DeviationResult(value, False, witness, gain)
-
-    if math.comb(len(family), m) > DEFAULT_SEARCH_CAP:
-        raise SearchTooLarge(
-            f"best response over C({len(family)},{m}) candidate subsets exceeds cap {DEFAULT_SEARCH_CAP}"
-        )
-
-    best, best_witness, best_exact = _best_subset(family, m, combos)
-    attained = best_exact is not None
-    witness = best_exact if attained else best_witness
+        best, attained = _expected_value(witness, combos), False
+    else:
+        if math.comb(len(family), m) > DEFAULT_SEARCH_CAP:
+            raise SearchTooLarge(
+                f"best response over C({len(family)},{m}) candidate subsets exceeds cap {DEFAULT_SEARCH_CAP}"
+            )
+        best, best_witness, best_exact = _best_subset(family, m, combos)
+        attained = best_exact is not None
+        witness = best_exact if attained else best_witness
     gain = None if current_payoff is None else best - current_payoff
     return DeviationResult(best, attained, witness, gain)
 

@@ -80,9 +80,6 @@ class MassReport:
     left_masses: Mapping[FacilityRef, Fraction]
     right_masses: Mapping[FacilityRef, Fraction]
 
-    def payoff_of(self, player: int) -> Fraction:
-        return self.payoffs[player]
-
 
 def _catchments(positions: Sequence[Fraction]) -> list[Fraction]:
     """Catchment boundaries [0, midpoints..., 1] of sorted positions.
@@ -128,11 +125,6 @@ def masses(profile: PureProfile) -> MassReport:
     for ref in profile.refs():
         owners.setdefault(ref.position, []).append(ref)
     return _mass_report(profile.num_players, owners)
-
-
-def payoff_vector(profile: PureProfile) -> tuple[Fraction, ...]:
-    """Shorthand for masses(profile).payoffs."""
-    return masses(profile).payoffs
 
 
 def _as_offset(entry: OffsetLocation | RationalLike) -> OffsetLocation:

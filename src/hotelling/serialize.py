@@ -153,7 +153,7 @@ def report_to_json(report: VerificationReport) -> dict:
         "conditions": [
             {
                 "id": c.condition,
-                "name": CONDITION_NAMES.get(c.condition, c.condition),
+                "name": CONDITION_NAMES[c.condition],
                 "passed": c.passed,
                 "witness": _jsonify_witness(c.witness),
             }

@@ -56,6 +56,10 @@ class TestConstruct:
             {"strategy": ["1/8", "3/8", "5/8", "7/8"], "prob": "1/1"}
         ]
 
+    def test_monopoly_mixed_unavailable(self, capsys):
+        code, out, err = run(capsys, "construct", "--game", "3", "--kind", "mixed")
+        assert code == 3 and out == "" and "construction unavailable" in err
+
     def test_bad_game_string(self, capsys):
         code, _, err = run(capsys, "construct", "--game", "1,x", "--kind", "pure")
         assert code == 2 and "input error" in err
@@ -112,6 +116,86 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--profile", str(path))
         assert code == 2 and "input error" in err
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            pytest.param([1, 2], "document: expected a JSON object", id="not-an-object"),
+            pytest.param(
+                {"game": {}, "strategies": [["1/2"]]},
+                "game: expected an object with a 'counts' field",
+                id="no-counts",
+            ),
+            pytest.param(
+                {"game": {"counts": "1"}, "strategies": [["1/2"]]},
+                "game.counts: expected a list of integers",
+                id="counts-not-a-list",
+            ),
+            pytest.param(
+                {"game": {"counts": [1]}},
+                "needs either 'strategies' or 'mixed_strategies'",
+                id="no-strategies",
+            ),
+            pytest.param(
+                {"game": {"counts": [1]}, "strategies": "1/2"},
+                "profile.strategies: expected a list",
+                id="strategies-not-a-list",
+            ),
+            pytest.param(
+                {"game": {"counts": [1]}, "strategies": ["1/2"]},
+                "profile.strategies[0]: expected a list",
+                id="entry-not-a-list",
+            ),
+            pytest.param(
+                {"game": {"counts": [1]}, "strategies": [[0.5]]},
+                "expected a rational string, got float",
+                id="float-location",
+            ),
+            pytest.param(
+                {"game": {"counts": [1]}, "mixed_strategies": []},
+                "mixed_strategies: expected a non-empty list",
+                id="empty-mixed",
+            ),
+            pytest.param(
+                {"game": {"counts": [1]}, "mixed_strategies": [[]]},
+                "mixed_strategies[0]: expected a non-empty list",
+                id="empty-support",
+            ),
+            pytest.param(
+                {"game": {"counts": [1]}, "mixed_strategies": [[{"strategy": ["1/2"]}]]},
+                "mixed_strategies[0][0]: expected an object with 'strategy' and 'prob'",
+                id="entry-without-prob",
+            ),
+            pytest.param(
+                {"game": {"counts": [1, 2]}, "strategies": [["1/2"], ["1/4"]]},
+                "profile shape does not match game counts",
+                id="shape-mismatch",
+            ),
+        ],
+    )
+    def test_malformed_documents_rejected(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--profile", str(path))
+        assert code == 2 and out == "" and "input error" in err and message in err
+
+    def test_failing_two_player_profile(self, capsys, tmp_path):
+        # the strong player, listed first, misses the optimal point 7/8
+        doc = {
+            "game": {"counts": [4, 2]},
+            "mixed_strategies": [
+                [{"strategy": ["1/8", "3/8", "5/8", "3/4"], "prob": "1/1"}],
+                [{"strategy": ["1/8", "3/8"], "prob": "1/2"}, {"strategy": ["5/8", "7/8"], "prob": "1/2"}],
+            ],
+        }
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(doc))
+        code, report, err = run_json(capsys, "verify", "--profile", str(path))
+        assert code == 1 and report["verdict"] is False
+        conditions = {c["id"]: c for c in report["conditions"]}
+        assert conditions["C1"]["passed"] is True
+        assert conditions["C2"]["witness"] == {"expected": ["1/8", "3/8", "5/8", "7/8"]}
+        assert "[FAIL] C2" in err and "deviation" not in report
+
     def test_malformed_rational(self, capsys, tmp_path):
         doc = {"game": {"counts": [1, 1]}, "strategies": [["1/0"], ["1/2"]]}
         path = tmp_path / "bad.json"
@@ -152,6 +236,17 @@ class TestPaths:
             path.write_bytes(b"\xff\xfe")
         code, _, err = run(capsys, *argv, str(path))
         assert code == 2 and "input error" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("verify", "--profile", "nofile.json"), "nofile.json: no such file"),
+            (("best-response", "--m", "1", "--against", ""), "got an empty string"),
+        ],
+    )
+    def test_missing_input_is_named(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "input error" in err and message in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -238,6 +333,17 @@ class TestScalarCommands:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+    def test_oversized_support_is_refused(self, capsys, tmp_path):
+        # 101**3 = 1,030,301 joint draws exceed the support cap of 10**6
+        uniform = [{"strategy": [f"{i}/100"], "prob": "1/101"} for i in range(101)]
+        doc = {"game": {"counts": [1, 1, 1]}, "mixed_strategies": [uniform] * 3}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "payoffs.json"
+        code, out, err = run(capsys, "payoff", "--profile", str(path), "--out", str(out_path))
+        assert code == 4 and out == "" and "search capped" in err
+        assert not out_path.exists()
 
     def test_capped_search_exit_code(self, capsys):
         # C(30, 5) = 142,506 candidate subsets exceed the search cap

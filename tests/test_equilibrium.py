@@ -32,7 +32,6 @@ from hotelling import (
     masses,
     mixed_payoff,
     optimal_locations,
-    payoff_vector,
     social_cost,
     two_player_equilibrium,
     verify_multi_unit,
@@ -93,7 +92,7 @@ class TestVerifySingleUnit:
     def test_flattened_six_facility_equilibrium(self):
         # paired extremes at 1/7 and 6/7, lone 3/7 and 4/7: every payoff >= 1/7
         flat = PureProfile.of(["1/7"], ["1/7"], ["3/7"], ["4/7"], ["6/7"], ["6/7"])
-        payoffs = payoff_vector(flat)
+        payoffs = masses(flat).payoffs
         assert min(payoffs) == F(1, 7)
         assert verify_single_unit(flat).verdict
         # breaking one extreme pair breaks the equilibrium
@@ -150,8 +149,8 @@ class TestVerifyMultiUnit:
             assert verify_multi_unit(game, profile).verdict
             report = masses(profile)
             cls = classify(profile)
-            occupied = profile.occupied()
-            extremes = {occupied[0], occupied[-1]}
+            occupied = {x for s in profile.strategies for x in s}
+            extremes = {min(occupied), max(occupied)}
             for ref, c in cls.items():
                 if ref.position in extremes:
                     assert len(c.co_located_players) >= 2
@@ -235,7 +234,7 @@ class TestConstructOdd:
         assert profile.strategies[0].locations == (F(1, 2),)
         assert profile.strategies[1].locations == (F(1, 6), F(5, 6))
         assert profile.strategies[2].locations == (F(1, 6), F(5, 6))
-        assert payoff_vector(profile) == (F(1, 3), F(1, 3), F(1, 3))
+        assert masses(profile).payoffs == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_remaining_count_allocation(self):
         profile = construct_odd(make_game([1, 1, 1, 2]))
@@ -271,7 +270,7 @@ class TestConstructPure:
 
     def test_two_singletons(self):
         profile = construct_pure(make_game([1, 1]))
-        assert payoff_vector(profile) == (F(1, 2), F(1, 2))
+        assert masses(profile).payoffs == (F(1, 2), F(1, 2))
 
     def test_no_pure_cases(self):
         for counts in [(1, 2), (1, 1, 1), (1, 1, 4)]:
@@ -284,7 +283,7 @@ class TestConstructPure:
             game = make_game(counts)
             profile = construct_pure(game)
             flat = flatten(game, profile)
-            flat_payoffs = payoff_vector(flat.profile)
+            flat_payoffs = masses(flat.profile).payoffs
             cls = classify(flat.profile)
             paired_payoffs = {
                 flat_payoffs[ref.player]
@@ -320,6 +319,10 @@ class TestPartition:
     def test_requires_dominance(self):
         with pytest.raises(WrongGameKind):
             find_partition(make_game([1, 1, 2]))
+
+    def test_monopoly_has_no_partition(self):
+        # a monopolist dominates but has no weak player to mix
+        assert find_partition(make_game([3])) is None
 
 
 class TestConstructMixed:
@@ -373,6 +376,20 @@ class TestVerifyTwoPlayer:
                     game = make_game(counts)
                     emitted = profile_document(game, two_player_equilibrium(game))
                     assert json.dumps(emitted) == json.dumps(profile_document(game, expected))
+
+    def test_counts_in_either_order(self):
+        # with l < k, swapping both the counts and the strategies keeps the report
+        verdicts = set()
+        for k in range(2, 8):
+            optimum = MixedStrategy.point(PureStrategy(optimal_locations(k)))
+            misplaced = MixedStrategy.point(PureStrategy(tuple(F(i, k + 2) for i in range(1, k + 1))))
+            for l in range(1, k):
+                first_points = MixedStrategy.point(PureStrategy(optimal_locations(k)[:l]))
+                for weak, strong in [(make_olk(l, k), optimum), (first_points, optimum), (make_olk(l, k), misplaced)]:
+                    report = verify_two_player(make_game([l, k]), weak, strong)
+                    assert verify_two_player(make_game([k, l]), strong, weak) == report
+                    verdicts.add(report.verdict)
+        assert verdicts == {True, False}
 
     def test_handmade_soi_passes(self):
         game = make_game([2, 4])

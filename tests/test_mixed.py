@@ -19,10 +19,10 @@ from hotelling import (
     is_soi,
     make_game,
     make_olk,
+    masses,
     mixed_payoff,
     mu,
     optimal_locations,
-    payoff_vector,
 )
 
 from helpers import rand_strategy
@@ -73,7 +73,7 @@ class TestMixedPayoff:
     def test_point_masses_reduce_to_pure(self):
         game = make_game([1, 2])
         profile = PureProfile.of(["1/3"], ["1/4", "3/4"])
-        assert mixed_payoff(game, MixedProfile.from_pure(profile)) == payoff_vector(profile)
+        assert mixed_payoff(game, MixedProfile.from_pure(profile)) == masses(profile).payoffs
 
     def test_two_player_equilibrium_value(self):
         game = make_game([2, 4])

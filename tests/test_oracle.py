@@ -1,6 +1,7 @@
 """Tests for the best-response oracle and deviation certification."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hotelling import (
     PureProfile,
     PureStrategy,
     SearchTooLarge,
+    SupportTooLarge,
     best_response,
     certify_no_deviation,
     construct_pure,
@@ -81,6 +83,15 @@ class TestBestResponse:
         profile = PureProfile.of([F(i, 17) for i in range(12, 17)], opponent[:5], opponent[5:])
         with pytest.raises(SearchTooLarge):
             certify_no_deviation(make_game([5, 5, 5]), profile)
+
+    def test_oversized_opponent_support_is_refused(self):
+        # 101**3 = 1,030,301 opponent draws exceed the support cap of 10**6,
+        # so the search is refused before any draw is built
+        uniform = MixedStrategy.uniform([PureStrategy((F(i, 100),)) for i in range(101)])
+        start = time.perf_counter()
+        with pytest.raises(SupportTooLarge):
+            best_response([uniform, uniform, uniform], 3)
+        assert time.perf_counter() - start < 1
 
 
 class TestCompletenessArgument:

@@ -24,7 +24,6 @@ from hotelling import (
     make_game,
     masses,
     optimal_locations,
-    payoff_vector,
     social_cost,
 )
 
@@ -50,18 +49,17 @@ def profiles(draw):
 
 class TestMasses:
     def test_shared_midpoint(self):
-        assert payoff_vector(PureProfile.of(["1/2"], ["1/2"])) == (F(1, 2), F(1, 2))
+        assert masses(PureProfile.of(["1/2"], ["1/2"])).payoffs == (F(1, 2), F(1, 2))
 
     def test_two_against_four(self):
         profile = PureProfile.of(["1/8", "3/8"], ["1/8", "3/8", "5/8", "7/8"])
-        assert payoff_vector(profile) == (F(1, 4), F(3, 4))
+        assert masses(profile).payoffs == (F(1, 4), F(3, 4))
 
     def test_reconstructed_four_player_profile(self):
         profile = PureProfile.of(["6/7"], ["4/7"], ["1/7", "3/7"], ["1/7", "6/7"])
         report = masses(profile)
         assert report.payoffs == (F(1, 7), F(3, 14), F(5, 14), F(2, 7))
-        assert report.payoff_of(2) == F(5, 14)
-
+        
     def test_one_sided_masses_shared_by_co_located(self):
         profile = PureProfile.of(["1/4"], ["1/4", "3/4"])
         report = masses(profile)
@@ -78,7 +76,7 @@ class TestMasses:
         for _ in range(5):
             game = make_game([rng.randint(1, 3) for _ in range(rng.randint(2, 4))])
             profile = rand_profile(rng, game, denom=16)
-            exact = payoff_vector(profile)
+            exact = masses(profile).payoffs
             approx = riemann_payoffs(profile, samples=100_000)
             for e, a in zip(exact, approx):
                 assert abs(float(e) - a) < 1e-4
@@ -86,7 +84,7 @@ class TestMasses:
     @given(profiles())
     @settings(max_examples=60, deadline=None)
     def test_partition_of_unity(self, profile):
-        assert sum(payoff_vector(profile)) == 1
+        assert sum(masses(profile).payoffs) == 1
 
     @given(profiles())
     @settings(max_examples=60, deadline=None)
@@ -122,7 +120,7 @@ class TestLimitPayoff:
 
     def test_limit_matches_small_epsilon(self):
         eps = F(1, 1000)
-        explicit = payoff_vector(PureProfile.of(["1/4"], [F(1, 4) + eps]))
+        explicit = masses(PureProfile.of(["1/4"], [F(1, 4) + eps])).payoffs
         assert explicit[1] == F(3, 4) - eps / 2
 
     def test_exact_tie(self):
@@ -148,7 +146,7 @@ class TestLimitPayoff:
         deltas = {}
         limit = limit_payoff([[exactly("1/4")], [just_above("1/4")]], 1).payoffs[1]
         for m in (1000, 10000):
-            explicit = payoff_vector(PureProfile.of(["1/4"], [F(1, 4) + F(1, m)]))[1]
+            explicit = masses(PureProfile.of(["1/4"], [F(1, 4) + F(1, m)])).payoffs[1]
             deltas[m] = abs(limit - explicit)
         assert deltas[1000] == 10 * deltas[10000]
         assert deltas[1000] <= F(2, 1000)
