@@ -353,8 +353,10 @@ def find_partition(game: Game) -> PartitionPlan | None:
 
     Needs a dominant player. Block sizes must satisfy b_i = n_i * n_N /
     (n - n_N) exactly; blocks are consecutive runs of the optimal locations
-    in ascending player order. Returns None when any size is fractional,
-    and for a monopoly, which has no weak player to mix.
+    handed out in player-index order, skipping the dominant player, so the
+    lowest-index weak player gets the leftmost block, whatever its count.
+    Returns None when any size is fractional, and for a monopoly, which has
+    no weak player to mix.
     """
     dom = has_dominant_player(game)
     if dom is None:

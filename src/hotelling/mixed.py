@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
     ONE,
@@ -24,9 +24,12 @@ from .core import (
     require_profile,
 )
 from .errors import InvalidInput, InvalidStrategy, SupportTooLarge
-from .payoff import masses
+from .payoff import _catchments
 
 DEFAULT_SUPPORT_CAP = 10**6
+
+_Item = TypeVar("_Item")
+_Prob = TypeVar("_Prob", int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -119,30 +122,66 @@ class MixedProfile:
         return math.prod(len(x.support) for x in self.strategies)
 
 
-def _draws(
-    strategies: Sequence[MixedStrategy],
-) -> Iterator[tuple[Fraction, tuple[PureStrategy, ...]]]:
+def _draws(supports: Sequence[Sequence[tuple[_Item, _Prob]]]) -> Iterator[tuple[_Prob, tuple[_Item, ...]]]:
     """Every joint draw of independent players with its probability.
 
-    Raises ``SupportTooLarge`` before the first draw when there are more
-    than ``DEFAULT_SUPPORT_CAP`` of them.
+    ``supports`` holds one sequence of ``(item, prob)`` entries per player,
+    such as a ``MixedStrategy.support``; a draw's probability is the product
+    of its entries' probabilities. Raises ``SupportTooLarge`` before the
+    first draw when there are more than ``DEFAULT_SUPPORT_CAP`` of them.
     """
-    size = math.prod(len(x.support) for x in strategies)
+    size = math.prod(len(x) for x in supports)
     if size > DEFAULT_SUPPORT_CAP:
         raise SupportTooLarge(f"product support has {size} combinations (cap {DEFAULT_SUPPORT_CAP})")
-    for combo in itertools.product(*(x.support for x in strategies)):
-        yield math.prod((p for _, p in combo), start=ONE), tuple(s for s, _ in combo)
+    for combo in itertools.product(*supports):
+        yield math.prod(p for _, p in combo), tuple(s for s, _ in combo)
 
 
 def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
-    """Exact expected payoffs, enumerating the product of supports."""
+    """Exact expected payoffs, enumerating the product of supports.
+
+    Every position is scaled once to an integer on [0, scale] and every
+    player's probabilities to integers over one denominator, so each draw
+    is an integer sweep over doubled cell boundaries. Each cell is paid in
+    units of ``1/split``, which every head count divides, so co-located
+    players split it exactly. The sums become Fractions once, at the end.
+    """
     require_profile(game, profile)
-    totals = [ZERO] * game.num_players
-    for weight, drawn in _draws(profile.strategies):
-        outcome = masses(PureProfile(drawn)).payoffs
-        for i, u in enumerate(outcome):
-            totals[i] += weight * u
-    return tuple(totals)
+    scale = math.lcm(
+        *(x.denominator for mixed in profile.strategies for s, _ in mixed.support for x in s)
+    )
+    split = math.lcm(*range(1, game.num_players + 1))
+    supports = []
+    den = 2 * scale * split
+    for mixed in profile.strategies:
+        probs = math.lcm(*(p.denominator for _, p in mixed.support))
+        den *= probs
+        supports.append(
+            [
+                (
+                    tuple(x.numerator * (scale // x.denominator) for x in s),
+                    p.numerator * (probs // p.denominator),
+                )
+                for s, p in mixed.support
+            ]
+        )
+    totals = [0] * game.num_players
+    for weight, drawn in _draws(supports):
+        occupied = sorted((x, i) for i, s in enumerate(drawn) for x in s)
+        positions: list[int] = []
+        owners: list[list[int]] = []
+        for x, i in occupied:
+            if positions and positions[-1] == x:
+                owners[-1].append(i)
+            else:
+                positions.append(x)
+                owners.append([i])
+        bounds = _catchments(positions, scale)
+        for j, players in enumerate(owners):
+            share = weight * (bounds[j + 1] - bounds[j]) * split // len(players)
+            for i in players:
+                totals[i] += share
+    return tuple(Fraction(t, den) for t in totals)
 
 
 @dataclass(frozen=True)
@@ -263,7 +302,7 @@ def combined_strategy(strategies: Sequence[MixedStrategy]) -> MixedStrategy:
     if not strategies:
         raise InvalidStrategy("nothing to combine")
     merged: dict[PureStrategy, Fraction] = {}
-    for weight, drawn in _draws(strategies):
+    for weight, drawn in _draws([x.support for x in strategies]):
         locations = sorted(loc for s in drawn for loc in s)
         joint = PureStrategy(tuple(locations))  # raises if two players collide
         merged[joint] = merged.get(joint, ZERO) + weight

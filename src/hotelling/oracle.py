@@ -58,7 +58,7 @@ class DeviationResult:
 
 def _opponent_combos(opponents: Sequence[MixedStrategy]) -> list[_Combo]:
     combos: list[_Combo] = []
-    for prob, drawn in _draws(opponents):
+    for prob, drawn in _draws([x.support for x in opponents]):
         counts: dict[Fraction, int] = {}
         for strategy in drawn:
             for loc in strategy:
@@ -96,12 +96,12 @@ def _deviator_mass(candidates: Sequence[OffsetLocation], opponents: tuple[tuple[
         positions.append(cand.position)
     positions.extend([opp_pos for opp_pos, _ in opponents[j:]])
 
-    bounds = _catchments(positions)
+    bounds = _catchments(positions, ONE)
     total = ZERO
     for k, count in own:
         cell = bounds[k + 1] - bounds[k]
         total += cell if count == 1 else cell / count
-    return total
+    return total / 2
 
 
 def _expected_value(candidates: Sequence[OffsetLocation], combos: Sequence[_Combo]) -> Fraction:

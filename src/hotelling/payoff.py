@@ -11,12 +11,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .core import ONE, ZERO, FacilityRef, PureProfile, RationalLike, as_fraction
 from .errors import InvalidDeviation, InvalidInput
 
 Side = str  # "below" | "exact" | "above"
+
+_Num = TypeVar("_Num", int, Fraction)
 
 _SIDE_EPS = {"below": Fraction(-1), "exact": Fraction(0), "above": Fraction(1)}
 
@@ -81,16 +83,19 @@ class MassReport:
     right_masses: Mapping[FacilityRef, Fraction]
 
 
-def _catchments(positions: Sequence[Fraction]) -> list[Fraction]:
-    """Catchment boundaries [0, midpoints..., 1] of sorted positions.
+def _catchments(positions: Sequence[_Num], right: _Num) -> list[_Num]:
+    """Doubled catchment boundaries [0, a+b..., 2*right] of sorted positions.
 
-    Cell j, the customers nearest to positions[j], spans b[j]..b[j+1].
-    Positions may repeat, as one-sided limits beside an occupied point do;
-    the boundary between two copies of a point is the point itself.
+    Cell j, the customers nearest to positions[j], spans b[j]/2..b[j+1]/2
+    of the line [0, right]. Positions may repeat, as one-sided limits beside
+    an occupied point do; the boundary between two copies of a point is the
+    point itself. Nothing is divided, so integer positions give integer
+    boundaries; the zero takes the type of ``right``, so halving a Fraction
+    boundary never yields a float.
     """
-    bounds = [(a + b) / 2 for a, b in zip(positions, positions[1:])]
-    bounds.insert(0, ZERO)
-    bounds.append(ONE)
+    bounds = [0 * right]
+    bounds.extend(a + b for a, b in zip(positions, positions[1:]))
+    bounds.append(2 * right)
     return bounds
 
 
@@ -101,15 +106,15 @@ def _mass_report(num_players: int, groups: Mapping[Any, list[FacilityRef]]) -> M
     which all share that point's position.
     """
     points = [groups[key] for key in sorted(groups)]
-    bounds = _catchments([refs[0].position for refs in points])
+    bounds = _catchments([refs[0].position for refs in points], ONE)
     payoffs = [ZERO] * num_players
     fac: dict[FacilityRef, Fraction] = {}
     left: dict[FacilityRef, Fraction] = {}
     right: dict[FacilityRef, Fraction] = {}
     for j, refs in enumerate(points):
         p = refs[0].position
-        c_l = p - bounds[j]
-        c_r = bounds[j + 1] - p
+        c_l = p - bounds[j] / 2
+        c_r = bounds[j + 1] / 2 - p
         share = (c_l + c_r) / len(refs)
         for ref in refs:
             fac[ref] = share

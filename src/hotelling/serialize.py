@@ -83,6 +83,8 @@ def mixed_strategy_from_json(data: Any, path: str = "mixed") -> MixedStrategy:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict) or "strategy" not in entry or "prob" not in entry:
             raise InvalidInput(f"{path}[{i}]: expected an object with 'strategy' and 'prob'")
+        if not isinstance(entry["strategy"], list):
+            raise InvalidInput(f"{path}[{i}].strategy: expected a list of rationals")
         locs = tuple(
             parse_fraction(x, f"{path}[{i}].strategy[{j}]")
             for j, x in enumerate(entry["strategy"])

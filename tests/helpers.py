@@ -1,16 +1,18 @@
-"""Shared test utilities: independent Riemann oracles and random generators.
+"""Shared test utilities: independent oracles, references and random generators.
 
-The oracles deliberately avoid the library's midpoint-partition shortcut:
-they integrate by brute sampling, so agreement with the closed forms is
-meaningful evidence.
+The Riemann oracles deliberately avoid the library's midpoint-partition
+shortcut: they integrate by brute sampling, so agreement with the closed
+forms is meaningful evidence.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
-from hotelling import Game, PureProfile, PureStrategy
+from hotelling import Game, MixedProfile, PureProfile, PureStrategy, masses
 
 TIE_EPS = 1e-12
 
@@ -58,3 +60,18 @@ def rand_profile(rng: random.Random, game: Game, denom: int = 24) -> PureProfile
 def rand_kset(rng: random.Random, k: int, denom: int) -> tuple[Fraction, ...]:
     values = rng.sample(range(denom + 1), k)
     return tuple(sorted(Fraction(v, denom) for v in values))
+
+
+def enumerated_payoffs(profile: MixedProfile) -> tuple[Fraction, ...]:
+    """Reference expected payoffs: sum of weight * masses(draw) over every joint draw.
+
+    Each draw is a full ``Fraction`` mass report with no integer scaling,
+    so agreement checks ``mixed_payoff``'s integer sweep independently.
+    """
+    totals = [Fraction(0)] * profile.num_players
+    for combo in itertools.product(*(x.support for x in profile.strategies)):
+        weight = math.prod((p for _, p in combo), start=Fraction(1))
+        outcome = masses(PureProfile(tuple(s for s, _ in combo))).payoffs
+        for i, u in enumerate(outcome):
+            totals[i] += weight * u
+    return tuple(totals)

@@ -166,6 +166,11 @@ class TestVerify:
                 id="entry-without-prob",
             ),
             pytest.param(
+                {"game": {"counts": [2]}, "mixed_strategies": [[{"strategy": "01", "prob": "1/1"}]]},
+                "mixed_strategies[0][0].strategy: expected a list of rationals",
+                id="support-strategy-not-a-list",
+            ),
+            pytest.param(
                 {"game": {"counts": [1, 2]}, "strategies": [["1/2"], ["1/4"]]},
                 "profile shape does not match game counts",
                 id="shape-mismatch",

@@ -313,6 +313,12 @@ class TestPartition:
         plan = find_partition(make_game([1, 1, 1, 6]))
         assert plan.b == (2, 2, 2)
 
+    def test_blocks_follow_player_index(self):
+        # player 0 owns more than player 1 yet still gets the leftmost block
+        plan = find_partition(make_game([2, 1, 6]))
+        assert plan.b == (4, 2)
+        assert plan.blocks == (optimal_locations(6)[:4], optimal_locations(6)[4:])
+
     def test_non_integral(self):
         assert find_partition(make_game([1, 2, 4])) is None
 

@@ -16,6 +16,8 @@ from hotelling import (
     PureStrategy,
     SupportTooLarge,
     combined_strategy,
+    construct_mixed,
+    find_partition,
     is_soi,
     make_game,
     make_olk,
@@ -25,7 +27,7 @@ from hotelling import (
     optimal_locations,
 )
 
-from helpers import rand_strategy
+from helpers import enumerated_payoffs, rand_strategy
 
 F = Fraction
 
@@ -65,7 +67,69 @@ class TestMixedStrategy:
             )
 
 
+def rand_mixture(rng, count, denom, must=()):
+    """One to three distinct strategies on the grid {i/denom}, each holding the points in must."""
+    grid = [F(i, denom) for i in range(denom + 1) if F(i, denom) not in must]
+    entries = list(
+        dict.fromkeys(
+            PureStrategy(tuple(sorted((*must, *rng.sample(grid, count - len(must))))))
+            for _ in range(rng.randint(1, 3))
+        )
+    )
+    weights = [rng.randint(1, 6) for _ in entries]
+    return MixedStrategy(tuple((s, F(w, sum(weights))) for s, w in zip(entries, weights)))
+
+
+def rand_mixed_profile(rng, game, kind):
+    """A seeded mixed profile of one of four kinds that stress the integer sweep.
+
+    shared: one grid for every player; coprime: a distinct prime grid per
+    player; common-point: every draw stacks all players on one point;
+    endpoints: every draw occupies 0 or 1, or both.
+    """
+    if kind == "coprime":
+        denoms = rng.sample([5, 7, 11, 13], game.num_players)
+        return MixedProfile(tuple(rand_mixture(rng, c, d) for c, d in zip(game.counts, denoms)))
+    denom = rng.choice([4, 6, 8, 12])
+    common = F(rng.randint(0, denom), denom)
+    strategies = []
+    for c in game.counts:
+        if kind == "common-point":
+            must = (common,)
+        elif kind == "endpoints":
+            must = (F(0), F(1)) if c > 1 else (F(rng.randint(0, 1)),)
+        else:
+            must = ()
+        strategies.append(rand_mixture(rng, c, denom, must))
+    return MixedProfile(tuple(strategies))
+
+
 class TestMixedPayoff:
+    @pytest.mark.parametrize("kind", ["shared", "coprime", "common-point", "endpoints"])
+    def test_matches_enumerated_reference(self, kind):
+        rng = random.Random(sum(map(ord, kind)))
+        for _ in range(100):
+            game = make_game([rng.randint(1, 3) for _ in range(rng.randint(1, 4))])
+            profile = rand_mixed_profile(rng, game, kind)
+            payoffs = mixed_payoff(game, profile)
+            assert payoffs == enumerated_payoffs(profile)
+            assert sum(payoffs) == 1
+
+    def test_constructions_match_enumerated_reference(self):
+        for k in range(1, 7):
+            optimum = MixedStrategy.point(PureStrategy(optimal_locations(k)))
+            for l in range(1, k + 1):
+                profile = MixedProfile((make_olk(l, k), optimum))
+                payoffs = mixed_payoff(make_game([l, k]), profile)
+                assert payoffs == enumerated_payoffs(profile) == (F(l, 2 * k), 1 - F(l, 2 * k))
+        for counts in ([1, 1, 4], [2, 1, 6], [1, 1, 1, 6], [2, 2, 8]):
+            game = make_game(counts)
+            profile = construct_mixed(game, find_partition(game))
+            payoffs = mixed_payoff(game, profile)
+            assert payoffs == enumerated_payoffs(profile)
+            n_dom = max(counts)
+            assert payoffs[:-1] == tuple(F(c, 2 * n_dom) for c in counts[:-1])
+
     def test_dominant_player_mixture(self):
         game = make_game([1, 1, 4])
         assert mixed_payoff(game, figure_profile()) == (F(1, 8), F(1, 8), F(3, 4))

@@ -1,9 +1,26 @@
-"""The library computes over exact rationals only: no float literal or name in its source."""
+"""The library computes over exact rationals only: no float literal or name in
+its source, and every numeric result a Fraction."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import hotelling
+from hotelling import (
+    MixedProfile,
+    MixedStrategy,
+    PureProfile,
+    PureStrategy,
+    best_response,
+    just_above,
+    just_below,
+    limit_payoff,
+    make_game,
+    make_olk,
+    masses,
+    mixed_payoff,
+    social_cost,
+)
 
 # presentation only: pixel coordinates, no numeric result depends on them
 EXEMPT = {"svg.py"}
@@ -22,3 +39,27 @@ def test_no_float_in_library_source():
             elif isinstance(node, ast.Name) and node.id == "float":
                 offenders.append(f"{path.name}:{node.lineno}: name 'float'")
     assert not offenders, "\n".join(offenders)
+
+
+def test_results_are_exact_fractions():
+    # the cell kernel is generic over int and Fraction positions: an int zero
+    # bound halved in the first cell would turn c_l into a float
+    profile = PureProfile.of(["0", "1/3"], ["1/3", "1"])  # first, shared and last cells
+    report = masses(profile)
+    values = [*report.payoffs]
+    for field in (report.facility_masses, report.left_masses, report.right_masses):
+        values.extend(field.values())
+    limit = limit_payoff([[just_below("1/3"), just_above("1/3")], ["0", "1"]], deviator=0)
+    values.extend(limit.payoffs)
+    for field in (limit.facility_masses, limit.left_masses, limit.right_masses):
+        values.extend(field.values())
+    values.extend(mixed_payoff(make_game([2, 2]), MixedProfile.from_pure(profile)))
+    olk = MixedProfile((make_olk(2, 4), MixedStrategy.point(PureStrategy.of("1/8", "3/8", "5/8", "7/8"))))
+    values.extend(mixed_payoff(make_game([2, 4]), olk))
+    values.extend(mixed_payoff(make_game([1]), MixedProfile.from_pure(PureProfile.of(["1/2"]))))
+    for opponents in ([make_olk(1, 2)], [MixedStrategy.point(PureStrategy.of("0", "1"))], []):
+        result = best_response(opponents, 2, current_payoff=Fraction(1, 2))
+        values.extend([result.supremum_payoff, result.gain])
+    values.extend([social_cost(["0", "1"]), social_cost(["1/2"])])
+    assert len(values) > 30
+    assert [type(v) for v in values] == [Fraction] * len(values)
