@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -256,21 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="construct an equilibrium profile", parents=[common])
     p.add_argument("--game", required=True, help="facility counts, e.g. 1,2,2")
     p.add_argument("--kind", choices=("pure", "mixed", "two-player"), default="pure")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verify a profile document", parents=[common])
     p.add_argument("--profile", required=True, help="path to a profile JSON document")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("payoff", help="exact payoffs of a profile document", parents=[common])
     p.add_argument("--profile", required=True)
     p.add_argument("--full", action="store_true",
                    help="emit the full per-facility mass report (pure profiles)")
-    p.set_defaults(func=cmd_payoff)
 
     p = sub.add_parser("social-cost", help="social cost of a location set", parents=[common])
     p.add_argument("--locations", required=True, help="comma-separated rationals")
-    p.set_defaults(func=cmd_social_cost)
 
     p = sub.add_parser("best-response", help="exact best response against a profile",
                        parents=[common])
@@ -279,21 +276,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="number of facilities to place")
     p.add_argument("--grid", type=int, default=None,
                    help="grid resolution for the best-response cross-check")
-    p.set_defaults(func=cmd_best_response)
 
     p = sub.add_parser("atlas", help="existence/construction table over all games", parents=[common])
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--svg", help="directory for per-game SVG plots")
-    p.set_defaults(func=cmd_atlas)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so the cached parser pins no cmd_* function that
+    # may be rebound in this module later (as perfbench's tracer does)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (InvalidInput, InvalidGame, OSError) as exc:  # OSError: unreadable or unwritable path
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -7,6 +7,7 @@ throughout the API and the JSON interchange format.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
@@ -22,6 +23,17 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` for an integer, "p/q" or plain decimal string.
+
+    Exponents are refused with a ValueError: ``Fraction("1e-1000000000")``
+    would build a billion-digit integer before anything could reject it.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError("exponents are not accepted")
+    return Fraction(text)
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, a "p/q" string or a Fraction to an exact Fraction.
 
@@ -33,7 +45,7 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _parse_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidStrategy(f"invalid rational {value!r}: {exc}") from exc
     raise InvalidStrategy(f"expected an exact rational, got {type(value).__name__}")
@@ -83,8 +95,12 @@ class PureStrategy:
     locations: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        locs = tuple(as_fraction(x) for x in self.locations)
+        locs = tuple(x if type(x) is Fraction else as_fraction(x) for x in self.locations)
         object.__setattr__(self, "locations", locs)
+        # increasing from a first location >= 0 to a last <= 1 is valid; the
+        # loops below only run to name what is wrong
+        if locs and ZERO <= locs[0] and locs[-1] <= ONE and all(map(operator.lt, locs, locs[1:])):
+            return
         if not locs:
             raise InvalidStrategy("a strategy must place at least one facility")
         for x in locs:

@@ -52,20 +52,21 @@ class MixedStrategy:
         object.__setattr__(self, "support", tuple(entries))
         if not entries:
             raise InvalidStrategy("mixed strategy needs a non-empty support")
-        total = ZERO
+        den = math.lcm(*(p.denominator for _, p in entries))
+        total = 0  # probabilities summed as integers over den
         seen: set[PureStrategy] = set()
         size = len(entries[0][0])
-        for strategy, prob in entries:
+        for count, (strategy, prob) in enumerate(entries, 1):
             if prob <= 0:
                 raise InvalidStrategy(f"probability {prob} is not positive")
-            if strategy in seen:
+            seen.add(strategy)  # hashed once: a duplicate leaves the set short of count
+            if len(seen) != count:
                 raise InvalidStrategy(f"duplicate support entry {strategy.locations}")
             if len(strategy) != size:
                 raise InvalidStrategy("support entries must place the same number of facilities")
-            seen.add(strategy)
-            total += prob
-        if total != 1:
-            raise InvalidStrategy(f"probabilities sum to {total}, expected 1")
+            total += prob.numerator * (den // prob.denominator)
+        if total != den:
+            raise InvalidStrategy(f"probabilities sum to {Fraction(total, den)}, expected 1")
 
     @classmethod
     def point(cls, strategy: PureStrategy | Sequence[RationalLike]) -> "MixedStrategy":
@@ -232,12 +233,20 @@ class MeasureQuery:
 
 
 def _expected_counts(x: MixedStrategy) -> dict[Fraction, Fraction]:
-    """Expected number of the strategy's facilities at each location it may use."""
-    counts: dict[Fraction, Fraction] = {}
+    """Expected number of the strategy's facilities at each location it may use.
+
+    Probabilities are summed as integer weights over the lcm of their
+    denominators, with one Fraction per location at the end. Locations are
+    keyed by their integer ratio, which hashes far faster than a Fraction.
+    """
+    den = math.lcm(*(p.denominator for _, p in x.support))
+    weights: dict[tuple[int, int], int] = {}
     for strategy, prob in x.support:
+        weight = prob.numerator * (den // prob.denominator)
         for loc in strategy:
-            counts[loc] = counts.get(loc, ZERO) + prob
-    return counts
+            key = loc.as_integer_ratio()
+            weights[key] = weights.get(key, 0) + weight
+    return {Fraction(*key): Fraction(w, den) for key, w in weights.items()}
 
 
 def mu(x: MixedStrategy, query: MeasureQuery) -> Fraction:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
-from .core import FacilityRef, Game, PureProfile, PureStrategy
+from .core import FacilityRef, Game, PureProfile, PureStrategy, _parse_rational
 from .equilibrium import CONDITION_NAMES, PartitionPlan, VerificationReport
 from .errors import InvalidInput
 from .mixed import MixedProfile, MixedStrategy
@@ -28,9 +28,17 @@ def parse_fraction(text: Any, path: str = "value") -> Fraction:
     if not isinstance(text, str):
         raise InvalidInput(f"{path}: expected a rational string, got {type(text).__name__}")
     try:
-        return Fraction(text)
+        return _parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"{path}: invalid rational {text!r}") from exc
+
+
+def _parse_new(known: dict[str, Fraction], text: Any, path: str) -> Fraction:
+    """parse_fraction, remembering a parsed string in ``known``."""
+    value = parse_fraction(text, path)
+    if type(text) is str:  # only strings: True == 1 must not find 1's entry
+        known[text] = value
+    return value
 
 
 def game_to_json(game: Game) -> dict:
@@ -79,6 +87,9 @@ def mixed_strategy_to_json(strategy: MixedStrategy) -> list:
 def mixed_strategy_from_json(data: Any, path: str = "mixed") -> MixedStrategy:
     if not isinstance(data, list) or not data:
         raise InvalidInput(f"{path}: expected a non-empty list of support entries")
+    # each distinct rational string is parsed once, at its first occurrence,
+    # so an invalid one is reported with that occurrence's path
+    known: dict[str, Fraction] = {}
     support = []
     for i, entry in enumerate(data):
         if not isinstance(entry, dict) or "strategy" not in entry or "prob" not in entry:
@@ -86,10 +97,12 @@ def mixed_strategy_from_json(data: Any, path: str = "mixed") -> MixedStrategy:
         if not isinstance(entry["strategy"], list):
             raise InvalidInput(f"{path}[{i}].strategy: expected a list of rationals")
         locs = tuple(
-            parse_fraction(x, f"{path}[{i}].strategy[{j}]")
+            known[x] if type(x) is str and x in known
+            else _parse_new(known, x, f"{path}[{i}].strategy[{j}]")
             for j, x in enumerate(entry["strategy"])
         )
-        prob = parse_fraction(entry["prob"], f"{path}[{i}].prob")
+        p = entry["prob"]
+        prob = known[p] if type(p) is str and p in known else _parse_new(known, p, f"{path}[{i}].prob")
         support.append((PureStrategy(locs), prob))
     return MixedStrategy(tuple(support))
 

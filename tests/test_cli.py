@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hotelling
+from hotelling import InvalidInput, PureStrategy
 from hotelling.cli import main
 from hotelling.serialize import parse_profile_document, profile_document
 
@@ -221,6 +226,112 @@ class TestVerify:
         assert run(capsys, *argv, "--out", str(out))[0] == 0
         code, report, _ = run_json(capsys, "verify", "--profile", str(out))
         assert code == 0 and report["verdict"] is True
+
+
+def support_entry(strategy, prob):
+    return {"strategy": strategy, "prob": prob}
+
+
+class TestRationals:
+    @pytest.mark.parametrize(
+        "support,message",
+        [
+            pytest.param(
+                [support_entry(["1/4"], "1/3"), support_entry(["x/y"], "1/3"), support_entry(["x/y"], "1/3")],
+                "mixed_strategies[0][1].strategy[0]: invalid rational 'x/y'",
+                id="repeated-location",
+            ),
+            pytest.param(
+                [support_entry(["1/4"], "1/0"), support_entry(["1/0"], "1/0")],
+                "mixed_strategies[0][0].prob: invalid rational '1/0'",
+                id="probability-then-location",
+            ),
+            pytest.param(
+                [support_entry(["1/4"], "1/2"), support_entry(["3/4"], "1e-3"), support_entry(["1e-3"], "1/2")],
+                "mixed_strategies[0][1].prob: invalid rational '1e-3'",
+                id="repeated-exponent",
+            ),
+            pytest.param(
+                [support_entry([1], "1/2"), support_entry([True], "1/2")],
+                "mixed_strategies[0][1].strategy[0]: expected a rational string, got bool",
+                id="boolean-after-equal-integer",
+            ),
+        ],
+    )
+    def test_invalid_rational_named_at_first_occurrence(self, support, message):
+        doc = {"game": {"counts": [1]}, "mixed_strategies": [support]}
+        with pytest.raises(InvalidInput) as exc:
+            parse_profile_document(doc)
+        assert str(exc.value) == message
+
+    def test_repeated_strings_parse_to_equal_values(self):
+        doc = {"game": {"counts": [2]}, "mixed_strategies": [[
+            support_entry(["0", "1/2"], "1/3"), support_entry(["1/2", 1], "2/3"),
+        ]]}
+        _, profile = parse_profile_document(doc)
+        assert profile.strategies[0].support == (
+            (PureStrategy.of(0, "1/2"), F(1, 3)), (PureStrategy.of("1/2", 1), F(2, 3)),
+        )
+
+    def test_huge_exponent_refused_at_once(self, tmp_path):
+        # Fraction("1e-1000000000") builds a billion-digit integer; the child
+        # process bounds the wait should the exponent ever be parsed again
+        doc = {"game": {"counts": [1]}, "mixed_strategies": [[support_entry(["1/2"], "1e-1000000000")]]}
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(doc))
+        script = (
+            "import sys, time\n"
+            "from hotelling.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - start)\n"
+            "sys.exit(code)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(hotelling.__file__).parents[1])}
+        child = subprocess.run(
+            [sys.executable, "-c", script, "payoff", "--profile", str(path)],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert child.returncode == 2
+        assert "mixed_strategies[0][0].prob: invalid rational '1e-1000000000'" in child.stderr
+        assert float(child.stdout) < 1
+
+    def test_exponent_location_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "social-cost", "--locations", "1e-3")
+        assert code == 2 and out == ""
+        assert "invalid rational '1e-3': exponents are not accepted" in err
+
+    def test_decimal_location_accepted(self, capsys):
+        code, value, _ = run_json(capsys, "social-cost", "--locations", "0.5")
+        assert code == 0 and value == "1/4"
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; consecutive calls share no state."""
+
+    def test_full_report_then_payoffs(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"game": {"counts": [1, 1]}, "strategies": [["1/4"], ["3/4"]]}))
+        code, report, _ = run_json(capsys, "payoff", "--profile", str(path), "--full")
+        assert code == 0 and report["payoffs"] == ["1/2", "1/2"] and "facilities" in report
+        code, payoffs, _ = run_json(capsys, "payoff", "--profile", str(path))
+        assert code == 0 and payoffs == ["1/2", "1/2"]
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["payoff", "--full"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
+        code, value, err = run_json(capsys, "social-cost", "--locations", "1/2")
+        assert code == 0 and value == "1/4" and err == ""
+
+    def test_out_then_stdout(self, capsys, tmp_path):
+        target = tmp_path / "cost.json"
+        code, out, _ = run(capsys, "social-cost", "--locations", "1/2", "--out", str(target))
+        assert code == 0 and out == "" and json.loads(target.read_text()) == "1/4"
+        target.unlink()
+        code, value, _ = run_json(capsys, "social-cost", "--locations", "1/6,1/2,5/6")
+        assert code == 0 and value == "1/12" and not target.exists()
 
 
 class TestPaths:

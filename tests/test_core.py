@@ -12,6 +12,7 @@ from hotelling import (
     InvalidStrategy,
     PureProfile,
     PureStrategy,
+    as_fraction,
     classify,
     flatten,
     has_dominant_player,
@@ -72,6 +73,48 @@ class TestPureStrategy:
     def test_rejects_booleans(self):
         with pytest.raises(InvalidStrategy):
             PureStrategy((True,))
+
+    def test_mixed_input_types(self):
+        s = PureStrategy((0, "1/3", Fraction(1, 2), 1))
+        assert s.locations == (0, Fraction(1, 3), Fraction(1, 2), 1)
+        assert all(type(x) is Fraction for x in s)
+
+    @pytest.mark.parametrize(
+        "locations,message",
+        [
+            ((), "a strategy must place at least one facility"),
+            (("-1/4", "1/2"), "location -1/4 outside [0,1]"),
+            (("1/4", "5/4"), "location 5/4 outside [0,1]"),
+            ((Fraction(-1), Fraction(2)), "location -1 outside [0,1]"),
+            # the range is checked before the order, wherever the bad value sits
+            (("1/2", "2", "1/4"), "location 2 outside [0,1]"),
+            ((1, 0, -1), "location -1 outside [0,1]"),
+            (("1/4", "1/4"), "locations must strictly increase, got 1/4 then 1/4"),
+            (("0", "1/2", "1/2", "1"), "locations must strictly increase, got 1/2 then 1/2"),
+            (("3/4", "1/4"), "locations must strictly increase, got 3/4 then 1/4"),
+            ((1, 0), "locations must strictly increase, got 1 then 0"),
+            ((2,), "location 2 outside [0,1]"),
+        ],
+    )
+    def test_error_messages(self, locations, message):
+        with pytest.raises(InvalidStrategy) as exc:
+            PureStrategy(locations)
+        assert str(exc.value) == message
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize(
+        "text,value",
+        [("3", Fraction(3)), ("-2/6", Fraction(-1, 3)), ("0.25", Fraction(1, 4)), (" 1/2 ", Fraction(1, 2))],
+    )
+    def test_accepts_integers_ratios_and_decimals(self, text, value):
+        assert as_fraction(text) == value and type(as_fraction(text)) is Fraction
+
+    @pytest.mark.parametrize("text", ["1e-3", "1E2", "2.5e0", "-3e+1"])
+    def test_rejects_exponents(self, text):
+        with pytest.raises(InvalidStrategy) as exc:
+            as_fraction(text)
+        assert str(exc.value) == f"invalid rational {text!r}: exponents are not accepted"
 
 
 class TestClassify:

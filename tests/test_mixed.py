@@ -14,6 +14,7 @@ from hotelling import (
     MixedStrategy,
     PureProfile,
     PureStrategy,
+    SoiResult,
     SupportTooLarge,
     combined_strategy,
     construct_mixed,
@@ -26,6 +27,8 @@ from hotelling import (
     mu,
     optimal_locations,
 )
+
+from hotelling.mixed import _expected_counts
 
 from helpers import enumerated_payoffs, rand_strategy
 
@@ -65,6 +68,27 @@ class TestMixedStrategy:
             MixedStrategy(
                 ((PureStrategy.of("1/2"), F(1, 2)), (PureStrategy.of("1/4", "3/4"), F(1, 2)))
             )
+
+    @pytest.mark.parametrize(
+        "support,message",
+        [
+            ((), "mixed strategy needs a non-empty support"),
+            (((("1/2",), F(1, 2)), (("1/4",), F(1, 3))), "probabilities sum to 5/6, expected 1"),
+            (((("1/2",), F(2, 3)), (("1/4",), F(3, 5))), "probabilities sum to 19/15, expected 1"),
+            (((("1/2",), F(3, 2)), (("1/4",), F(-1, 2))), "probability -1/2 is not positive"),
+            (((("1/2",), F(1, 3)), (("1/4",), F(1, 3)), (("1/2",), F(1, 3))),
+             "duplicate support entry (Fraction(1, 2),)"),
+            (((("1/2",), F(1, 2)), (("1/4", "3/4"), F(1, 2))),
+             "support entries must place the same number of facilities"),
+            # a duplicate is reported before the size mismatch of the same entry
+            (((("1/2",), F(1, 3)), (("1/2",), F(1, 3)), (("0", "1"), F(1, 3))),
+             "duplicate support entry (Fraction(1, 2),)"),
+        ],
+    )
+    def test_error_messages(self, support, message):
+        with pytest.raises(InvalidStrategy) as exc:
+            MixedStrategy(support)
+        assert str(exc.value) == message
 
 
 def rand_mixture(rng, count, denom, must=()):
@@ -224,6 +248,61 @@ class TestSoi:
         for point in optimal_locations(4):
             q = MeasureQuery.point(point)
             assert mu(x, q) == mu(y, q) == F(1, 2)
+
+
+def fraction_sum_counts(x):
+    """Reference expected counts: a plain Fraction sum per location."""
+    counts = {}
+    for strategy, prob in x.support:
+        for loc in strategy:
+            counts[loc] = counts.get(loc, F(0)) + prob
+    return counts
+
+
+def coprime_mixture(rng, l, k):
+    """A non-uniform mixture over distinct l-subsets of the optimal points and
+    the grid {i/12}, with probabilities over pairwise coprime denominators."""
+    grid = sorted(set(optimal_locations(k)) | {F(i, 12) for i in range(13)})
+    entries = list(dict.fromkeys(tuple(sorted(rng.sample(grid, l))) for _ in range(rng.randint(2, 4))))
+    probs = [F(rng.randint(1, 2), d) for d in rng.sample([5, 7, 11, 13], len(entries) - 1)]
+    probs.append(1 - sum(probs))
+    return MixedStrategy(tuple((PureStrategy(s), p) for s, p in zip(entries, probs)))
+
+
+def coprime_soi_mixture(rng, l, k):
+    """make_olk(l, k) blended, at a weight over 7 or 11, with the k cyclic
+    windows of l consecutive optimal points: an SOI mixture, and a
+    non-uniform one when 1 < l < k - 1, where the windows are fewer than
+    the subsets."""
+    points = optimal_locations(k)
+    windows = {tuple(sorted(points[(i + j) % k] for j in range(l))) for i in range(k)}
+    a = F(rng.randint(1, 6), rng.choice([7, 11]))
+    weights = {s.locations: p * a for s, p in make_olk(l, k).support}
+    for window in windows:
+        weights[window] = weights.get(window, 0) + (1 - a) / len(windows)
+    return MixedStrategy(tuple((PureStrategy(s), p) for s, p in weights.items()))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_measure_and_soi_match_fraction_sums(seed):
+    rng = random.Random(seed)
+    k = rng.randint(2, 6)
+    l = rng.randint(1, k - 1)
+    for x in (coprime_mixture(rng, l, k), coprime_soi_mixture(rng, l, k)):
+        counts = fraction_sum_counts(x)
+        assert _expected_counts(x) == counts
+        assert all(type(v) is Fraction for v in _expected_counts(x).values())
+        expected_soi = next(
+            (p for p in optimal_locations(k) if counts.get(p, 0) != F(l, k)), None
+        )
+        assert is_soi(x, l, k) == SoiResult(expected_soi is None, expected_soi)
+        queries = [MeasureQuery.point(p) for p in [*counts, *optimal_locations(k), F(1, 2)]]
+        for _ in range(10):
+            a, b = sorted(F(rng.randint(0, 24), 24) for _ in range(2))
+            queries.append(MeasureQuery.interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
+        for q in queries:
+            assert mu(x, q) == sum((c for loc, c in counts.items() if q.contains(loc)), F(0))
+    assert is_soi(coprime_soi_mixture(rng, l, k), l, k).ok
 
 
 class TestMakeOlk:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import hotelling
 from hotelling import (
+    MeasureQuery,
     MixedProfile,
     MixedStrategy,
     PureProfile,
@@ -19,8 +20,11 @@ from hotelling import (
     make_olk,
     masses,
     mixed_payoff,
+    mu,
     social_cost,
 )
+from hotelling.mixed import _expected_counts
+from hotelling.serialize import parse_profile_document
 
 # presentation only: pixel coordinates, no numeric result depends on them
 EXEMPT = {"svg.py"}
@@ -61,5 +65,27 @@ def test_results_are_exact_fractions():
         result = best_response(opponents, 2, current_payoff=Fraction(1, 2))
         values.extend([result.supremum_payoff, result.gain])
     values.extend([social_cost(["0", "1"]), social_cost(["1/2"])])
-    assert len(values) > 30
+    # a mixed document read back: integers, repeated strings and coprime denominators
+    document = {
+        "game": {"counts": [2, 1]},
+        "mixed_strategies": [
+            [
+                {"strategy": [0, "1/2"], "prob": "2/7"},
+                {"strategy": ["1/2", 1], "prob": "1/5"},
+                {"strategy": ["1/4", "1/2"], "prob": "18/35"},
+            ],
+            [{"strategy": ["1/3"], "prob": 1}],
+        ],
+    }
+    _, read = parse_profile_document(document)
+    for mixed in read.strategies:
+        for strategy, prob in mixed.support:
+            values.extend([*strategy, prob])
+        values.extend(_expected_counts(mixed).values())
+        for query in (MeasureQuery.point(0), MeasureQuery.point("1/2"), MeasureQuery.interval(0, 1),
+                      MeasureQuery.interval("1/4", "1/4", lower_closed=False)):
+            values.append(mu(mixed, query))
+    values.extend(_expected_counts(make_olk(2, 4)).values())
+    values.append(mu(make_olk(2, 4), MeasureQuery.interval("1/8", "5/8")))
+    assert len(values) > 60
     assert [type(v) for v in values] == [Fraction] * len(values)
