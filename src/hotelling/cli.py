@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success / verdict true, 1 verdict
 false, 2 input error, 3 construction unavailable, 4 search capped (a
 search over more than 10^5 subsets, or an expectation over more than
-10^6 joint draws, is refused and nothing is written).
+10^6 joint draws, is refused and nothing is written), 141 stdout closed
+by its reader (128 + SIGPIPE, as a shell reports a writer SIGPIPE killed).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -37,6 +39,7 @@ EXIT_VERDICT_FALSE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNAVAILABLE = 3
 EXIT_CAPPED = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_game(text: str) -> Game:
@@ -80,7 +83,7 @@ def _emit(payload, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed reader then fails inside main, not at exit
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -147,7 +150,10 @@ def cmd_payoff(args: argparse.Namespace) -> int:
 
 
 def cmd_social_cost(args: argparse.Namespace) -> int:
-    locations = [as_fraction(part.strip()) for part in args.locations.split(",") if part.strip()]
+    try:
+        locations = [as_fraction(part.strip()) for part in args.locations.split(",") if part.strip()]
+    except InvalidStrategy as exc:
+        raise InvalidInput(str(exc)) from exc
     _emit(ser.format_fraction(social_cost(locations)), args.out)
     return EXIT_OK
 
@@ -297,6 +303,12 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (InvalidInput, InvalidGame, OSError) as exc:  # OSError: unreadable or unwritable path
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -193,29 +193,36 @@ class FacilityClass:
     co_located_players: frozenset[int]
 
 
-def classify(profile: PureProfile) -> dict[FacilityRef, FacilityClass]:
-    """Classify every facility of a valid profile."""
-    owners: dict[Fraction, set[int]] = {}
-    for i, s in enumerate(profile.strategies):
-        for x in s:
-            owners.setdefault(x, set()).add(i)
-    positions = sorted(owners)
-    lo, hi = positions[0], positions[-1]
-    index = {p: k for k, p in enumerate(positions)}
+def _co_located(profile: PureProfile) -> list[list[FacilityRef]]:
+    """The profile's facilities grouped by shared position.
 
-    out: dict[FacilityRef, FacilityClass] = {}
+    Groups come in ascending position order, and each lists its facilities
+    in ``refs()`` (player, slot) order. A player never stacks her own
+    facilities, so a group's size is also its number of players.
+    """
+    groups: dict[Fraction, list[FacilityRef]] = {}
     for ref in profile.refs():
-        k = index[ref.position]
-        hosts = owners[ref.position]
-        out[ref] = FacilityClass(
-            is_lone=len(hosts) == 1,
-            is_paired=len(hosts) == 2,
-            is_peripheral=ref.position in (lo, hi),
-            left_neighbor=positions[k - 1] if k > 0 else None,
-            right_neighbor=positions[k + 1] if k + 1 < len(positions) else None,
-            co_located_players=frozenset(hosts),
+        groups.setdefault(ref.position, []).append(ref)
+    return [groups[p] for p in sorted(groups)]
+
+
+def classify(profile: PureProfile) -> dict[FacilityRef, FacilityClass]:
+    """Classify every facility of a valid profile, in ``refs()`` order."""
+    groups = _co_located(profile)
+    last = len(groups) - 1
+    found: dict[FacilityRef, FacilityClass] = {}
+    for k, refs in enumerate(groups):
+        shared = FacilityClass(
+            is_lone=len(refs) == 1,
+            is_paired=len(refs) == 2,
+            is_peripheral=k in (0, last),
+            left_neighbor=groups[k - 1][0].position if k > 0 else None,
+            right_neighbor=groups[k + 1][0].position if k < last else None,
+            co_located_players=frozenset(ref.player for ref in refs),
         )
-    return out
+        for ref in refs:
+            found[ref] = shared
+    return dict(sorted(found.items(), key=lambda item: (item[0].player, item[0].slot)))
 
 
 def has_dominant_player(game: Game) -> int | None:
@@ -228,34 +235,3 @@ def has_dominant_player(game: Game) -> int | None:
         if 2 * c > n:
             return i
     return None
-
-
-@dataclass(frozen=True)
-class FlattenedPair:
-    """A profile re-expressed in the single-unit game where every facility
-    gets its own player, together with the bijection back to (player, slot).
-    """
-
-    game: Game
-    profile: PureProfile
-    back_map: tuple[tuple[int, int], ...]
-
-
-def flatten(game: Game, profile: PureProfile) -> FlattenedPair:
-    """Flatten a multi-unit profile into its canonical single-unit twin.
-
-    Flattenings are unique up to renaming the single-unit players; the
-    canonical representative orders facilities by (player, slot).
-    """
-    require_profile(game, profile)
-    back: list[tuple[int, int]] = []
-    flats: list[PureStrategy] = []
-    for i, s in enumerate(profile.strategies):
-        for j, x in enumerate(s):
-            back.append((i, j))
-            flats.append(PureStrategy((x,)))
-    return FlattenedPair(
-        game=Game(tuple(1 for _ in flats)),
-        profile=PureProfile(tuple(flats)),
-        back_map=tuple(back),
-    )

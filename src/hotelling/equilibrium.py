@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import (
+    FacilityClass,
     FacilityRef,
     Game,
     PureProfile,
@@ -92,36 +93,36 @@ def verify_single_unit(profile: PureProfile) -> VerificationReport:
         raise WrongGameKind("verify_single_unit needs exactly one facility per player")
     if profile.num_players == 1:
         return _report([])
-    return _report(_single_unit_conditions(profile.refs(), masses(profile)))
+    return _report(_single_unit_conditions(classify(profile), masses(profile)))
 
 
-def _single_unit_conditions(refs: Sequence[FacilityRef], report: MassReport) -> list[ConditionResult]:
-    """T3-1 and T3-2 with each facility as its own player, numbered in ``refs`` order.
+def _single_unit_conditions(
+    classes: Mapping[FacilityRef, FacilityClass], report: MassReport
+) -> list[ConditionResult]:
+    """T3-1 and T3-2 with each facility as its own player, numbered in ``classes`` order.
 
     Masses depend only on how many facilities share each position, so the
     report of a multi-unit profile serves its flattening unchanged.
     """
-    hosts: dict[Fraction, int] = {}
-    for ref in refs:
-        hosts[ref.position] = hosts.get(ref.position, 0) + 1
-    lo, hi = min(hosts), max(hosts)
-
-    lone_extremes = [p for p in dict.fromkeys((lo, hi)) if hosts[p] < 2]
+    # the report lists facilities by ascending position, so its first and
+    # last entries sit at the two end positions, left end first
+    by_position = list(report.facility_masses)
+    lone_ends = [ref.position for ref in (by_position[0], by_position[-1]) if classes[ref].is_lone]
     cond1 = ConditionResult(
         COND_PAIRED_EXTREMES,
-        not lone_extremes,
-        None if not lone_extremes else {"position": lone_extremes[0]},
+        not lone_ends,
+        None if not lone_ends else {"position": lone_ends[0]},
     )
 
     # max one-sided mass, scanned in deterministic (position, side) order
     best = None
-    for ref in sorted(refs, key=lambda r: r.position):
+    for ref in by_position:
         for side, value in (("left", report.left_masses[ref]), ("right", report.right_masses[ref])):
             if best is None or value > best[2]:
                 best = (ref.position, side, value)
     assert best is not None
     cond2_witness = None
-    for player, ref in enumerate(refs):
+    for player, ref in enumerate(classes):
         payoff = report.facility_masses[ref]
         if payoff < best[2]:
             cond2_witness = {
@@ -147,26 +148,21 @@ def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
     if game.num_players == 1:
         return _report([])
     report = masses(profile)
-    classes = classify(profile)
+    classes = classify(profile)  # in refs() order: by player, then slot
 
     witness1 = None
-    for ref in sorted(classes, key=lambda r: (r.player, r.slot)):
-        cls = classes[ref]
+    for ref, cls in classes.items():
         if not cls.is_lone:
             continue
-        own_positions = set(profile.strategies[ref.player])
-        neighbor = next((p for p in (cls.left_neighbor, cls.right_neighbor) if p in own_positions), None)
+        own = profile.strategies[ref.player].locations
+        neighbor = next((p for p in (cls.left_neighbor, cls.right_neighbor) if p in own), None)
         if neighbor is not None:
             witness1 = {"player": ref.player, "position": ref.position, "neighbor": neighbor}
             break
     cond1 = ConditionResult(COND_LONE_ISOLATION, witness1 is None, witness1)
 
     witness2 = None
-    for player in range(profile.num_players):
-        refs = sorted(
-            (r for r in report.facility_masses if r.player == player),
-            key=lambda r: r.slot,
-        )
+    for player, refs in itertools.groupby(classes, key=lambda r: r.player):
         values = [(r.position, report.facility_masses[r]) for r in refs]
         low = min(values, key=lambda v: v[1])
         high = max(values, key=lambda v: v[1])
@@ -181,8 +177,8 @@ def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
             break
     cond2 = ConditionResult(COND_EQUAL_OWN_MASSES, witness2 is None, witness2)
 
-    # the flattened profile lists facilities in (player, slot) order, as refs() does
-    flat_report = _report(_single_unit_conditions(profile.refs(), report))
+    # the flattened profile numbers facilities in (player, slot) order, as classes does
+    flat_report = _report(_single_unit_conditions(classes, report))
     witness3 = None
     if not flat_report.verdict:
         first = flat_report.failed()[0]

@@ -300,19 +300,3 @@ def make_olk(l: int, k: int) -> MixedStrategy:
     points = optimal_locations(k)
     subsets = [PureStrategy(combo) for combo in itertools.combinations(points, l)]
     return MixedStrategy.uniform(subsets)
-
-
-def combined_strategy(strategies: Sequence[MixedStrategy]) -> MixedStrategy:
-    """Merge independent players into one strategy over their joint locations.
-
-    Every joint draw must produce pairwise distinct locations, otherwise the
-    union is not a valid single-player strategy.
-    """
-    if not strategies:
-        raise InvalidStrategy("nothing to combine")
-    merged: dict[PureStrategy, Fraction] = {}
-    for weight, drawn in _draws([x.support for x in strategies]):
-        locations = sorted(loc for s in drawn for loc in s)
-        joint = PureStrategy(tuple(locations))  # raises if two players collide
-        merged[joint] = merged.get(joint, ZERO) + weight
-    return MixedStrategy(tuple(merged.items()))

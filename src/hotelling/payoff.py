@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
-from .core import ONE, ZERO, FacilityRef, PureProfile, RationalLike, as_fraction
+from .core import ONE, ZERO, FacilityRef, PureProfile, RationalLike, _co_located, as_fraction
 from .errors import InvalidDeviation, InvalidInput
 
 Side = str  # "below" | "exact" | "above"
@@ -74,7 +74,9 @@ class MassReport:
     arriving at f's position from its left / right catchment side; they are
     shared by co-located facilities, while ``facility_masses[f]`` is the
     equal split of their sum among the players at that position. Payoffs
-    always partition the customers: sum(payoffs) == 1.
+    always partition the customers: sum(payoffs) == 1. The three mappings
+    list facilities by ascending position, and co-located ones in
+    (player, slot) order.
     """
 
     payoffs: tuple[Fraction, ...]
@@ -99,13 +101,12 @@ def _catchments(positions: Sequence[_Num], right: _Num) -> list[_Num]:
     return bounds
 
 
-def _mass_report(num_players: int, groups: Mapping[Any, list[FacilityRef]]) -> MassReport:
+def _mass_report(num_players: int, points: Sequence[list[FacilityRef]]) -> MassReport:
     """Split the cell of every occupied point among the facilities there.
 
-    ``groups`` maps the sort key of each occupied point to its facilities,
-    which all share that point's position.
+    ``points`` lists the facilities at each occupied point, in ascending
+    point order; the facilities of one point share its position.
     """
-    points = [groups[key] for key in sorted(groups)]
     bounds = _catchments([refs[0].position for refs in points], ONE)
     payoffs = [ZERO] * num_players
     fac: dict[FacilityRef, Fraction] = {}
@@ -126,16 +127,7 @@ def _mass_report(num_players: int, groups: Mapping[Any, list[FacilityRef]]) -> M
 
 def masses(profile: PureProfile) -> MassReport:
     """Evaluate V, c_l, c_r and u for every facility of a pure profile."""
-    owners: dict[Fraction, list[FacilityRef]] = {}
-    for ref in profile.refs():
-        owners.setdefault(ref.position, []).append(ref)
-    return _mass_report(profile.num_players, owners)
-
-
-def _as_offset(entry: OffsetLocation | RationalLike) -> OffsetLocation:
-    if isinstance(entry, OffsetLocation):
-        return entry
-    return OffsetLocation(as_fraction(entry), "exact")
+    return _mass_report(profile.num_players, _co_located(profile))
 
 
 def limit_payoff(
@@ -150,7 +142,9 @@ def limit_payoff(
     offset-distinct points never tie.
     """
     raw = profile.strategies if isinstance(profile, PureProfile) else profile
-    strategies: list[list[OffsetLocation]] = [[_as_offset(e) for e in s] for s in raw]
+    strategies: list[list[OffsetLocation]] = [
+        [e if isinstance(e, OffsetLocation) else exactly(e) for e in s] for s in raw
+    ]
     if not 0 <= deviator < len(strategies):
         raise InvalidDeviation(f"deviator index {deviator} out of range")
     for i, strat in enumerate(strategies):
@@ -173,7 +167,7 @@ def limit_payoff(
         for j, loc in enumerate(strat):
             key = (loc.position, _SIDE_EPS[loc.side])
             groups.setdefault(key, []).append(FacilityRef(i, j, loc.position))
-    return _mass_report(len(strategies), groups)
+    return _mass_report(len(strategies), [groups[key] for key in sorted(groups)])
 
 
 def social_cost(locations: Iterable[RationalLike]) -> Fraction:

@@ -2,7 +2,9 @@
 
 The Riemann oracles deliberately avoid the library's midpoint-partition
 shortcut: they integrate by brute sampling, so agreement with the closed
-forms is meaningful evidence.
+forms is meaningful evidence. ``flatten`` builds the single-unit twin that
+T4-3 is defined on, the reference route for the verifier's reuse of the
+multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
 """
 
 from __future__ import annotations
@@ -10,9 +12,20 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from hotelling import Game, MixedProfile, PureProfile, PureStrategy, masses
+from hotelling import (
+    Game,
+    InvalidStrategy,
+    MixedProfile,
+    MixedStrategy,
+    PureProfile,
+    PureStrategy,
+    masses,
+)
+from hotelling.core import require_profile
 
 TIE_EPS = 1e-12
 
@@ -75,3 +88,51 @@ def enumerated_payoffs(profile: MixedProfile) -> tuple[Fraction, ...]:
         for i, u in enumerate(outcome):
             totals[i] += weight * u
     return tuple(totals)
+
+
+@dataclass(frozen=True)
+class FlattenedPair:
+    """A profile re-expressed in the single-unit game where every facility
+    gets its own player, together with the bijection back to (player, slot).
+    """
+
+    game: Game
+    profile: PureProfile
+    back_map: tuple[tuple[int, int], ...]
+
+
+def flatten(game: Game, profile: PureProfile) -> FlattenedPair:
+    """Flatten a multi-unit profile into its canonical single-unit twin.
+
+    Flattenings are unique up to renaming the single-unit players; the
+    canonical representative orders facilities by (player, slot).
+    """
+    require_profile(game, profile)
+    back: list[tuple[int, int]] = []
+    flats: list[PureStrategy] = []
+    for i, s in enumerate(profile.strategies):
+        for j, x in enumerate(s):
+            back.append((i, j))
+            flats.append(PureStrategy((x,)))
+    return FlattenedPair(
+        game=Game(tuple(1 for _ in flats)),
+        profile=PureProfile(tuple(flats)),
+        back_map=tuple(back),
+    )
+
+
+def combined_strategy(strategies: Sequence[MixedStrategy]) -> MixedStrategy:
+    """Merge independent players into one strategy over their joint locations.
+
+    Every joint draw must produce pairwise distinct locations, otherwise the
+    union is not a valid single-player strategy.
+    """
+    if not strategies:
+        raise InvalidStrategy("nothing to combine")
+    merged: dict[PureStrategy, Fraction] = {}
+    for combo in itertools.product(*(x.support for x in strategies)):
+        weight = math.prod((p for _, p in combo), start=Fraction(1))
+        locations = sorted(loc for s, _ in combo for loc in s)
+        joint = PureStrategy(tuple(locations))  # raises if two players collide
+        merged[joint] = merged.get(joint, Fraction(0)) + weight
+    return MixedStrategy(tuple(merged.items()))

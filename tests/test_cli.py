@@ -299,7 +299,7 @@ class TestRationals:
     def test_exponent_location_is_an_input_error(self, capsys):
         code, out, err = run(capsys, "social-cost", "--locations", "1e-3")
         assert code == 2 and out == ""
-        assert "invalid rational '1e-3': exponents are not accepted" in err
+        assert err.startswith("input error: invalid rational '1e-3': exponents are not accepted")
 
     def test_decimal_location_accepted(self, capsys):
         code, value, _ = run_json(capsys, "social-cost", "--locations", "0.5")
@@ -377,6 +377,23 @@ class TestPaths:
         *head, target = argv
         code, _, err = run(capsys, *head, str(tmp_path / target))
         assert code == 2 and "input error" in err
+
+    # documents smaller and larger than stdout's 8 KiB buffer
+    @pytest.mark.parametrize("game", ["1,1", "400,400,400"])
+    def test_closed_stdout_exits_quietly(self, game):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        # stdout block-buffered, as by default on a pipe
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(hotelling.__file__).parents[1])
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "hotelling.cli", "construct", "--game", game],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (141, "")
 
 
 class TestScalarCommands:

@@ -14,12 +14,11 @@ from hotelling import (
     PureStrategy,
     as_fraction,
     classify,
-    flatten,
     has_dominant_player,
     make_game,
 )
 
-from helpers import rand_profile
+from helpers import flatten, rand_profile
 
 
 class TestMakeGame:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from hotelling import (
     construct_pure,
     exists_pure,
     find_partition,
-    flatten,
     is_equilibrium,
     make_game,
     make_olk,
@@ -48,7 +48,7 @@ from hotelling.equilibrium import (
 
 from hotelling.serialize import profile_document
 
-from helpers import rand_profile
+from helpers import flatten, rand_profile
 
 F = Fraction
 
@@ -180,6 +180,55 @@ class TestVerifyMultiUnit:
                 assert t43.witness == {"condition": first.condition, **first.witness}
             outcomes.add((t43.passed, (t43.witness or {}).get("condition")))
         assert outcomes == {(True, None), (False, "T3-1"), (False, "T3-2")}
+
+
+    def test_witnesses_are_first_in_player_slot_order(self):
+        # witnesses re-derived from raw positions, without classify or the verifier
+        rng = random.Random(59)
+        seen = set()
+        for _ in range(600):
+            k = rng.randint(2, 5)
+            game = make_game([rng.randint(1, 12 // k) for _ in range(k)])
+            profile = rand_profile(rng, game, denom=rng.choice([6, 8]))
+            if exists_pure(game) and rng.random() < 0.4:
+                strategies = list(construct_pure(game).strategies)
+                i = rng.randrange(k)
+                strategies[i] = profile.strategies[i]
+                profile = PureProfile(tuple(strategies))
+            assert list(classify(profile)) == profile.refs()
+
+            hosts = Counter(x for s in profile.strategies for x in s)
+            positions = sorted(hosts)
+            lone = None
+            for player, strategy in enumerate(profile.strategies):
+                for x in strategy:
+                    at = positions.index(x)
+                    left = positions[at - 1] if at > 0 else None
+                    right = positions[at + 1] if at + 1 < len(positions) else None
+                    neighbor = next((p for p in (left, right) if p in strategy.locations), None)
+                    if hosts[x] == 1 and neighbor is not None:
+                        lone = lone or {"player": player, "position": x, "neighbor": neighbor}
+
+            facility_masses = masses(profile).facility_masses
+            unequal = None
+            for player, strategy in enumerate(profile.strategies):
+                values = [(x, facility_masses[FacilityRef(player, slot, x)]) for slot, x in enumerate(strategy)]
+                low = min(v for _, v in values)
+                high = max(v for _, v in values)
+                if low != high and unequal is None:
+                    unequal = {
+                        "player": player,
+                        "position_low": next(x for x, v in values if v == low),
+                        "mass_low": low,
+                        "position_high": next(x for x, v in values if v == high),
+                        "mass_high": high,
+                    }
+
+            report = verify_multi_unit(game, profile)
+            assert report.result(COND_LONE_ISOLATION).witness == lone
+            assert report.result(COND_EQUAL_OWN_MASSES).witness == unequal
+            seen.add((lone is None, unequal is None))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestExistsPure:

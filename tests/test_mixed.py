@@ -16,7 +16,6 @@ from hotelling import (
     PureStrategy,
     SoiResult,
     SupportTooLarge,
-    combined_strategy,
     construct_mixed,
     find_partition,
     is_soi,
@@ -30,7 +29,7 @@ from hotelling import (
 
 from hotelling.mixed import _expected_counts
 
-from helpers import enumerated_payoffs, rand_strategy
+from helpers import combined_strategy, enumerated_payoffs, rand_strategy
 
 F = Fraction
 
