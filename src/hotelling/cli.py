@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import equilibrium as eq
@@ -43,10 +44,13 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _parse_game(text: str) -> Game:
+    message = f"--game: expected comma-separated integers, got {text!r}"
+    if "_" in text or not text.isascii():  # int() would read "1_0" and "٣" too
+        raise InvalidInput(message)
     try:
         counts = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise InvalidInput(f"--game: expected comma-separated integers, got {text!r}") from exc
+        raise InvalidInput(message) from exc
     return Game(tuple(counts))
 
 
@@ -78,8 +82,49 @@ def _load_document(path_or_inline: str):
     return game, profile
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the CLI's documents, without its
+    pure-Python indenting encoder.
+
+    Documents hold only lists, str-keyed dicts, strings, ints, booleans and
+    None; ``indent`` is the newline and spaces that precede ``value``'s
+    closing bracket. Strings, the bulk of every document, are escaped in
+    place by json's own C ASCII encoder rather than through a recursive call.
+    """
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [
+            encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        members = [
+            encode_basestring_ascii(key) + ": "
+            + (encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner))
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(members) + indent + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload)
     if out:
         Path(out).write_text(text + "\n")
     else:

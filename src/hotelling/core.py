@@ -7,8 +7,8 @@ throughout the API and the JSON interchange format.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -28,9 +28,15 @@ def _parse_rational(text: str) -> Fraction:
 
     Exponents are refused with a ValueError: ``Fraction("1e-1000000000")``
     would build a billion-digit integer before anything could reject it.
+    So are the digit separators (``"1_0"``) and non-ASCII digits (``"٣"``)
+    that ``Fraction`` also reads: numbers are plain ASCII digits.
     """
     if "e" in text or "E" in text:
         raise ValueError("exponents are not accepted")
+    if "_" in text:
+        raise ValueError("underscores are not accepted")
+    if not text.isascii():
+        raise ValueError("only ASCII characters are accepted")
     return Fraction(text)
 
 
@@ -97,10 +103,17 @@ class PureStrategy:
     def __post_init__(self) -> None:
         locs = tuple(x if type(x) is Fraction else as_fraction(x) for x in self.locations)
         object.__setattr__(self, "locations", locs)
-        # increasing from a first location >= 0 to a last <= 1 is valid; the
-        # loops below only run to name what is wrong
-        if locs and ZERO <= locs[0] and locs[-1] <= ONE and all(map(operator.lt, locs, locs[1:])):
-            return
+        # increasing from a first location >= 0 to a last <= 1 is valid, read
+        # on integer ratios (denominators are positive, so a/b < c/d is
+        # a*d < c*b); the loops below only run to name what is wrong
+        if locs:
+            ratios = list(map(Fraction.as_integer_ratio, locs))
+            if (
+                ratios[0][0] >= 0
+                and ratios[-1][0] <= ratios[-1][1]
+                and all(a * d < c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
+            ):
+                return
         if not locs:
             raise InvalidStrategy("a strategy must place at least one facility")
         for x in locs:
@@ -168,11 +181,16 @@ def require_profile(game: Game, profile: PureProfile | MixedProfile) -> None:
 
 @dataclass(frozen=True)
 class FacilityRef:
-    """One facility: owner, slot within the owner's strategy, and position."""
+    """One facility: owner, slot within the owner's strategy, and position.
+
+    Refs compare on all three fields, but hash on ``player`` and ``slot``
+    alone, which already tell a profile's facilities apart; hashing a
+    ``Fraction`` costs a modular inverse.
+    """
 
     player: int
     slot: int
-    position: Fraction
+    position: Fraction = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -198,12 +216,15 @@ def _co_located(profile: PureProfile) -> list[list[FacilityRef]]:
 
     Groups come in ascending position order, and each lists its facilities
     in ``refs()`` (player, slot) order. A player never stacks her own
-    facilities, so a group's size is also its number of players.
+    facilities, so a group's size is also its number of players. Positions
+    are keyed by their integer ratio and ordered as integers over the lcm
+    of their denominators, so no Fraction is hashed or compared.
     """
-    groups: dict[Fraction, list[FacilityRef]] = {}
+    groups: dict[tuple[int, int], list[FacilityRef]] = {}
     for ref in profile.refs():
-        groups.setdefault(ref.position, []).append(ref)
-    return [groups[p] for p in sorted(groups)]
+        groups.setdefault(ref.position.as_integer_ratio(), []).append(ref)
+    scale = math.lcm(*(den for _, den in groups))
+    return [groups[key] for key in sorted(groups, key=lambda ratio: ratio[0] * (scale // ratio[1]))]
 
 
 def classify(profile: PureProfile) -> dict[FacilityRef, FacilityClass]:

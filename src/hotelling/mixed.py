@@ -54,12 +54,14 @@ class MixedStrategy:
             raise InvalidStrategy("mixed strategy needs a non-empty support")
         den = math.lcm(*(p.denominator for _, p in entries))
         total = 0  # probabilities summed as integers over den
-        seen: set[PureStrategy] = set()
+        # entries keyed by their locations' integer ratios, which hash far
+        # faster than Fractions; a duplicate leaves the set short of count
+        seen: set[tuple[tuple[int, int], ...]] = set()
         size = len(entries[0][0])
         for count, (strategy, prob) in enumerate(entries, 1):
-            if prob <= 0:
+            if prob.numerator <= 0:
                 raise InvalidStrategy(f"probability {prob} is not positive")
-            seen.add(strategy)  # hashed once: a duplicate leaves the set short of count
+            seen.add(tuple(map(Fraction.as_integer_ratio, strategy.locations)))
             if len(seen) != count:
                 raise InvalidStrategy(f"duplicate support entry {strategy.locations}")
             if len(strategy) != size:

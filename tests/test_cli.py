@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import hotelling
 from hotelling import InvalidInput, PureStrategy
-from hotelling.cli import main
+from hotelling.cli import _emit, main
 from hotelling.serialize import parse_profile_document, profile_document
 
 F = Fraction
@@ -68,6 +68,13 @@ class TestConstruct:
     def test_bad_game_string(self, capsys):
         code, _, err = run(capsys, "construct", "--game", "1,x", "--kind", "pure")
         assert code == 2 and "input error" in err
+
+    @pytest.mark.parametrize("game", ["1_0,1_0", "1,2_0", "\u0663,4", "1,\uff12"])
+    def test_game_counts_are_plain_ascii_digits(self, capsys, game):
+        # int() alone reads "1_0" as 10 and the Arabic-Indic "٣" as 3
+        code, out, err = run(capsys, "construct", "--game", game, "--kind", "pure")
+        assert code == 2 and out == ""
+        assert err == f"input error: --game: expected comma-separated integers, got {game!r}\n"
 
 
 class TestVerify:
@@ -304,6 +311,20 @@ class TestRationals:
     def test_decimal_location_accepted(self, capsys):
         code, value, _ = run_json(capsys, "social-cost", "--locations", "0.5")
         assert code == 0 and value == "1/4"
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [("1/1_0", "underscores are not accepted"), ("\u0661/4", "only ASCII characters are accepted")],
+    )
+    def test_underscore_and_non_ascii_locations_are_input_errors(self, capsys, tmp_path, text, reason):
+        code, out, err = run(capsys, "social-cost", "--locations", text)
+        assert code == 2 and out == ""
+        assert err == f"input error: invalid rational {text!r}: {reason}\n"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"game": {"counts": [1, 1]}, "strategies": [["1/2"], [text]]}))
+        code, out, err = run(capsys, "payoff", "--profile", str(path))
+        assert code == 2 and out == ""
+        assert err == f"input error: profile.strategies[1][0]: invalid rational {text!r}\n"
 
 
 class TestRepeatedCalls:
@@ -569,3 +590,63 @@ class TestRoundTrip:
                 assert profile_document(*parse_profile_document(doc)) == doc
                 if kind != "mixed" or len(counts) == 2:
                     assert quiet("verify", "--profile", str(path)) == 0
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text(st.characters(exclude_categories=())),  # surrogates and controls too
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestWriterBytes:
+    """Every document is written byte for byte as ``json.dumps(indent=2)`` writes it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_emit_matches_indented_dumps(self, payload):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            _emit(payload, None)
+        assert sink.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    def test_edge_values(self, tmp_path):
+        payload = {
+            "empty": [[], {}, ""],
+            "nested": [[[1, [2, {}]]], {"a": {"b": [None]}}],
+            "text": ["caf\u00e9", "\u2603", "\U0001f600", "\x00\x1f\t\n\"\\/", "\ud800"],
+            "ints": [0, -1, 2**100, -(2**100)],
+            "flags": [True, False, None],
+        }
+        path = tmp_path / "out.json"
+        _emit(payload, str(path))
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--game", "1,2,2", "--kind", "pure"),
+            ("construct", "--game", "1,1,4", "--kind", "mixed"),
+            ("construct", "--game", "3,5", "--kind", "two-player"),
+            ("verify", "--profile", "1/7;4/7;3/7,6/7;1/7,6/7"),
+            ("payoff", "--full", "--profile", "1/7;4/7;3/7,6/7;1/7,6/7"),
+            ("payoff", "--profile", "1/4;1/2,3/4"),
+            ("social-cost", "--locations", "1/6,1/2,5/6"),
+            ("best-response", "--against", "1/4", "--m", "2", "--grid", "8"),
+            ("atlas", "--max-n", "5"),
+        ],
+    )
+    def test_command_stdout_is_indented_dumps(self, capsys, argv):
+        _, out, _ = run(capsys, *argv)
+        document = json.loads(out)
+        assert out == json.dumps(document, indent=2) + "\n"
+        if argv[0] == "verify":
+            assert document["verdict"] is False and "deviation" in document
+            assert any(c["witness"] for c in document["conditions"])
+        if argv[0] == "best-response":
+            assert document["gain"] is None

@@ -1,5 +1,6 @@
 """Tests for games, strategies, classification and flattening."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hotelling import (
     FacilityRef,
     InvalidGame,
     InvalidStrategy,
+    MixedStrategy,
     PureProfile,
     PureStrategy,
     as_fraction,
@@ -100,6 +102,33 @@ class TestPureStrategy:
             PureStrategy(locations)
         assert str(exc.value) == message
 
+    @given(st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=12), min_size=1, max_size=5))
+    def test_valid_exactly_when_increasing_inside_unit_interval(self, locations):
+        valid = 0 <= locations[0] and locations[-1] <= 1 and all(
+            a < b for a, b in zip(locations, locations[1:])
+        )
+        try:
+            PureStrategy(tuple(locations))
+        except InvalidStrategy:
+            assert not valid
+        else:
+            assert valid
+
+    def test_validation_neither_compares_nor_hashes_fractions(self, monkeypatch):
+        # validating and classifying a document's strategies is integer work
+        points = [Fraction(2 * i - 1, 24) for i in range(1, 13)]
+        subsets = list(itertools.combinations(points, 6))
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was compared or hashed")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        mixed = MixedStrategy.uniform(PureStrategy(s) for s in subsets)
+        profile = PureProfile((mixed.support[0][0], PureStrategy(tuple(points))))
+        assert len(mixed.support) == 924
+        assert len(classify(profile)) == 18
+
 
 class TestAsFraction:
     @pytest.mark.parametrize(
@@ -114,6 +143,22 @@ class TestAsFraction:
         with pytest.raises(InvalidStrategy) as exc:
             as_fraction(text)
         assert str(exc.value) == f"invalid rational {text!r}: exponents are not accepted"
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("1_0/3", "underscores are not accepted"),
+            ("1/1_0", "underscores are not accepted"),
+            ("0.2_5", "underscores are not accepted"),
+            ("\u0663/4", "only ASCII characters are accepted"),  # Arabic-Indic 3
+            ("1/\uff14", "only ASCII characters are accepted"),  # fullwidth 4
+            ("\u00a01/2", "only ASCII characters are accepted"),  # no-break space
+        ],
+    )
+    def test_rejects_underscores_and_non_ascii(self, text, reason):
+        with pytest.raises(InvalidStrategy) as exc:
+            as_fraction(text)
+        assert str(exc.value) == f"invalid rational {text!r}: {reason}"
 
 
 class TestClassify:
@@ -176,6 +221,23 @@ class TestClassify:
             assert other.co_located_players == frozenset(
                 inverse[p] for p in facility_class.co_located_players
             )
+
+
+class TestFacilityRef:
+    def test_position_takes_part_in_equality(self):
+        a = FacilityRef(0, 0, Fraction(1, 4))
+        b = FacilityRef(0, 0, Fraction(1, 2))
+        assert a != b
+        assert FacilityRef(0, 0, Fraction(2, 4)) == b
+
+    def test_refs_differing_only_in_position_are_distinct_keys(self):
+        a = FacilityRef(0, 0, Fraction(1, 4))
+        b = FacilityRef(0, 0, Fraction(1, 2))
+        table = {a: "a", b: "b"}
+        assert len(table) == 2
+        assert table[FacilityRef(0, 0, Fraction(1, 4))] == "a"
+        assert table[FacilityRef(0, 0, Fraction(2, 4))] == "b"
+        assert FacilityRef(0, 0, Fraction(3, 4)) not in table
 
 
 class TestDominantPlayer:

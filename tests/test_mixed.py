@@ -89,6 +89,21 @@ class TestMixedStrategy:
             MixedStrategy(support)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (("2/4",), (F(1, 2),)),
+            ((1,), ("1/1",)),
+            (("0.5",), ("1/2",)),
+            ((0,), ("0/3",)),
+            (("1/4", "2/4"), (F(1, 4), "0.5")),
+        ],
+    )
+    def test_duplicates_written_differently(self, first, second):
+        with pytest.raises(InvalidStrategy) as exc:
+            MixedStrategy(((first, F(1, 2)), (second, F(1, 2))))
+        assert str(exc.value) == f"duplicate support entry {PureStrategy.of(*second).locations}"
+
 
 def rand_mixture(rng, count, denom, must=()):
     """One to three distinct strategies on the grid {i/denom}, each holding the points in must."""
