@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success / verdict true, 1 verdict
 false, 2 input error, 3 construction unavailable, 4 search capped (a
-search over more than 10^5 subsets, or an expectation over more than
-10^6 joint draws, is refused and nothing is written), 141 stdout closed
+search over more than 10^5 subsets, or an expectation that would
+enumerate more than 10^6 opponent draws, is refused and nothing is
+written), 141 stdout closed
 by its reader (128 + SIGPIPE, as a shell reports a writer SIGPIPE killed).
 """
 
@@ -52,6 +53,20 @@ def _parse_game(text: str) -> Game:
     except ValueError as exc:
         raise InvalidInput(message) from exc
     return Game(tuple(counts))
+
+
+def _count(text: str) -> int:
+    """argparse type of ``--m``, ``--grid`` and ``--max-n``: ``--game``'s integers.
+
+    Refuses what ``int`` alone would read, "1_0" and "٣", as argparse refuses
+    a non-integer: a usage error, exit 2.
+    """
+    if "_" not in text and text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _parse_inline_profile(text: str) -> PureProfile:
@@ -324,12 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common])
     p.add_argument("--against", required=True,
                    help="profile document path, or inline like '1/4' or '1/8,3/8;1/2'")
-    p.add_argument("--m", type=int, required=True, help="number of facilities to place")
-    p.add_argument("--grid", type=int, default=None,
+    p.add_argument("--m", type=_count, required=True, help="number of facilities to place")
+    p.add_argument("--grid", type=_count, default=None,
                    help="grid resolution for the best-response cross-check")
 
     p = sub.add_parser("atlas", help="existence/construction table over all games", parents=[common])
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_count, required=True, dest="max_n")
     p.add_argument("--svg", help="directory for per-game SVG plots")
 
     return parser

@@ -22,7 +22,7 @@ class InvalidDeviation(HotellingError):
 
 
 class SupportTooLarge(HotellingError):
-    """Exact expectation would enumerate more pure combinations than the cap allows."""
+    """Exact expectation would enumerate more opponent draws than the cap allows."""
 
 
 class WrongGameKind(HotellingError):

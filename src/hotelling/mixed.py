@@ -7,8 +7,10 @@ strategies, so expectations are exact rational sums over product supports.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TypeVar
@@ -24,12 +26,13 @@ from .core import (
     require_profile,
 )
 from .errors import InvalidInput, InvalidStrategy, SupportTooLarge
-from .payoff import _catchments
 
 DEFAULT_SUPPORT_CAP = 10**6
 
 _Item = TypeVar("_Item")
 _Prob = TypeVar("_Prob", int, Fraction)
+# a position with its weighted own left and right neighbours, see _chain_halves
+_Halves = tuple[int, list[tuple[int, int]], list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -140,18 +143,47 @@ def _draws(supports: Sequence[Sequence[tuple[_Item, _Prob]]]) -> Iterator[tuple[
         yield math.prod(p for _, p in combo), tuple(s for s, _ in combo)
 
 
+def _chain_halves(support: Sequence[tuple[tuple[int, ...], int]], scale: int) -> list[_Halves]:
+    """Fold a scaled support into each position's weighted own neighbours.
+
+    A facility at ``x`` between own neighbours ``prev`` and ``next`` has the
+    doubled cell ``min(next, R) - max(prev, L)`` against nearest opponents
+    ``L < x < R``: the ``x`` of both boundaries cancels. That difference
+    splits into a left and a right half, so the chain triples
+    ``(prev, x, next)`` fold into ``(x, [(prev, w)...], [(next, w)...])``
+    with ``w`` the total weight of the entries holding each pair. A missing
+    neighbour stands at ``-x`` or ``2*scale - x``, which puts its boundary at
+    0 or ``2*scale``.
+    """
+    lefts: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    rights: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for s, weight in support:
+        for x, prev, nxt in zip(s, (-s[0], *s), (*s[1:], 2 * scale - s[-1])):
+            left = lefts[x]
+            left[prev] = left.get(prev, 0) + weight
+            right = rights[x]
+            right[nxt] = right.get(nxt, 0) + weight
+    return [(x, list(left.items()), list(rights[x].items())) for x, left in lefts.items()]
+
+
 def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
-    """Exact expected payoffs, enumerating the product of supports.
+    """Exact expected payoffs from each player's own chain and opponent draws.
 
     Every position is scaled once to an integer on [0, scale] and every
-    player's probabilities to integers over one denominator, so each draw
-    is an integer sweep over doubled cell boundaries. Each cell is paid in
-    units of ``1/split``, which every head count divides, so co-located
-    players split it exactly. The sums become Fractions once, at the end.
+    player's probabilities to integers over one denominator. A facility's
+    cell depends only on its owner's neighbours and on the nearest
+    opponents, so a player's payoff sums its ``_chain_halves`` over the
+    joint draws of its opponents alone, never over its own support. Each
+    cell is paid in units of ``1/split``, which every head count divides,
+    so co-located players split it exactly. The cells partition [0, 1] in
+    every draw, so one player is paid the remainder instead: the one facing
+    most opponent draws, and of those the one with most halves, whose
+    halves times draws cost most. The sums become Fractions once, at the
+    end.
     """
     require_profile(game, profile)
     scale = math.lcm(
-        *(x.denominator for mixed in profile.strategies for s, _ in mixed.support for x in s)
+        *{x.denominator for mixed in profile.strategies for s, _ in mixed.support for x in s.locations}
     )
     split = math.lcm(*range(1, game.num_players + 1))
     supports = []
@@ -162,28 +194,37 @@ def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
         supports.append(
             [
                 (
-                    tuple(x.numerator * (scale // x.denominator) for x in s),
+                    tuple([x.numerator * (scale // x.denominator) for x in s.locations]),
                     p.numerator * (probs // p.denominator),
                 )
                 for s, p in mixed.support
             ]
         )
+    chains = [_chain_halves(support, scale) for support in supports]
+    joint = math.prod(len(support) for support in supports)
+    draws = [joint // len(support) for support in supports]
+    halves = [sum(len(left) + len(right) for _, left, right in chain) for chain in chains]
+    # the remainder goes to the player facing most opponent draws, then most
+    # halves; the others follow in that order, so each faces at most the
+    # second-most draws, and the cap in _draws refuses before any work
+    remainder, *direct = sorted(
+        range(game.num_players), key=lambda i: (draws[i], halves[i]), reverse=True
+    )
     totals = [0] * game.num_players
-    for weight, drawn in _draws(supports):
-        occupied = sorted((x, i) for i, s in enumerate(drawn) for x in s)
-        positions: list[int] = []
-        owners: list[list[int]] = []
-        for x, i in occupied:
-            if positions and positions[-1] == x:
-                owners[-1].append(i)
-            else:
-                positions.append(x)
-                owners.append([i])
-        bounds = _catchments(positions, scale)
-        for j, players in enumerate(owners):
-            share = weight * (bounds[j + 1] - bounds[j]) * split // len(players)
-            for i in players:
-                totals[i] += share
+    for i in direct:
+        for weight, drawn in _draws(supports[:i] + supports[i + 1 :]):
+            # sentinels beyond the own ones, so an empty side never binds
+            opponents = [-scale, *sorted(itertools.chain.from_iterable(drawn)), 3 * scale]
+            paid = 0
+            for x, left, right in chains[i]:
+                lo = bisect.bisect_left(opponents, x)
+                hi = bisect.bisect_right(opponents, x, lo)
+                low, high = opponents[lo - 1], opponents[hi]
+                cell = sum(w * (b if b < high else high) for b, w in right)
+                cell -= sum(w * (a if a > low else low) for a, w in left)
+                paid += cell * (split // (1 + hi - lo))
+            totals[i] += weight * paid
+    totals[remainder] = den - sum(totals)
     return tuple(Fraction(t, den) for t in totals)
 
 

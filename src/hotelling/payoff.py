@@ -9,6 +9,7 @@ rationals, and equalities (the currency of equilibrium conditions) decidable.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, TypeVar
@@ -105,24 +106,35 @@ def _mass_report(num_players: int, points: Sequence[list[FacilityRef]]) -> MassR
     """Split the cell of every occupied point among the facilities there.
 
     ``points`` lists the facilities at each occupied point, in ascending
-    point order; the facilities of one point share its position.
+    point order; the facilities of one point share its position. Positions
+    are scaled once to integers on [0, scale], so the sweep is integer
+    arithmetic over doubled boundaries: each ``c_l``, ``c_r`` and share is
+    one Fraction over ``2*scale``, and each payoff one Fraction built from
+    cells paid in units of ``1/split``, which every head count divides.
     """
-    bounds = _catchments([refs[0].position for refs in points], ONE)
-    payoffs = [ZERO] * num_players
+    positions = [refs[0].position for refs in points]
+    scale = math.lcm(*(p.denominator for p in positions))
+    xs = [p.numerator * (scale // p.denominator) for p in positions]
+    bounds = _catchments(xs, scale)
+    den = 2 * scale
+    split = math.lcm(*{len(refs) for refs in points})
+    totals = [0] * num_players
     fac: dict[FacilityRef, Fraction] = {}
     left: dict[FacilityRef, Fraction] = {}
     right: dict[FacilityRef, Fraction] = {}
     for j, refs in enumerate(points):
-        p = refs[0].position
-        c_l = p - bounds[j] / 2
-        c_r = bounds[j + 1] / 2 - p
-        share = (c_l + c_r) / len(refs)
+        doubled = 2 * xs[j]
+        c_l = Fraction(doubled - bounds[j], den)
+        c_r = Fraction(bounds[j + 1] - doubled, den)
+        cell = bounds[j + 1] - bounds[j]
+        share = Fraction(cell, den * len(refs))
+        paid = cell * (split // len(refs))
         for ref in refs:
             fac[ref] = share
             left[ref] = c_l
             right[ref] = c_r
-            payoffs[ref.player] += share
-    return MassReport(tuple(payoffs), fac, left, right)
+            totals[ref.player] += paid
+    return MassReport(tuple(Fraction(t, den * split) for t in totals), fac, left, right)
 
 
 def masses(profile: PureProfile) -> MassReport:

@@ -2,7 +2,9 @@
 
 The Riemann oracles deliberately avoid the library's midpoint-partition
 shortcut: they integrate by brute sampling, so agreement with the closed
-forms is meaningful evidence. ``flatten`` builds the single-unit twin that
+forms is meaningful evidence. ``midpoint_report`` recomputes a mass report
+from halved midpoints in plain ``Fraction`` arithmetic, the reference for
+the library's integer sweep. ``flatten`` builds the single-unit twin that
 T4-3 is defined on, the reference route for the verifier's reuse of the
 multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
 """
@@ -17,10 +19,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from hotelling import (
+    FacilityRef,
     Game,
     InvalidStrategy,
+    MassReport,
     MixedProfile,
     MixedStrategy,
+    OffsetLocation,
     PureProfile,
     PureStrategy,
     masses,
@@ -88,6 +93,42 @@ def enumerated_payoffs(profile: MixedProfile) -> tuple[Fraction, ...]:
         for i, u in enumerate(outcome):
             totals[i] += weight * u
     return tuple(totals)
+
+
+_SIDE_ORDER = {"below": -1, "exact": 0, "above": 1}
+
+
+def midpoint_report(strategies: Sequence[Sequence[OffsetLocation | Fraction]]) -> MassReport:
+    """Reference mass report: every boundary a halved ``Fraction`` midpoint.
+
+    Locations are Fractions or ``OffsetLocation``s; facilities group by
+    (position, side) in offset order, as ``limit_payoff`` groups them, and
+    each group lists its facilities in (player, slot) order. Each cell
+    reaches halfway to the neighbouring groups' positions, or to 0 and 1.
+    """
+    groups: dict[tuple[Fraction, int], list[FacilityRef]] = {}
+    for i, strategy in enumerate(strategies):
+        for j, loc in enumerate(strategy):
+            if not isinstance(loc, OffsetLocation):
+                loc = OffsetLocation(loc, "exact")
+            key = (loc.position, _SIDE_ORDER[loc.side])
+            groups.setdefault(key, []).append(FacilityRef(i, j, loc.position))
+    points = [groups[key] for key in sorted(groups)]
+    payoffs = [Fraction(0)] * len(strategies)
+    fac: dict[FacilityRef, Fraction] = {}
+    left: dict[FacilityRef, Fraction] = {}
+    right: dict[FacilityRef, Fraction] = {}
+    for k, refs in enumerate(points):
+        x = refs[0].position
+        c_l = (x - points[k - 1][0].position) / 2 if k else x
+        c_r = (points[k + 1][0].position - x) / 2 if k + 1 < len(points) else 1 - x
+        share = (c_l + c_r) / len(refs)
+        for ref in refs:
+            fac[ref] = share
+            left[ref] = c_l
+            right[ref] = c_r
+            payoffs[ref.player] += share
+    return MassReport(tuple(payoffs), fac, left, right)
 
 
 @dataclass(frozen=True)

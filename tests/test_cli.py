@@ -488,10 +488,31 @@ class TestScalarCommands:
             main(list(argv))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (("atlas", "--max-n"), "\u0663"),
+            (("atlas", "--max-n"), "1_0"),
+            (("best-response", "--against", "1/4", "--m"), "1_0"),
+            (("best-response", "--against", "1/4", "--m"), "\u0661"),
+            (("best-response", "--against", "1/4", "--m", "1", "--grid"), "1_00"),
+            (("best-response", "--against", "1/4", "--m", "1", "--grid"), "\uff15"),
+            (("best-response", "--against", "1/4", "--m"), "x"),
+        ],
+    )
+    def test_integer_options_are_plain_ascii_digits(self, capsys, argv, value):
+        # argparse's type=int alone reads "1_0" as 10 and the Arabic-Indic "٣" as 3
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"invalid int value: {value!r}" in captured.err
+
     def test_oversized_support_is_refused(self, capsys, tmp_path):
-        # 101**3 = 1,030,301 joint draws exceed the support cap of 10**6
+        # each player paid directly meets 101**3 = 1,030,301 opponent draws,
+        # over the support cap of 10**6
         uniform = [{"strategy": [f"{i}/100"], "prob": "1/101"} for i in range(101)]
-        doc = {"game": {"counts": [1, 1, 1]}, "mixed_strategies": [uniform] * 3}
+        doc = {"game": {"counts": [1, 1, 1, 1]}, "mixed_strategies": [uniform] * 4}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
         out_path = tmp_path / "payoffs.json"

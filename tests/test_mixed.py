@@ -1,5 +1,6 @@
 """Tests for mixed strategies, expectations, the facility measure and SOI."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from hotelling import (
     optimal_locations,
 )
 
+import hotelling.mixed as mixed_module
 from hotelling.mixed import _expected_counts
 
 from helpers import combined_strategy, enumerated_payoffs, rand_strategy
@@ -105,29 +107,77 @@ class TestMixedStrategy:
         assert str(exc.value) == f"duplicate support entry {PureStrategy.of(*second).locations}"
 
 
-def rand_mixture(rng, count, denom, must=()):
-    """One to three distinct strategies on the grid {i/denom}, each holding the points in must."""
-    grid = [F(i, denom) for i in range(denom + 1) if F(i, denom) not in must]
-    entries = list(
-        dict.fromkeys(
-            PureStrategy(tuple(sorted((*must, *rng.sample(grid, count - len(must))))))
-            for _ in range(rng.randint(1, 3))
-        )
-    )
+def grid_points(denom):
+    return [F(i, denom) for i in range(denom + 1)]
+
+
+def weighted_mixture(rng, entries):
+    """The distinct strategies in entries, with random positive weights."""
     weights = [rng.randint(1, 6) for _ in entries]
     return MixedStrategy(tuple((s, F(w, sum(weights))) for s, w in zip(entries, weights)))
 
 
-def rand_mixed_profile(rng, game, kind):
-    """A seeded mixed profile of one of four kinds that stress the integer sweep.
+def rand_mixture(rng, count, grid, must=()):
+    """One to three distinct strategies on the points of grid, each holding the points in must."""
+    free = [x for x in grid if x not in must]
+    entries = list(
+        dict.fromkeys(
+            PureStrategy(tuple(sorted((*must, *rng.sample(free, count - len(must))))))
+            for _ in range(rng.randint(1, 3))
+        )
+    )
+    return weighted_mixture(rng, entries)
+
+
+def rand_mixed_profile(rng, kind):
+    """A seeded game and mixed profile of a kind that stresses ``mixed_payoff``.
 
     shared: one grid for every player; coprime: a distinct prime grid per
     player; common-point: every draw stacks all players on one point;
-    endpoints: every draw occupies 0 or 1, or both.
+    endpoints: every draw occupies 0 or 1, or both; own-neighbours: player
+    0 keeps to [0, 1/2] and everyone else to (1/2, 1], so no opponent falls
+    between its own neighbours; co-located: all players share four points,
+    so opponents often sit on own points; open-ends: player 0 holds 0 and 1
+    and nobody else reaches either; many-mixers: three to five players, two
+    or more of them mixing; tied-cost: every player plays one mixture, so
+    all tie in opponent draws and halves when the remainder is chosen.
     """
+    if kind == "own-neighbours":
+        counts = [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        grid = grid_points(rng.choice([8, 12]))
+        half = len(grid) // 2 + 1
+        strategies = [rand_mixture(rng, counts[0], grid[:half])]
+        strategies += [rand_mixture(rng, c, grid[half:]) for c in counts[1:]]
+        return make_game(counts), MixedProfile(tuple(strategies))
+    if kind == "co-located":
+        counts = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        points = sorted(rng.sample(grid_points(rng.choice([6, 8, 12])), 4))
+        return make_game(counts), MixedProfile(tuple(rand_mixture(rng, c, points) for c in counts))
+    if kind == "open-ends":
+        counts = [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        grid = grid_points(rng.choice([6, 8, 12]))
+        strategies = [rand_mixture(rng, counts[0], grid, (F(0), F(1)))]
+        strategies += [rand_mixture(rng, c, grid[1:-1]) for c in counts[1:]]
+        return make_game(counts), MixedProfile(tuple(strategies))
+    if kind == "many-mixers":
+        counts = [rng.randint(1, 3) for _ in range(rng.randint(3, 5))]
+        grid = grid_points(rng.choice([6, 8, 12]))
+        mixers = rng.sample(range(len(counts)), rng.randint(2, len(counts)))
+        strategies = []
+        for i, c in enumerate(counts):
+            chosen = rng.sample(list(itertools.combinations(grid, c)), rng.randint(2, 3) if i in mixers else 1)
+            strategies.append(weighted_mixture(rng, [PureStrategy(s) for s in chosen]))
+        return make_game(counts), MixedProfile(tuple(strategies))
+    if kind == "tied-cost":
+        c = rng.randint(1, 3)
+        players = rng.randint(2, 4)
+        mixture = rand_mixture(rng, c, grid_points(rng.choice([6, 8, 12])))
+        return make_game([c] * players), MixedProfile((mixture,) * players)
+    game = make_game([rng.randint(1, 3) for _ in range(rng.randint(1, 4))])
     if kind == "coprime":
         denoms = rng.sample([5, 7, 11, 13], game.num_players)
-        return MixedProfile(tuple(rand_mixture(rng, c, d) for c, d in zip(game.counts, denoms)))
+        strategies = [rand_mixture(rng, c, grid_points(d)) for c, d in zip(game.counts, denoms)]
+        return game, MixedProfile(tuple(strategies))
     denom = rng.choice([4, 6, 8, 12])
     common = F(rng.randint(0, denom), denom)
     strategies = []
@@ -138,17 +188,29 @@ def rand_mixed_profile(rng, game, kind):
             must = (F(0), F(1)) if c > 1 else (F(rng.randint(0, 1)),)
         else:
             must = ()
-        strategies.append(rand_mixture(rng, c, denom, must))
-    return MixedProfile(tuple(strategies))
+        strategies.append(rand_mixture(rng, c, grid_points(denom), must))
+    return game, MixedProfile(tuple(strategies))
 
 
 class TestMixedPayoff:
-    @pytest.mark.parametrize("kind", ["shared", "coprime", "common-point", "endpoints"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "shared",
+            "coprime",
+            "common-point",
+            "endpoints",
+            "own-neighbours",
+            "co-located",
+            "open-ends",
+            "many-mixers",
+            "tied-cost",
+        ],
+    )
     def test_matches_enumerated_reference(self, kind):
         rng = random.Random(sum(map(ord, kind)))
         for _ in range(100):
-            game = make_game([rng.randint(1, 3) for _ in range(rng.randint(1, 4))])
-            profile = rand_mixed_profile(rng, game, kind)
+            game, profile = rand_mixed_profile(rng, kind)
             payoffs = mixed_payoff(game, profile)
             assert payoffs == enumerated_payoffs(profile)
             assert sum(payoffs) == 1
@@ -185,14 +247,56 @@ class TestMixedPayoff:
         assert mixed_payoff(game, profile) == (F(1, 4), F(3, 4))
 
     def test_support_cap(self):
-        # 101**3 draws exceed the cap of 10**6; the guard fires before enumerating
-        game = make_game([1, 1, 1])
+        # the player paid the remainder draws nothing, and every other player
+        # meets 101**3 opponent draws, over the cap of 10**6: the guard fires
+        # before the first draw
+        game = make_game([1, 1, 1, 1])
         big = MixedStrategy.uniform(
             [PureStrategy((F(i, 100),)) for i in range(101)]
         )
-        profile = MixedProfile((big, big, big))
+        profile = MixedProfile((big,) * 4)
         with pytest.raises(SupportTooLarge):
             mixed_payoff(game, profile)
+
+    def test_symmetric_uniform_three_players(self):
+        # two players are paid from 11**2 opponent draws each, the third the rest
+        game = make_game([1, 1, 1])
+        uniform = MixedStrategy.uniform([PureStrategy((F(i, 10),)) for i in range(11)])
+        profile = MixedProfile((uniform,) * 3)
+        payoffs = mixed_payoff(game, profile)
+        assert payoffs == (F(1, 3),) * 3 == enumerated_payoffs(profile)
+
+
+    def test_remainder_goes_to_the_player_facing_most_draws(self, monkeypatch):
+        # with the cap at 100 the pure player, facing 5**3 draws, must take
+        # the remainder wherever it sits; each mixer faces 25 draws
+        monkeypatch.setattr(mixed_module, "DEFAULT_SUPPORT_CAP", 100)
+        five = MixedStrategy.uniform([PureStrategy((F(i, 4),)) for i in range(5)])
+        pure = MixedStrategy.point(PureStrategy((F(1, 3),)))
+        game = make_game([1, 1, 1, 1])
+        last = MixedProfile((five, five, five, pure))
+        first = mixed_payoff(game, MixedProfile((pure, five, five, five)))
+        assert mixed_payoff(game, last) == first[1:] + first[:1] == enumerated_payoffs(last)
+
+    def test_cap_refuses_before_any_draw(self, monkeypatch):
+        # 11 single points and two 10-entry pair mixtures face 100, 110 and
+        # 110 draws: one mixture takes the remainder and the other is refused
+        # before player 0, within the cap, enumerates anything
+        consumed = []
+
+        def counted(supports):
+            for item in real_draws(supports):
+                consumed.append(item)
+                yield item
+
+        real_draws = mixed_module._draws
+        monkeypatch.setattr(mixed_module, "DEFAULT_SUPPORT_CAP", 100)
+        monkeypatch.setattr(mixed_module, "_draws", counted)
+        points = MixedStrategy.uniform([PureStrategy((F(i, 10),)) for i in range(11)])
+        profile = MixedProfile((points, make_olk(2, 5), make_olk(2, 5)))
+        with pytest.raises(SupportTooLarge):
+            mixed_payoff(make_game([1, 2, 2]), profile)
+        assert consumed == []
 
 
 class TestMeasure:

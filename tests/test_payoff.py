@@ -27,7 +27,7 @@ from hotelling import (
     social_cost,
 )
 
-from helpers import rand_kset, rand_profile, riemann_payoffs, riemann_social_cost
+from helpers import midpoint_report, rand_kset, rand_profile, riemann_payoffs, riemann_social_cost
 
 F = Fraction
 
@@ -96,6 +96,51 @@ class TestMasses:
                 F(0),
             )
             assert total == report.payoffs[player]
+
+
+def coprime_strategies(rng):
+    """Seeded strategies, each on its own grid {i/d} with d one of 97, 101, 103.
+
+    The lcm of the denominators is then near 10**6. Some players reuse an
+    earlier player's point or an end of [0, 1], so co-location still occurs.
+    """
+    strategies = []
+    for _ in range(rng.randint(1, 5)):
+        d = rng.choice([97, 101, 103])
+        points = {F(v, d) for v in rng.sample(range(d + 1), rng.randint(1, 4))}
+        shared = [x for s in strategies for x in s] + [F(0), F(1)]
+        points.update(rng.sample(shared, rng.randint(0, 2)))
+        strategies.append(sorted(points))
+    return strategies
+
+
+def offset_deviation(rng, opponents):
+    """A deviator's strictly increasing offsets around opponent points and on its own grid."""
+    d = rng.choice([97, 101, 103])
+    picks = {(F(v, d), "exact") for v in rng.sample(range(d + 1), rng.randint(0, 2))}
+    points = sorted({x for s in opponents for x in s})
+    for x in rng.sample(points, min(len(points), rng.randint(1, 3))):
+        sides = ["exact"] + (["below"] if x > 0 else []) + (["above"] if x < 1 else [])
+        picks.add((x, rng.choice(sides)))
+    return sorted(OffsetLocation(x, side) for x, side in picks)
+
+
+class TestMidpointReference:
+    def test_masses_on_coprime_grids(self):
+        rng = random.Random(97)
+        for _ in range(400):
+            strategies = coprime_strategies(rng)
+            profile = PureProfile(tuple(PureStrategy(tuple(s)) for s in strategies))
+            assert repr(masses(profile)) == repr(midpoint_report(strategies))
+
+    def test_limit_payoff_on_coprime_grids(self):
+        rng = random.Random(101)
+        for _ in range(400):
+            strategies = coprime_strategies(rng)
+            deviator = rng.randint(0, len(strategies))
+            strategies.insert(deviator, offset_deviation(rng, strategies))
+            report = limit_payoff(strategies, deviator)
+            assert repr(report) == repr(midpoint_report(strategies))
 
 
 class TestOffsetLocation:
