@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success / verdict true, 1 verdict
 false, 2 input error, 3 construction unavailable, 4 search capped (a
-search over more than 10^5 subsets, or an expectation that would
-enumerate more than 10^6 opponent draws, is refused and nothing is
+search over more than 10^5 subsets or facilities, or an expectation that
+would enumerate more than 10^6 opponent draws, is refused and nothing is
 written), 141 stdout closed
 by its reader (128 + SIGPIPE, as a shell reports a writer SIGPIPE killed).
 """
@@ -25,7 +25,6 @@ from .core import Game, PureProfile, PureStrategy, as_fraction, has_dominant_pla
 from .errors import (
     ConstructionUnavailable,
     HotellingError,
-    InvalidGame,
     InvalidInput,
     InvalidStrategy,
     SearchTooLarge,
@@ -369,17 +368,14 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (InvalidInput, InvalidGame, OSError) as exc:  # OSError: unreadable or unwritable path
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ConstructionUnavailable as exc:
         print(f"construction unavailable: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
     except (SearchTooLarge, SupportTooLarge) as exc:
         print(f"search capped: {exc}", file=sys.stderr)
         return EXIT_CAPPED
-    except HotellingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HotellingError, OSError) as exc:  # OSError: unreadable or unwritable path
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -10,8 +10,9 @@ limits. This family argument is validated empirically against dense-grid
 search in the test suite.
 
 Every answer is exact or refused: a search over more than
-``DEFAULT_SEARCH_CAP`` subsets raises ``SearchTooLarge``, and opponents
-with more than ``DEFAULT_SUPPORT_CAP`` joint draws raise ``SupportTooLarge``.
+``DEFAULT_SEARCH_CAP`` subsets or facilities raises ``SearchTooLarge``
+before any draw is built, and opponents with more than
+``DEFAULT_SUPPORT_CAP`` joint draws raise ``SupportTooLarge``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import ONE, ZERO, Game, PureProfile
 from .errors import InvalidInput, SearchTooLarge
@@ -104,13 +105,6 @@ def _deviator_mass(candidates: Sequence[OffsetLocation], opponents: tuple[tuple[
     return total / 2
 
 
-def _expected_value(candidates: Sequence[OffsetLocation], combos: Sequence[_Combo]) -> Fraction:
-    total = ZERO
-    for prob, opp in combos:
-        total += prob * _deviator_mass(candidates, opp)
-    return total
-
-
 def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...]:
     """All one-sided and exact placements around the given positions."""
     family: list[OffsetLocation] = []
@@ -147,28 +141,37 @@ def _gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocat
 
 
 def _best_subset(
-    family: Sequence[OffsetLocation],
+    family: Collection[OffsetLocation],
     m: int,
-    combos: Sequence[_Combo],
-) -> tuple[Fraction, tuple[OffsetLocation, ...], tuple[OffsetLocation, ...] | None]:
-    """Exhaustive search over ordered m-subsets of the sorted ``family``.
+    opponents: Sequence[MixedStrategy],
+) -> tuple[Fraction, bool, tuple[OffsetLocation, ...]]:
+    """The one search of ``best_response`` and ``grid_search``: the best
+    m-subset of the sorted ``family``.
 
-    Needs ``m <= len(family)``. Returns the best expected value, the
-    lexicographically smallest maximizer and the smallest all-exact
-    maximizer (None when no maximizer is all-exact).
+    Refuses first, then pads a family shorter than ``m`` with gap fillers.
+    Returns the supremum, whether it is attained, and the witness: the
+    smallest all-exact maximizer if any, else the smallest maximizer.
     """
+    chosen = min(m, len(family))
+    if m > DEFAULT_SEARCH_CAP or math.comb(len(family), chosen) > DEFAULT_SEARCH_CAP:
+        raise SearchTooLarge(
+            f"{m} facilities over C({len(family)},{chosen}) subsets exceed cap {DEFAULT_SEARCH_CAP}"
+        )
+    if m > len(family):  # one subset, never all-exact: the family holds a one-sided entry
+        family = sorted([*family, *_gap_fillers([c.position for c in family], m - len(family))])
+    combos = _opponent_combos(opponents)
     best = ZERO
     best_witness: tuple[OffsetLocation, ...] | None = None
     best_exact: tuple[OffsetLocation, ...] | None = None
     for subset in itertools.combinations(family, m):
-        value = _expected_value(subset, combos)
+        value = sum((prob * _deviator_mass(subset, opp) for prob, opp in combos), ZERO)
         if best_witness is None or value > best:
             best = value
             best_witness = subset
             best_exact = subset if all(c.side == "exact" for c in subset) else None
         elif value == best and best_exact is None and all(c.side == "exact" for c in subset):
             best_exact = subset
-    return best, best_witness, best_exact
+    return best, best_exact is not None, best_witness if best_exact is None else best_exact
 
 
 def best_response(
@@ -182,30 +185,18 @@ def best_response(
     evaluates each in the eps -> 0+ limit. Ties are broken toward the
     lexicographically smallest witness; when the supremum is attained, the
     witness reported is the smallest all-exact maximizer. Raises
-    ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP`` opponent draws and
-    ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets.
+    ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets or facilities,
+    then ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP`` opponent draws.
     """
     if m < 1:
         raise InvalidInput(f"player must place at least one facility, got m={m}")
-    positions = sorted({loc for x in opponents for s, _ in x.support for loc in s})
-    combos = _opponent_combos(opponents)
-    family = candidate_family(positions)
+    positions = {loc for x in opponents for s, _ in x.support for loc in s}
     if not positions:
         # no competition: every strategy collects the whole customer mass
         best, attained = ONE, True
         witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
-    elif m > len(family):
-        witness = tuple(sorted(family + tuple(_gap_fillers(positions, m - len(family)))))
-        # exact strategies always leave opponents positive mass, limits do not
-        best, attained = _expected_value(witness, combos), False
     else:
-        if math.comb(len(family), m) > DEFAULT_SEARCH_CAP:
-            raise SearchTooLarge(
-                f"best response over C({len(family)},{m}) candidate subsets exceeds cap {DEFAULT_SEARCH_CAP}"
-            )
-        best, best_witness, best_exact = _best_subset(family, m, combos)
-        attained = best_exact is not None
-        witness = best_exact if attained else best_witness
+        best, attained, witness = _best_subset(candidate_family(positions), m, opponents)
     gain = None if current_payoff is None else best - current_payoff
     return DeviationResult(best, attained, witness, gain)
 
@@ -233,6 +224,21 @@ def is_equilibrium(results: Sequence[DeviationResult]) -> bool:
     return all(r.gain is not None and r.gain <= 0 for r in results)
 
 
+class _Grid:
+    """The exact points {i/resolution}, built as the search reads them, so a
+    grid the search refuses costs nothing."""
+
+    def __init__(self, resolution: int) -> None:
+        self.resolution = resolution
+
+    def __len__(self) -> int:
+        return self.resolution + 1
+
+    def __iter__(self) -> Iterator[OffsetLocation]:
+        for i in range(self.resolution + 1):
+            yield OffsetLocation(Fraction(i, self.resolution), "exact")
+
+
 def grid_search(
     opponents: Sequence[MixedStrategy],
     m: int,
@@ -248,10 +254,4 @@ def grid_search(
         raise InvalidInput(f"grid resolution must be at least 2, got {resolution}")
     if m > resolution + 1:
         raise InvalidInput(f"{m} facilities do not fit on the {resolution + 1} grid points")
-    if math.comb(resolution + 1, m) > DEFAULT_SEARCH_CAP:
-        raise SearchTooLarge(
-            f"grid search over C({resolution + 1},{m}) points exceeds cap {DEFAULT_SEARCH_CAP}"
-        )
-    combos = _opponent_combos(opponents)
-    grid = [OffsetLocation(Fraction(i, resolution), "exact") for i in range(resolution + 1)]
-    return _best_subset(grid, m, combos)[0]
+    return _best_subset(_Grid(resolution), m, opponents)[0]

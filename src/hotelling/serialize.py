@@ -133,6 +133,8 @@ def parse_profile_document(data: Any) -> tuple[Game, PureProfile | MixedProfile]
     if not isinstance(data, dict):
         raise InvalidInput("document: expected a JSON object")
     game = game_from_json(data.get("game"), "game")
+    if "strategies" in data and "mixed_strategies" in data:
+        raise InvalidInput("document: give either 'strategies' or 'mixed_strategies', not both")
     if "strategies" in data:
         profile: PureProfile | MixedProfile = pure_profile_from_json(data, "profile")
     elif "mixed_strategies" in data:

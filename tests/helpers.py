@@ -7,6 +7,8 @@ from halved midpoints in plain ``Fraction`` arithmetic, the reference for
 the library's integer sweep. ``flatten`` builds the single-unit twin that
 T4-3 is defined on, the reference route for the verifier's reuse of the
 multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
+``reference_best_response`` values every subset of a family through
+``limit_payoff``, the reference for the oracle's merged per-draw sweep.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from hotelling import (
     OffsetLocation,
     PureProfile,
     PureStrategy,
+    limit_payoff,
     masses,
 )
 from hotelling.core import require_profile
+from hotelling.oracle import candidate_family
 
 TIE_EPS = 1e-12
 
@@ -177,3 +181,37 @@ def combined_strategy(strategies: Sequence[MixedStrategy]) -> MixedStrategy:
         joint = PureStrategy(tuple(locations))  # raises if two players collide
         merged[joint] = merged.get(joint, Fraction(0)) + weight
     return MixedStrategy(tuple(merged.items()))
+
+
+def limit_value(opponents: Sequence[MixedStrategy], deviation: Sequence[OffsetLocation]) -> Fraction:
+    """Expected ``limit_payoff`` of a deviation, summed over the opponents' joint draws."""
+    total = Fraction(0)
+    for combo in itertools.product(*(x.support for x in opponents)):
+        weight = math.prod((p for _, p in combo), start=Fraction(1))
+        strategies = [list(deviation), *(list(s) for s, _ in combo)]
+        total += weight * limit_payoff(strategies, deviator=0).payoffs[0]
+    return total
+
+
+def reference_best_response(
+    opponents: Sequence[MixedStrategy],
+    m: int,
+    family: Sequence[OffsetLocation] | None = None,
+) -> tuple[Fraction, tuple[OffsetLocation, ...], tuple[OffsetLocation, ...] | None]:
+    """Reference search: every m-subset of the family, valued by ``limit_value``.
+
+    The family defaults to the candidate family of the opponents' positions
+    and must hold at least ``m`` entries. Returns the supremum, the
+    lexicographically smallest maximizer and the smallest all-exact
+    maximizer (None when no maximizer is all-exact).
+    """
+    if family is None:
+        family = candidate_family({loc for x in opponents for s, _ in x.support for loc in s})
+    values = {
+        subset: limit_value(opponents, subset)
+        for subset in itertools.combinations(sorted(family), m)
+    }
+    best = max(values.values())
+    maximizers = [subset for subset, value in values.items() if value == best]
+    exact = [subset for subset in maximizers if all(c.side == "exact" for c in subset)]
+    return best, maximizers[0], exact[0] if exact else None

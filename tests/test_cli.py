@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,6 +188,12 @@ class TestVerify:
                 "profile shape does not match game counts",
                 id="shape-mismatch",
             ),
+            pytest.param(
+                # the mixed part would otherwise go unread
+                {"game": {"counts": [1, 1]}, "strategies": [["1/2"], ["1/2"]], "mixed_strategies": []},
+                "document: give either 'strategies' or 'mixed_strategies', not both",
+                id="both-strategy-kinds",
+            ),
         ],
     )
     def test_malformed_documents_rejected(self, capsys, tmp_path, doc, message):
@@ -194,6 +201,18 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", "--profile", str(path))
         assert code == 2 and out == "" and "input error" in err and message in err
+
+    def test_library_errors_are_input_errors(self, capsys, tmp_path):
+        # an InvalidStrategy from the document and a WrongGameKind from the
+        # game both read as input errors, with the one exit-2 prefix
+        path = tmp_path / "decreasing.json"
+        path.write_text(json.dumps({"game": {"counts": [2]}, "strategies": [["3/4", "1/4"]]}))
+        code, out, err = run(capsys, "verify", "--profile", str(path))
+        assert (code, out) == (2, "")
+        assert err == "input error: locations must strictly increase, got 3/4 then 1/4\n"
+        code, out, err = run(capsys, "construct", "--kind", "two-player", "--game", "1,1,1")
+        assert (code, out) == (2, "")
+        assert err == "input error: two-player construction needs exactly two players\n"
 
     def test_failing_two_player_profile(self, capsys, tmp_path):
         # the strong player, listed first, misses the optimal point 7/8
@@ -517,6 +536,18 @@ class TestScalarCommands:
         path.write_text(json.dumps(doc))
         out_path = tmp_path / "payoffs.json"
         code, out, err = run(capsys, "payoff", "--profile", str(path), "--out", str(out_path))
+        assert code == 4 and out == "" and "search capped" in err
+        assert not out_path.exists()
+
+    def test_oversized_witness_is_refused(self, capsys, tmp_path):
+        # one candidate subset, but a witness of 10**6 facilities: refused
+        # before any gap filler is built, and nothing is written
+        out_path = tmp_path / "response.json"
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "best-response", "--against", "1/2", "--m", "1000000", "--out", str(out_path)
+        )
+        assert time.perf_counter() - start < 1
         assert code == 4 and out == "" and "search capped" in err
         assert not out_path.exists()
 

@@ -1,5 +1,6 @@
 """Tests for the best-response oracle and deviation certification."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -27,9 +28,9 @@ from hotelling import (
     optimal_locations,
     verify_multi_unit,
 )
-from hotelling.oracle import candidate_family, _expected_value, _opponent_combos
+from hotelling.oracle import _best_subset, candidate_family
 
-from helpers import rand_profile, rand_strategy
+from helpers import limit_value, rand_profile, rand_strategy, reference_best_response
 
 F = Fraction
 
@@ -85,12 +86,29 @@ class TestBestResponse:
             certify_no_deviation(make_game([5, 5, 5]), profile)
 
     def test_oversized_opponent_support_is_refused(self):
+        # m = 1 keeps the search to 301 subsets, under the search cap; the
         # 101**3 = 1,030,301 opponent draws exceed the support cap of 10**6,
         # so the search is refused before any draw is built
         uniform = MixedStrategy.uniform([PureStrategy((F(i, 100),)) for i in range(101)])
         start = time.perf_counter()
         with pytest.raises(SupportTooLarge):
-            best_response([uniform, uniform, uniform], 3)
+            best_response([uniform, uniform, uniform], 1)
+        assert time.perf_counter() - start < 1
+
+    def test_search_cap_is_checked_before_any_draw(self):
+        # 10**6 opponent draws sit at the support cap, but C(298, 5) subsets
+        # are refused before a single draw is built
+        uniform = MixedStrategy.uniform([PureStrategy((F(i, 100),)) for i in range(1, 101)])
+        start = time.perf_counter()
+        with pytest.raises(SearchTooLarge):
+            best_response([uniform, uniform, uniform], 5)
+        assert time.perf_counter() - start < 1
+
+    def test_oversized_witness_is_refused_before_padding(self):
+        # one subset to search, but a witness of 10**6 facilities
+        start = time.perf_counter()
+        with pytest.raises(SearchTooLarge):
+            best_response([point("1/2")], 10**6)
         assert time.perf_counter() - start < 1
 
 
@@ -132,6 +150,11 @@ class TestGridComparison:
     def test_grid_cap(self):
         with pytest.raises(SearchTooLarge):
             grid_search([point("1/2")], 3, 1000)
+        # the grid's points are built only once the search is allowed
+        start = time.perf_counter()
+        with pytest.raises(SearchTooLarge):
+            grid_search([point("1/2")], 1, 10**9)
+        assert time.perf_counter() - start < 1
 
     def test_grid_resolution_is_an_input_error(self):
         with pytest.raises(InvalidInput):
@@ -147,7 +170,6 @@ class TestGridComparison:
         for _ in range(3):
             k = rng.randint(1, 3)
             opp = [MixedStrategy.point(rand_strategy(rng, k, 12))]
-            combos = _opponent_combos(opp)
             family = candidate_family(
                 [loc for s, _ in opp[0].support for loc in s]
             )
@@ -155,17 +177,97 @@ class TestGridComparison:
                 set(family)
                 | {OffsetLocation(F(i, 16), "exact") for i in range(17)}
             )
-            import itertools
+            m = min(2, len(family))
+            assert _best_subset(enriched, m, opp)[0] == _best_subset(family, m, opp)[0]
 
-            base = max(
-                _expected_value(c, combos)
-                for c in itertools.combinations(family, min(2, len(family)))
+
+def _rand_opponents(rng: random.Random) -> list[MixedStrategy]:
+    """1-3 opponents, each pure or mixing over up to 3 entries, on a coarse
+    grid that puts positions at 0 and 1 and makes maxima tie. One draw in
+    five splits the optimal points of some k among pure opponents, where
+    exact co-location ties the one-sided limits and the supremum is attained.
+    """
+    if rng.random() < 0.2:
+        points = optimal_locations(rng.randint(1, 4))
+        cuts = sorted(rng.sample(range(1, len(points)), rng.randint(1, min(3, len(points))) - 1))
+        return [
+            MixedStrategy.point(PureStrategy(points[a:b]))
+            for a, b in zip([0, *cuts], [*cuts, len(points)])
+        ]
+    denom = rng.choice([2, 3, 4])
+    opponents = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(1, 2)
+        entries = list({rand_strategy(rng, k, denom) for _ in range(rng.randint(1, 3))})
+        weights = [rng.randint(1, 3) for _ in entries]
+        opponents.append(
+            MixedStrategy(tuple((s, F(w, sum(weights))) for s, w in zip(entries, weights)))
+        )
+    return opponents
+
+
+class TestReferenceAgreement:
+    """The oracle against ``reference_best_response``: every subset valued
+    through ``limit_payoff``, with the same tie-break."""
+
+    def test_best_response_matches_reference(self):
+        rng = random.Random(2024)
+        seen = {"mixed": 0, "ends": 0, "m=|F|": 0, "tied": 0, "attained": 0, "limit": 0}
+        opponent_counts = set()
+        instances = 0
+        while instances < 300:
+            opponents = _rand_opponents(rng)
+            family = candidate_family(
+                {loc for x in opponents for s, _ in x.support for loc in s}
             )
-            richer = max(
-                _expected_value(c, combos)
-                for c in itertools.combinations(enriched, min(2, len(family)))
+            m = rng.randint(1, len(family))
+            draws = math.prod(len(x.support) for x in opponents)
+            if math.comb(len(family), m) * draws > 150:  # keeps the reference fast
+                continue
+            instances += 1
+            supremum, smallest, exact = reference_best_response(opponents, m)
+            result = best_response(opponents, m)
+            assert result.supremum_payoff == supremum
+            assert result.attained == (exact is not None)
+            assert result.witness == (smallest if exact is None else exact)
+            seen["mixed"] += any(len(x.support) > 1 for x in opponents)
+            seen["ends"] += family[0].position == 0 or family[-1].position == 1
+            seen["m=|F|"] += m == len(family)
+            seen["tied"] += exact is not None and exact != smallest
+            seen["attained"] += exact is not None
+            seen["limit"] += exact is None
+            opponent_counts.add(len(opponents))
+        assert all(count >= 10 for count in seen.values()), seen
+        assert opponent_counts == {1, 2, 3}
+
+    def test_grid_search_matches_reference(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            opponents = _rand_opponents(rng)
+            resolution = rng.randint(2, 6)
+            m = rng.randint(1, min(3, resolution + 1))
+            grid = [OffsetLocation(F(i, resolution), "exact") for i in range(resolution + 1)]
+            supremum = reference_best_response(opponents, m, grid)[0]
+            assert grid_search(opponents, m, resolution) == supremum
+
+    def test_padded_search_beyond_the_family(self):
+        rng = random.Random(5)
+        instances = 0
+        while instances < 30:
+            opponents = _rand_opponents(rng)
+            family = candidate_family(
+                {loc for x in opponents for s, _ in x.support for loc in s}
             )
-            assert richer == base
+            if math.prod(len(x.support) for x in opponents) > 9:  # keeps the reference fast
+                continue
+            instances += 1
+            m = len(family) + rng.randint(1, 3)
+            result = best_response(opponents, m)
+            # interior fillers add no mass: the whole family already reaches it
+            assert result.supremum_payoff == reference_best_response(opponents, len(family))[0]
+            assert not result.attained
+            assert len(result.witness) == m and set(family) <= set(result.witness)
+            assert limit_value(opponents, result.witness) == result.supremum_payoff
 
 
 class TestCertify:
