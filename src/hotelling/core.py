@@ -127,6 +127,14 @@ class PureStrategy:
     def of(cls, *values: RationalLike) -> "PureStrategy":
         return cls(tuple(as_fraction(v) for v in values))
 
+    @classmethod
+    def _checked(cls, locations: tuple[Fraction, ...]) -> "PureStrategy":
+        """A strategy on Fractions its caller has already checked, as
+        ``MixedStrategy`` checks a whole support at once."""
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "locations", locations)
+        return strategy
+
     def __len__(self) -> int:
         return len(self.locations)
 

@@ -415,10 +415,7 @@ def construct_mixed(game: Game, plan: PartitionPlan) -> MixedProfile:
     strategies: list[MixedStrategy | None] = [None] * game.num_players
     strategies[dom] = MixedStrategy.point(PureStrategy(optimal_locations(n_dom)))
     for i, block in zip(others, plan.blocks):
-        subsets = [
-            PureStrategy(c) for c in itertools.combinations(sorted(block), game.counts[i])
-        ]
-        strategies[i] = MixedStrategy.uniform(subsets)
+        strategies[i] = MixedStrategy.uniform(itertools.combinations(sorted(block), game.counts[i]))
     return MixedProfile(tuple(strategies))  # type: ignore[arg-type]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,11 +29,114 @@ from .core import (
 from .errors import InvalidInput, InvalidStrategy, SupportTooLarge
 
 DEFAULT_SUPPORT_CAP = 10**6
+# below this many entries, checking entry by entry costs less than a table
+_TABLE_MIN_ENTRIES = 5
 
 _Item = TypeVar("_Item")
 _Prob = TypeVar("_Prob", int, Fraction)
 # a position with its weighted own left and right neighbours, see _chain_halves
 _Halves = tuple[int, list[tuple[int, int]], list[tuple[int, int]]]
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators, and the values as integers over it.
+
+    Each distinct object is converted once: a support repeats a few location
+    and probability objects over all its entries. Objects are told apart by
+    ``id`` while ``values`` holds them, so no Fraction is hashed.
+    """
+    ids = list(map(id, values))
+    ratios = {key: x.as_integer_ratio() for key, x in dict(zip(ids, values)).items()}
+    scale = math.lcm(*{den for _, den in ratios.values()})
+    ints = {key: num * (scale // den) for key, (num, den) in ratios.items()}
+    return scale, list(map(ints.__getitem__, ids))
+
+
+def _checked_point(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...] | None:
+    """A one-entry support that needs no check: a strategy with probability 1."""
+    entry = support[0]
+    if (
+        type(entry) is tuple
+        and len(entry) == 2
+        and type(entry[0]) is PureStrategy
+        and type(entry[1]) is Fraction
+        and entry[1] == 1
+    ):
+        return support
+    return None
+
+
+def _checked_table(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...] | None:
+    """The support if it passes every check as one table of integers, else None.
+
+    Entries must be ``(strategy, Fraction)`` tuples whose strategy is a
+    ``PureStrategy`` or a tuple of Fractions; anything else, and any fault,
+    is left to ``_checked_entries``. The locations are scaled once to
+    integers over the lcm of their denominators, so the range is one
+    ``min``/``max``, strict increase one comparison of neighbouring columns,
+    and duplicates one set of rows.
+    """
+    if set(map(type, support)) != {tuple} or set(map(len, support)) != {2}:
+        return None
+    strategies, probs = zip(*support)
+    kinds = set(map(type, strategies))
+    if not kinds <= {PureStrategy, tuple} or set(map(type, probs)) != {Fraction}:
+        return None
+    rows = [s.locations if type(s) is PureStrategy else s for s in strategies]
+    size = len(rows[0])
+    if not size or set(map(len, rows)) != {size}:
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    if set(map(type, flat)) != {Fraction}:
+        return None
+    scale, ints = _scaled(flat)
+    if min(ints) < 0 or max(ints) > scale:
+        return None
+    columns = [ints[j::size] for j in range(size)]
+    if not all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:])):
+        return None
+    if len(set(zip(*columns))) != len(rows):
+        return None
+    den, weights = _scaled(probs)
+    if min(weights) <= 0 or sum(weights) != den:
+        return None
+    if kinds == {PureStrategy}:
+        return support
+    return tuple(zip([s if type(s) is PureStrategy else PureStrategy._checked(s) for s in strategies], probs))
+
+
+def _checked_entries(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...]:
+    """Convert and check the support entry by entry, raising its first fault.
+
+    This names what ``_checked_table`` only detects, and converts entries it
+    does not take: strategies given as other sequences, rationals as ``int``
+    or ``str``.
+    """
+    entries = []
+    for strategy, prob in support:
+        if not isinstance(strategy, PureStrategy):
+            strategy = PureStrategy(tuple(strategy))
+        entries.append((strategy, as_fraction(prob)))
+    if not entries:
+        raise InvalidStrategy("mixed strategy needs a non-empty support")
+    den = math.lcm(*(p.denominator for _, p in entries))
+    total = 0  # probabilities summed as integers over den
+    # entries keyed by their locations' integer ratios, which hash far
+    # faster than Fractions; a duplicate leaves the set short of count
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    size = len(entries[0][0])
+    for count, (strategy, prob) in enumerate(entries, 1):
+        if prob.numerator <= 0:
+            raise InvalidStrategy(f"probability {prob} is not positive")
+        seen.add(tuple(map(Fraction.as_integer_ratio, strategy.locations)))
+        if len(seen) != count:
+            raise InvalidStrategy(f"duplicate support entry {strategy.locations}")
+        if len(strategy) != size:
+            raise InvalidStrategy("support entries must place the same number of facilities")
+        total += prob.numerator * (den // prob.denominator)
+    if total != den:
+        raise InvalidStrategy(f"probabilities sum to {Fraction(total, den)}, expected 1")
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -41,37 +145,22 @@ class MixedStrategy:
 
     Probabilities are positive rationals summing to exactly 1; support
     entries are pairwise distinct and all place the same number of
-    facilities.
+    facilities. An entry's strategy may be given as a ``PureStrategy`` or
+    as a sequence of rationals, and its probability as any rational.
     """
 
     support: tuple[tuple[PureStrategy, Fraction], ...]
 
     def __post_init__(self) -> None:
-        entries = []
-        for strategy, prob in self.support:
-            if not isinstance(strategy, PureStrategy):
-                strategy = PureStrategy(tuple(strategy))
-            entries.append((strategy, as_fraction(prob)))
-        object.__setattr__(self, "support", tuple(entries))
-        if not entries:
-            raise InvalidStrategy("mixed strategy needs a non-empty support")
-        den = math.lcm(*(p.denominator for _, p in entries))
-        total = 0  # probabilities summed as integers over den
-        # entries keyed by their locations' integer ratios, which hash far
-        # faster than Fractions; a duplicate leaves the set short of count
-        seen: set[tuple[tuple[int, int], ...]] = set()
-        size = len(entries[0][0])
-        for count, (strategy, prob) in enumerate(entries, 1):
-            if prob.numerator <= 0:
-                raise InvalidStrategy(f"probability {prob} is not positive")
-            seen.add(tuple(map(Fraction.as_integer_ratio, strategy.locations)))
-            if len(seen) != count:
-                raise InvalidStrategy(f"duplicate support entry {strategy.locations}")
-            if len(strategy) != size:
-                raise InvalidStrategy("support entries must place the same number of facilities")
-            total += prob.numerator * (den // prob.denominator)
-        if total != den:
-            raise InvalidStrategy(f"probabilities sum to {Fraction(total, den)}, expected 1")
+        support = tuple(self.support)
+        checked = None  # a fault, entries to convert, or too few for a table
+        if len(support) == 1:
+            checked = _checked_point(support)
+        elif len(support) >= _TABLE_MIN_ENTRIES:
+            checked = _checked_table(support)
+        if checked is None:
+            checked = _checked_entries(support)
+        object.__setattr__(self, "support", checked)
 
     @classmethod
     def point(cls, strategy: PureStrategy | Sequence[RationalLike]) -> "MixedStrategy":
@@ -80,12 +169,11 @@ class MixedStrategy:
         return cls(((strategy, ONE),))
 
     @classmethod
-    def uniform(cls, strategies: Iterable[PureStrategy]) -> "MixedStrategy":
+    def uniform(cls, strategies: Iterable[PureStrategy | tuple[Fraction, ...]]) -> "MixedStrategy":
         strats = tuple(strategies)
         if not strats:
             raise InvalidStrategy("uniform mixture over an empty family")
-        p = Fraction(1, len(strats))
-        return cls(tuple((s, p) for s in strats))
+        return cls(tuple(zip(strats, itertools.repeat(Fraction(1, len(strats))))))
 
     @property
     def num_facilities(self) -> int:
@@ -126,6 +214,11 @@ class MixedProfile:
 
     def support_size(self) -> int:
         return math.prod(len(x.support) for x in self.strategies)
+
+
+def _flat_locations(x: MixedStrategy) -> list[Fraction]:
+    """Every support entry's locations, entry after entry."""
+    return list(itertools.chain.from_iterable(s.locations for s, _ in x.support))
 
 
 def _draws(supports: Sequence[Sequence[tuple[_Item, _Prob]]]) -> Iterator[tuple[_Prob, tuple[_Item, ...]]]:
@@ -182,24 +275,18 @@ def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     end.
     """
     require_profile(game, profile)
-    scale = math.lcm(
-        *{x.denominator for mixed in profile.strategies for s, _ in mixed.support for x in s.locations}
-    )
+    flats = [_flat_locations(mixed) for mixed in profile.strategies]
+    scale, ints = _scaled(list(itertools.chain.from_iterable(flats)))
     split = math.lcm(*range(1, game.num_players + 1))
     supports = []
     den = 2 * scale * split
-    for mixed in profile.strategies:
-        probs = math.lcm(*(p.denominator for _, p in mixed.support))
+    start = 0
+    for mixed, flat in zip(profile.strategies, flats):
+        probs, weights = _scaled([p for _, p in mixed.support])
         den *= probs
-        supports.append(
-            [
-                (
-                    tuple([x.numerator * (scale // x.denominator) for x in s.locations]),
-                    p.numerator * (probs // p.denominator),
-                )
-                for s, p in mixed.support
-            ]
-        )
+        rows = iter(ints[start : start + len(flat)])
+        start += len(flat)
+        supports.append(list(zip(zip(*[rows] * mixed.num_facilities), weights)))
     chains = [_chain_halves(support, scale) for support in supports]
     joint = math.prod(len(support) for support in supports)
     draws = [joint // len(support) for support in supports]
@@ -278,18 +365,18 @@ class MeasureQuery:
 def _expected_counts(x: MixedStrategy) -> dict[Fraction, Fraction]:
     """Expected number of the strategy's facilities at each location it may use.
 
-    Probabilities are summed as integer weights over the lcm of their
-    denominators, with one Fraction per location at the end. Locations are
-    keyed by their integer ratio, which hashes far faster than a Fraction.
+    Locations and probabilities are scaled to integers, and the weights
+    summed on those, with one Fraction per location at the end. Integers
+    hash far faster than Fractions.
     """
-    den = math.lcm(*(p.denominator for _, p in x.support))
-    weights: dict[tuple[int, int], int] = {}
-    for strategy, prob in x.support:
-        weight = prob.numerator * (den // prob.denominator)
-        for loc in strategy:
-            key = loc.as_integer_ratio()
-            weights[key] = weights.get(key, 0) + weight
-    return {Fraction(*key): Fraction(w, den) for key, w in weights.items()}
+    scale, ints = _scaled(_flat_locations(x))
+    den, weights = _scaled([p for _, p in x.support])
+    size = x.num_facilities
+    counts: dict[int, int] = {}
+    for j in range(size):
+        for loc, weight in zip(ints[j::size], weights):
+            counts[loc] = counts.get(loc, 0) + weight
+    return {Fraction(loc, scale): Fraction(w, den) for loc, w in counts.items()}
 
 
 def mu(x: MixedStrategy, query: MeasureQuery) -> Fraction:
@@ -340,6 +427,4 @@ def make_olk(l: int, k: int) -> MixedStrategy:
     """Uniform mixture over all size-l subsets of the k optimal locations."""
     if not 1 <= l <= k:
         raise InvalidInput(f"need 1 <= l <= k, got l={l}, k={k}")
-    points = optimal_locations(k)
-    subsets = [PureStrategy(combo) for combo in itertools.combinations(points, l)]
-    return MixedStrategy.uniform(subsets)
+    return MixedStrategy.uniform(itertools.combinations(optimal_locations(k), l))

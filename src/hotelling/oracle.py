@@ -18,7 +18,6 @@ before any draw is built, and opponents with more than
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
@@ -140,6 +139,26 @@ def _gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocat
     return fillers
 
 
+def _refuse_too_large(family_size: int, m: int) -> None:
+    """The one size rule: raise ``SearchTooLarge`` for a witness of more than
+    ``DEFAULT_SEARCH_CAP`` facilities, or for more m-subsets of the family.
+
+    The binomial is counted up only until it passes the cap: C(n, i) grows
+    with i up to n/2, at least doubling from i = 1 on, so a few dozen steps
+    decide it however large the family.
+    """
+    chosen = min(m, family_size)
+    count = 1
+    for i in range(min(chosen, family_size - chosen)):
+        if count > DEFAULT_SEARCH_CAP:
+            break
+        count = count * (family_size - i) // (i + 1)
+    if m > DEFAULT_SEARCH_CAP or count > DEFAULT_SEARCH_CAP:
+        raise SearchTooLarge(
+            f"{m} facilities over C({family_size},{chosen}) subsets exceed cap {DEFAULT_SEARCH_CAP}"
+        )
+
+
 def _best_subset(
     family: Collection[OffsetLocation],
     m: int,
@@ -152,11 +171,7 @@ def _best_subset(
     Returns the supremum, whether it is attained, and the witness: the
     smallest all-exact maximizer if any, else the smallest maximizer.
     """
-    chosen = min(m, len(family))
-    if m > DEFAULT_SEARCH_CAP or math.comb(len(family), chosen) > DEFAULT_SEARCH_CAP:
-        raise SearchTooLarge(
-            f"{m} facilities over C({len(family)},{chosen}) subsets exceed cap {DEFAULT_SEARCH_CAP}"
-        )
+    _refuse_too_large(len(family), m)
     if m > len(family):  # one subset, never all-exact: the family holds a one-sided entry
         family = sorted([*family, *_gap_fillers([c.position for c in family], m - len(family))])
     combos = _opponent_combos(opponents)
@@ -193,6 +208,7 @@ def best_response(
     positions = {loc for x in opponents for s, _ in x.support for loc in s}
     if not positions:
         # no competition: every strategy collects the whole customer mass
+        _refuse_too_large(0, m)
         best, attained = ONE, True
         witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
     else:

@@ -7,6 +7,7 @@ JSON path of the offending field.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Any
 
@@ -78,9 +79,14 @@ def pure_profile_from_json(data: Any, path: str = "profile") -> PureProfile:
 
 
 def mixed_strategy_to_json(strategy: MixedStrategy) -> list:
+    # each distinct location or probability object is formatted once; a
+    # support repeats a few of them over all its entries
+    rows = [(s.locations, p) for s, p in strategy.support]
+    values = [*itertools.chain.from_iterable(locs for locs, _ in rows), *(p for _, p in rows)]
+    text = {key: format_fraction(x) for key, x in dict(zip(map(id, values), values)).items()}
     return [
-        {"strategy": [format_fraction(x) for x in s], "prob": format_fraction(p)}
-        for s, p in strategy.support
+        {"strategy": [text[id(x)] for x in locs], "prob": text[id(p)]}
+        for locs, p in rows
     ]
 
 
@@ -88,22 +94,35 @@ def mixed_strategy_from_json(data: Any, path: str = "mixed") -> MixedStrategy:
     if not isinstance(data, list) or not data:
         raise InvalidInput(f"{path}: expected a non-empty list of support entries")
     # each distinct rational string is parsed once, at its first occurrence,
-    # so an invalid one is reported with that occurrence's path
+    # so an invalid one is reported with that occurrence's path; an entry
+    # whose strings are all known is read with one map over them, and the
+    # support is checked as a whole by MixedStrategy
     known: dict[str, Fraction] = {}
     support = []
     for i, entry in enumerate(data):
-        if not isinstance(entry, dict) or "strategy" not in entry or "prob" not in entry:
-            raise InvalidInput(f"{path}[{i}]: expected an object with 'strategy' and 'prob'")
-        if not isinstance(entry["strategy"], list):
-            raise InvalidInput(f"{path}[{i}].strategy: expected a list of rationals")
-        locs = tuple(
-            known[x] if type(x) is str and x in known
-            else _parse_new(known, x, f"{path}[{i}].strategy[{j}]")
-            for j, x in enumerate(entry["strategy"])
-        )
-        p = entry["prob"]
-        prob = known[p] if type(p) is str and p in known else _parse_new(known, p, f"{path}[{i}].prob")
-        support.append((PureStrategy(locs), prob))
+        try:
+            if not isinstance(entry, dict) or "strategy" not in entry or "prob" not in entry:
+                raise InvalidInput(f"{path}[{i}]: expected an object with 'strategy' and 'prob'")
+            texts = entry["strategy"]
+            if not isinstance(texts, list):
+                raise InvalidInput(f"{path}[{i}].strategy: expected a list of rationals")
+            try:  # only strings are keys of known, so True never finds 1's entry
+                locs = tuple(map(known.__getitem__, texts))
+            except (KeyError, TypeError):  # a new string, or a value that is not one
+                locs = tuple(
+                    known[x] if type(x) is str and x in known
+                    else _parse_new(known, x, f"{path}[{i}].strategy[{j}]")
+                    for j, x in enumerate(texts)
+                )
+            p = entry["prob"]
+            prob = known[p] if type(p) is str and p in known else _parse_new(known, p, f"{path}[{i}].prob")
+        except InvalidInput:
+            # faults are reported in reading order: a strategy fault in an
+            # earlier entry comes before this one
+            for earlier, _ in support:
+                PureStrategy(earlier)
+            raise
+        support.append((locs, prob))
     return MixedStrategy(tuple(support))
 
 

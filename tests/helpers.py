@@ -9,6 +9,8 @@ T4-3 is defined on, the reference route for the verifier's reuse of the
 multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
 ``reference_best_response`` values every subset of a family through
 ``limit_payoff``, the reference for the oracle's merged per-draw sweep.
+``reference_support`` checks a mixed support entry by entry, the reference
+for ``MixedStrategy``'s one-table check.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from hotelling import (
     limit_payoff,
     masses,
 )
-from hotelling.core import require_profile
+from hotelling.core import as_fraction, require_profile
 from hotelling.oracle import candidate_family
 
 TIE_EPS = 1e-12
@@ -215,3 +217,34 @@ def reference_best_response(
     maximizers = [subset for subset, value in values.items() if value == best]
     exact = [subset for subset in maximizers if all(c.side == "exact" for c in subset)]
     return best, maximizers[0], exact[0] if exact else None
+
+
+def reference_support(support) -> tuple[tuple[PureStrategy, Fraction], ...]:
+    """Reference ``MixedStrategy`` check: convert and check entry by entry.
+
+    Returns the converted support, or raises the first fault: the entries'
+    own conversions in order, then an empty support, then per entry a
+    non-positive probability, a duplicate and a size mismatch, and last a
+    total other than 1.
+    """
+    entries = []
+    for strategy, prob in support:
+        if not isinstance(strategy, PureStrategy):
+            strategy = PureStrategy(tuple(strategy))
+        entries.append((strategy, as_fraction(prob)))
+    if not entries:
+        raise InvalidStrategy("mixed strategy needs a non-empty support")
+    seen: set[PureStrategy] = set()
+    size = len(entries[0][0])
+    for strategy, prob in entries:
+        if prob <= 0:
+            raise InvalidStrategy(f"probability {prob} is not positive")
+        if strategy in seen:
+            raise InvalidStrategy(f"duplicate support entry {strategy.locations}")
+        seen.add(strategy)
+        if len(strategy) != size:
+            raise InvalidStrategy("support entries must place the same number of facilities")
+    total = sum((prob for _, prob in entries), Fraction(0))
+    if total != 1:
+        raise InvalidStrategy(f"probabilities sum to {total}, expected 1")
+    return tuple(entries)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hotelling
-from hotelling import InvalidInput, PureStrategy
+from hotelling import InvalidInput, InvalidStrategy, PureStrategy
 from hotelling.cli import _emit, main
 from hotelling.serialize import parse_profile_document, profile_document
 
@@ -289,6 +289,64 @@ class TestRationals:
         with pytest.raises(InvalidInput) as exc:
             parse_profile_document(doc)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "support,message",
+        [
+            ([support_entry([True], "1/1")], "mixed_strategies[0][0].strategy[0]: expected a rational string, got bool"),
+            ([support_entry(["1/2"], False)], "mixed_strategies[0][0].prob: expected a rational string, got bool"),
+            ([support_entry(["1/4"], "1/2"), support_entry([0.75], "1/2")],
+             "mixed_strategies[0][1].strategy[0]: expected a rational string, got float"),
+            ([support_entry(["1/4"], 0.5), support_entry(["3/4"], "1/2")],
+             "mixed_strategies[0][0].prob: expected a rational string, got float"),
+            ([support_entry([["1/2"]], "1/1")], "mixed_strategies[0][0].strategy[0]: expected a rational string, got list"),
+        ],
+        ids=["bool-location", "bool-prob", "float-location", "float-prob", "list-location"],
+    )
+    def test_values_that_are_not_rationals(self, support, message):
+        doc = {"game": {"counts": [1]}, "mixed_strategies": [support]}
+        with pytest.raises(InvalidInput) as exc:
+            parse_profile_document(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "support,message",
+        [
+            pytest.param(
+                [support_entry(["3/4", "1/4"], "1/2"), support_entry(["x/y", "1/2"], "1/2")],
+                "locations must strictly increase, got 3/4 then 1/4",
+                id="decreasing-then-bad-location",
+            ),
+            pytest.param(
+                [support_entry(["1/4", "3/4"], "1/2"), support_entry(["1/2", "3/2"], "1/4"),
+                 support_entry(["0", "1/2"], "1/0")],
+                "location 3/2 outside [0,1]",
+                id="outside-then-bad-probability",
+            ),
+            pytest.param(
+                [support_entry([], "1/2"), support_entry(["1/2", "3/4"], True)],
+                "a strategy must place at least one facility",
+                id="empty-then-boolean",
+            ),
+            pytest.param(
+                [support_entry(["0", "3/2"], "1/2"), "entry"],
+                "location 3/2 outside [0,1]",
+                id="outside-then-malformed-entry",
+            ),
+        ],
+    )
+    def test_strategy_fault_reported_before_later_bad_rational(self, support, message):
+        # entries are read in bulk, but a strategy fault in an earlier entry
+        # still comes before a bad rational or entry after it
+        doc = {"game": {"counts": [2]}, "mixed_strategies": [support]}
+        with pytest.raises(InvalidStrategy) as exc:
+            parse_profile_document(doc)
+        assert str(exc.value) == message
+
+    def test_integer_values(self):
+        doc = {"game": {"counts": [2]}, "mixed_strategies": [[support_entry([0, 1], 1)]]}
+        _, profile = parse_profile_document(doc)
+        assert profile.strategies[0].support == ((PureStrategy.of(0, 1), F(1)),)
 
     def test_repeated_strings_parse_to_equal_values(self):
         doc = {"game": {"counts": [2]}, "mixed_strategies": [[

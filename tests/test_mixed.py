@@ -31,7 +31,7 @@ from hotelling import (
 import hotelling.mixed as mixed_module
 from hotelling.mixed import _expected_counts
 
-from helpers import combined_strategy, enumerated_payoffs, rand_strategy
+from helpers import combined_strategy, enumerated_payoffs, rand_strategy, reference_support
 
 F = Fraction
 
@@ -105,6 +105,142 @@ class TestMixedStrategy:
         with pytest.raises(InvalidStrategy) as exc:
             MixedStrategy(((first, F(1, 2)), (second, F(1, 2))))
         assert str(exc.value) == f"duplicate support entry {PureStrategy.of(*second).locations}"
+
+
+SUPPORT_FAULTS = (
+    "valid", "empty-support", "outside", "not-increasing", "no-location", "float-location",
+    "bad-string", "float-prob", "non-positive", "duplicate", "size", "sum", "entry-shape",
+)
+
+
+def rand_support(rng, fault):
+    """A seeded support with the named fault, or none for "valid".
+
+    Most supports hold only Fractions, in ``PureStrategy``s and tuples, the
+    input the one-table check judges itself; the others mix in lists, ints
+    and strings, which it leaves to the entry-by-entry check. Locations are
+    either shared objects or fresh ones, so equal values are often held by
+    distinct objects.
+    """
+    exact = rng.random() < 0.6
+    if fault == "empty-support":
+        return ()
+    size = rng.randint(1, 3)
+    denom = rng.choice([2, 3, 4, 6, 8, 12])
+    shared = {v: F(v, denom) for v in range(denom + 1)}
+    candidates = list(itertools.combinations(range(denom + 1), size))
+    count = 1 if size == 1 and rng.random() < 0.3 else rng.randint(2, 12)
+    rows = rng.sample(candidates, min(count, len(candidates)))
+    count = len(rows)
+    weights = [rng.randint(1, 4) for _ in rows]
+    probs = [F(w, sum(weights)) for w in weights]
+
+    def location(v):
+        form = rng.random()
+        if form < 0.5:
+            return shared[v]
+        if form < 0.7 or exact:
+            return F(v * 2, denom * 2)  # equal value, distinct object
+        if form < 0.85:
+            return f"{v}/{denom}"
+        return v // denom if v % denom == 0 else F(v, denom)
+
+    strategies = [[location(v) for v in row] for row in rows]
+    i = rng.randrange(count)
+    if fault == "outside":
+        outside = [F(-1, denom), F(denom + 1, denom)] + ([] if exact else [2, "-1/3"])
+        strategies[i][rng.randrange(size)] = rng.choice(outside)
+    elif fault == "not-increasing":
+        if size == 1:
+            strategies[i] = [F(1, 2), F(1, 2)] if rng.random() < 0.5 else [F(2, 3), F(1, 3)]
+        else:
+            strategies[i].reverse()
+    elif fault == "no-location":
+        strategies[i] = []
+    elif fault == "float-location":
+        strategies[i][rng.randrange(size)] = rng.choice([0.5, True, None])
+    elif fault == "bad-string":
+        strategies[i][rng.randrange(size)] = rng.choice(["x/y", "1/0", "1e-3", "1_0"])
+    elif fault == "float-prob":
+        probs[i] = rng.choice([0.5, True, "1/0", None])
+    elif fault == "non-positive":
+        j = rng.randrange(count)
+        probs[i], probs[j] = rng.choice([F(0), F(-1, 3)]), probs[j] + probs[i]
+    elif fault == "duplicate":
+        j = rng.randrange(count)
+        strategies.append([F(v.numerator * 3, v.denominator * 3) if isinstance(v, F) else v for v in strategies[j]])
+        probs = [p / 2 for p in probs] + [F(1, 2)]
+    elif fault == "size":
+        if size > 1:
+            del strategies[i][-1]
+        elif rows[i][0] < denom:
+            strategies[i].append(shared[denom])
+        else:
+            strategies[i].insert(0, shared[0])
+    elif fault == "sum":
+        probs[i] += rng.choice([F(1, 7), F(-1, 100), F(1)])
+    forms = []
+    for strategy in strategies:
+        form = rng.random()
+        if form < 0.3 and fault in ("valid", "non-positive", "duplicate", "size", "sum"):
+            strategy = PureStrategy.of(*strategy)
+        elif form < 0.8 or exact:
+            strategy = tuple(strategy)
+        forms.append(strategy)
+    if not exact:
+        probs = [
+            str(p) if rng.random() < 0.1 and isinstance(p, F) else 1 if p == 1 and rng.random() < 0.5 else p
+            for p in probs
+        ]
+    support = list(zip(forms, probs))
+    if fault == "entry-shape":
+        support[i] = rng.choice([(forms[i],), (forms[i], probs[i], 0), [forms[i], probs[i]], None])
+    return tuple(support)
+
+
+def support_outcome(check, support):
+    try:
+        return "ok", check(support)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def test_table_check_agrees_with_entry_by_entry_reference():
+    rng = random.Random(15)
+    seen = {fault: 0 for fault in SUPPORT_FAULTS}
+    valid = 0
+    faults = itertools.cycle(SUPPORT_FAULTS[1:])
+    for case in range(900):
+        fault = "valid" if case % 3 == 0 else next(faults)  # every third one valid
+        support = rand_support(rng, fault)
+        expected = support_outcome(reference_support, support)
+        got = support_outcome(lambda s: MixedStrategy(s).support, support)
+        assert got == expected, (fault, support)
+        if expected[0] == "ok":
+            valid += 1
+            for strategy, prob in got[1]:
+                assert type(strategy) is PureStrategy and type(prob) is F
+                assert all(type(x) is F for x in strategy.locations)
+        seen[fault] += expected[0] != "ok" or fault == "valid"
+    # every fault kind raised, not just drawn
+    assert all(seen.values()), seen
+    assert valid >= 250
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        ((PureStrategy.of("1/4"), F(1, 2)), ((F(3, 4),), F(1, 2))),
+        (((F(1, 4),), 1),),
+        ((("1/4",), "1/1"),),
+        ((PureStrategy.of("1/4"), F(1, 2)), ((F(2, 8),), F(1, 2))),
+        (((F(1, 2), F(3, 4)), F(2, 3)), ((F(1, 2), F(2, 4)), F(1, 3))),
+    ],
+    ids=["mixed-forms", "int-prob", "str-point", "equal-values-distinct-objects", "fault-in-last"],
+)
+def test_table_check_examples(support):
+    expected = support_outcome(reference_support, support)
+    assert support_outcome(lambda s: MixedStrategy(s).support, support) == expected
 
 
 def grid_points(denom):

@@ -28,7 +28,7 @@ from hotelling import (
     optimal_locations,
     verify_multi_unit,
 )
-from hotelling.oracle import _best_subset, candidate_family
+from hotelling.oracle import DEFAULT_SEARCH_CAP, _best_subset, _refuse_too_large, candidate_family
 
 from helpers import limit_value, rand_profile, rand_strategy, reference_best_response
 
@@ -107,9 +107,20 @@ class TestBestResponse:
     def test_oversized_witness_is_refused_before_padding(self):
         # one subset to search, but a witness of 10**6 facilities
         start = time.perf_counter()
-        with pytest.raises(SearchTooLarge):
+        with pytest.raises(SearchTooLarge) as exc:
             best_response([point("1/2")], 10**6)
         assert time.perf_counter() - start < 1
+        assert str(exc.value) == "1000000 facilities over C(3,3) subsets exceed cap 100000"
+
+    def test_oversized_witness_without_opponents_is_refused(self):
+        # no opponent position, so no search: the same size rule still holds
+        # before the witness of optimal locations is built
+        start = time.perf_counter()
+        with pytest.raises(SearchTooLarge) as exc:
+            best_response([], DEFAULT_SEARCH_CAP + 1)
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == "100001 facilities over C(0,0) subsets exceed cap 100000"
+        assert len(best_response([], 3).witness) == 3
 
 
 class TestCompletenessArgument:
@@ -155,6 +166,30 @@ class TestGridComparison:
         with pytest.raises(SearchTooLarge):
             grid_search([point("1/2")], 1, 10**9)
         assert time.perf_counter() - start < 1
+
+    def test_grid_refusal_does_not_compute_the_binomial(self):
+        # C(10**18 + 1, 10**5) has millions of digits; the refusal counts it
+        # up only until it passes the cap
+        start = time.perf_counter()
+        with pytest.raises(SearchTooLarge):
+            grid_search([point("1/2")], DEFAULT_SEARCH_CAP, 10**18)
+        assert time.perf_counter() - start < 0.1
+
+    def test_refusal_counts_the_binomial_exactly_at_the_cap(self):
+        # C(n, r) against the cap for families of up to 40 candidates; the
+        # exact-cap m = 10**5 with one subset is allowed
+        for n in range(41):
+            for r in range(1, n + 1):
+                try:
+                    _refuse_too_large(n, r)
+                    refused = False
+                except SearchTooLarge:
+                    refused = True
+                assert refused == (math.comb(n, r) > DEFAULT_SEARCH_CAP)
+        _refuse_too_large(0, DEFAULT_SEARCH_CAP)
+        _refuse_too_large(DEFAULT_SEARCH_CAP, DEFAULT_SEARCH_CAP)
+        with pytest.raises(SearchTooLarge):
+            _refuse_too_large(DEFAULT_SEARCH_CAP + 1, DEFAULT_SEARCH_CAP)
 
     def test_grid_resolution_is_an_input_error(self):
         with pytest.raises(InvalidInput):
