@@ -29,8 +29,6 @@ from .core import (
 from .errors import InvalidInput, InvalidStrategy, SupportTooLarge
 
 DEFAULT_SUPPORT_CAP = 10**6
-# below this many entries, checking entry by entry costs less than a table
-_TABLE_MIN_ENTRIES = 5
 
 _Item = TypeVar("_Item")
 _Prob = TypeVar("_Prob", int, Fraction)
@@ -50,20 +48,6 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     scale = math.lcm(*{den for _, den in ratios.values()})
     ints = {key: num * (scale // den) for key, (num, den) in ratios.items()}
     return scale, list(map(ints.__getitem__, ids))
-
-
-def _checked_point(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...] | None:
-    """A one-entry support that needs no check: a strategy with probability 1."""
-    entry = support[0]
-    if (
-        type(entry) is tuple
-        and len(entry) == 2
-        and type(entry[0]) is PureStrategy
-        and type(entry[1]) is Fraction
-        and entry[1] == 1
-    ):
-        return support
-    return None
 
 
 def _checked_table(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...] | None:
@@ -153,11 +137,8 @@ class MixedStrategy:
 
     def __post_init__(self) -> None:
         support = tuple(self.support)
-        checked = None  # a fault, entries to convert, or too few for a table
-        if len(support) == 1:
-            checked = _checked_point(support)
-        elif len(support) >= _TABLE_MIN_ENTRIES:
-            checked = _checked_table(support)
+        # a point mass is checked entry by entry, which costs it less than a table
+        checked = _checked_table(support) if len(support) > 1 else None
         if checked is None:
             checked = _checked_entries(support)
         object.__setattr__(self, "support", checked)
