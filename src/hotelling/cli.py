@@ -43,12 +43,26 @@ EXIT_CAPPED = 4
 EXIT_BROKEN_PIPE = 141
 
 
+def _fields(text: str, name: str) -> list[str]:
+    """The comma-separated fields of ``text``, spaces around each stripped.
+
+    A blank text has no fields. An empty field is an input error rather
+    than skipped: ",2,2" is not the game "2,2", nor "1,2," the game "1,2".
+    """
+    if not text.strip():
+        return []
+    fields = [part.strip() for part in text.split(",")]
+    if "" in fields:
+        raise InvalidInput(f"{name}: empty field in {text!r}")
+    return fields
+
+
 def _parse_game(text: str) -> Game:
     message = f"--game: expected comma-separated integers, got {text!r}"
     if "_" in text or not text.isascii():  # int() would read "1_0" and "٣" too
         raise InvalidInput(message)
     try:
-        counts = [int(part) for part in text.split(",") if part.strip()]
+        counts = [int(part) for part in _fields(text, "--game")]
     except ValueError as exc:
         raise InvalidInput(message) from exc
     return Game(tuple(counts))
@@ -71,7 +85,7 @@ def _count(text: str) -> int:
 def _parse_inline_profile(text: str) -> PureProfile:
     strategies = []
     for i, chunk in enumerate(text.split(";")):
-        locs = [part.strip() for part in chunk.split(",") if part.strip()]
+        locs = _fields(chunk, f"player {i}")
         if not locs:
             raise InvalidInput(f"player {i} has no locations in {text!r}")
         strategies.append(PureStrategy(tuple(as_fraction(x) for x in locs)))
@@ -210,7 +224,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
 
 def cmd_social_cost(args: argparse.Namespace) -> int:
     try:
-        locations = [as_fraction(part.strip()) for part in args.locations.split(",") if part.strip()]
+        locations = [as_fraction(part) for part in _fields(args.locations, "--locations")]
     except InvalidStrategy as exc:
         raise InvalidInput(str(exc)) from exc
     _emit(ser.format_fraction(social_cost(locations)), args.out)

@@ -44,9 +44,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, a "p/q" string or a Fraction to an exact Fraction.
 
     Floats are rejected on purpose: every quantity in this library is exact.
+    A ``Fraction`` subclass becomes a plain ``Fraction`` of the same value.
     """
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
+    if isinstance(value, Fraction):
+        return Fraction(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):

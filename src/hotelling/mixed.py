@@ -2,7 +2,8 @@
 
 Mixed strategies here always have finite support: every equilibrium object
 this library constructs or certifies mixes over finitely many pure
-strategies, so expectations are exact rational sums over product supports.
+strategies, so expectations are exact rational sums of each player's own
+chain of facilities over its opponents' joint draws.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ _Item = TypeVar("_Item")
 _Prob = TypeVar("_Prob", int, Fraction)
 # a position with its weighted own left and right neighbours, see _chain_halves
 _Halves = tuple[int, list[tuple[int, int]], list[tuple[int, int]]]
+# a support as integers, see _checked_table
+_Table = tuple[int, list[int], int, list[int]]
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -50,15 +53,18 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, list(map(ints.__getitem__, ids))
 
 
-def _checked_table(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...] | None:
-    """The support if it passes every check as one table of integers, else None.
+def _checked_table(support: tuple) -> tuple[tuple[tuple[PureStrategy, Fraction], ...], _Table] | None:
+    """The support and its integer table if it passes every check, else None.
 
     Entries must be ``(strategy, Fraction)`` tuples whose strategy is a
     ``PureStrategy`` or a tuple of Fractions; anything else, and any fault,
     is left to ``_checked_entries``. The locations are scaled once to
-    integers over the lcm of their denominators, so the range is one
-    ``min``/``max``, strict increase one comparison of neighbouring columns,
-    and duplicates one set of rows.
+    integers over the lcm of their denominators, so duplicates are one set
+    of rows and, for tuples, which no ``PureStrategy`` check has seen, the
+    range is one ``min``/``max`` and strict increase one comparison of
+    neighbouring columns. The table is ``(scale, ints, den, weights)``:
+    every location, entry after entry, as an integer over ``scale``, and
+    every probability as an integer over ``den``.
     """
     if set(map(type, support)) != {tuple} or set(map(len, support)) != {2}:
         return None
@@ -71,22 +77,25 @@ def _checked_table(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...] 
     if not size or set(map(len, rows)) != {size}:
         return None
     flat = list(itertools.chain.from_iterable(rows))
-    if set(map(type, flat)) != {Fraction}:
+    # a PureStrategy's locations are checked already, a tuple's are not
+    unchecked = kinds != {PureStrategy}
+    if unchecked and set(map(type, flat)) != {Fraction}:
         return None
     scale, ints = _scaled(flat)
-    if min(ints) < 0 or max(ints) > scale:
-        return None
-    columns = [ints[j::size] for j in range(size)]
-    if not all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:])):
-        return None
-    if len(set(zip(*columns))) != len(rows):
+    if unchecked:
+        columns = [ints[j::size] for j in range(size)]
+        if min(ints) < 0 or max(ints) > scale:
+            return None
+        if not all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:])):
+            return None
+    if len(set(zip(*[iter(ints)] * size))) != len(rows):
         return None
     den, weights = _scaled(probs)
     if min(weights) <= 0 or sum(weights) != den:
         return None
-    if kinds == {PureStrategy}:
-        return support
-    return tuple(zip([s if type(s) is PureStrategy else PureStrategy._checked(s) for s in strategies], probs))
+    if unchecked:
+        support = tuple(zip([s if type(s) is PureStrategy else PureStrategy._checked(s) for s in strategies], probs))
+    return support, (scale, ints, den, weights)
 
 
 def _checked_entries(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...]:
@@ -94,11 +103,11 @@ def _checked_entries(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...
 
     This names what ``_checked_table`` only detects, and converts entries it
     does not take: strategies given as other sequences, rationals as ``int``
-    or ``str``.
+    or ``str``. A support it returns passes ``_checked_table``.
     """
     entries = []
     for strategy, prob in support:
-        if not isinstance(strategy, PureStrategy):
+        if type(strategy) is not PureStrategy:
             strategy = PureStrategy(tuple(strategy))
         entries.append((strategy, as_fraction(prob)))
     if not entries:
@@ -137,11 +146,10 @@ class MixedStrategy:
 
     def __post_init__(self) -> None:
         support = tuple(self.support)
-        # a point mass is checked entry by entry, which costs it less than a table
-        checked = _checked_table(support) if len(support) > 1 else None
-        if checked is None:
-            checked = _checked_entries(support)
+        checked, table = _checked_table(support) or _checked_table(_checked_entries(support))
         object.__setattr__(self, "support", checked)
+        # kept for every reader; not a field, so ==, hash and repr ignore it
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def point(cls, strategy: PureStrategy | Sequence[RationalLike]) -> "MixedStrategy":
@@ -197,11 +205,6 @@ class MixedProfile:
         return math.prod(len(x.support) for x in self.strategies)
 
 
-def _flat_locations(x: MixedStrategy) -> list[Fraction]:
-    """Every support entry's locations, entry after entry."""
-    return list(itertools.chain.from_iterable(s.locations for s, _ in x.support))
-
-
 def _draws(supports: Sequence[Sequence[tuple[_Item, _Prob]]]) -> Iterator[tuple[_Prob, tuple[_Item, ...]]]:
     """Every joint draw of independent players with its probability.
 
@@ -243,8 +246,9 @@ def _chain_halves(support: Sequence[tuple[tuple[int, ...], int]], scale: int) ->
 def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     """Exact expected payoffs from each player's own chain and opponent draws.
 
-    Every position is scaled once to an integer on [0, scale] and every
-    player's probabilities to integers over one denominator. A facility's
+    Each player's table of integers is brought to the common scale, the
+    lcm of the players' scales, by one integer multiplication per location;
+    its probabilities stay integers over its own denominator. A facility's
     cell depends only on its owner's neighbours and on the nearest
     opponents, so a player's payoff sums its ``_chain_halves`` over the
     joint draws of its opponents alone, never over its own support. Each
@@ -256,17 +260,13 @@ def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     end.
     """
     require_profile(game, profile)
-    flats = [_flat_locations(mixed) for mixed in profile.strategies]
-    scale, ints = _scaled(list(itertools.chain.from_iterable(flats)))
+    tables = [mixed._table for mixed in profile.strategies]
+    scale = math.lcm(*(own for own, _, _, _ in tables))
     split = math.lcm(*range(1, game.num_players + 1))
+    den = 2 * scale * split * math.prod(probs for _, _, probs, _ in tables)
     supports = []
-    den = 2 * scale * split
-    start = 0
-    for mixed, flat in zip(profile.strategies, flats):
-        probs, weights = _scaled([p for _, p in mixed.support])
-        den *= probs
-        rows = iter(ints[start : start + len(flat)])
-        start += len(flat)
+    for mixed, (own, ints, _, weights) in zip(profile.strategies, tables):
+        rows = map((scale // own).__mul__, ints)
         supports.append(list(zip(zip(*[rows] * mixed.num_facilities), weights)))
     chains = [_chain_halves(support, scale) for support in supports]
     joint = math.prod(len(support) for support in supports)
@@ -346,12 +346,11 @@ class MeasureQuery:
 def _expected_counts(x: MixedStrategy) -> dict[Fraction, Fraction]:
     """Expected number of the strategy's facilities at each location it may use.
 
-    Locations and probabilities are scaled to integers, and the weights
-    summed on those, with one Fraction per location at the end. Integers
-    hash far faster than Fractions.
+    The weights are summed on the strategy's integer table, with one
+    Fraction per location at the end. Integers hash far faster than
+    Fractions.
     """
-    scale, ints = _scaled(_flat_locations(x))
-    den, weights = _scaled([p for _, p in x.support])
+    scale, ints, den, weights = x._table
     size = x.num_facilities
     counts: dict[int, int] = {}
     for j in range(size):

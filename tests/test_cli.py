@@ -456,6 +456,13 @@ class TestPaths:
         [
             (("verify", "--profile", "nofile.json"), "nofile.json: no such file"),
             (("best-response", "--m", "1", "--against", ""), "got an empty string"),
+            # an empty field in a comma-separated list is not skipped
+            (("construct", "--game", ",2,2"), "--game: empty field in ',2,2'"),
+            (("construct", "--game", "1,2,"), "--game: empty field in '1,2,'"),
+            (("construct", "--game", "1, ,2"), "--game: empty field in '1, ,2'"),
+            (("social-cost", "--locations", "1/6,,1/2"), "--locations: empty field in '1/6,,1/2'"),
+            (("payoff", "--profile", "1/4,;3/4"), "player 0: empty field in '1/4,'"),
+            (("verify", "--profile", "1/4;,3/4"), "player 1: empty field in ',3/4'"),
         ],
     )
     def test_missing_input_is_named(self, capsys, argv, message):
@@ -505,6 +512,12 @@ class TestScalarCommands:
     def test_social_cost(self, capsys):
         code, value, _ = run_json(capsys, "social-cost", "--locations", "1/6,1/2,5/6")
         assert code == 0 and value == "1/12"
+
+    def test_spaces_around_fields_accepted(self, capsys):
+        assert run_json(capsys, "social-cost", "--locations", " 1/6 , 1/2 ,5/6 ")[:2] == (0, "1/12")
+        assert run_json(capsys, "payoff", "--profile", " 1/4 ; 3/4")[:2] == (0, ["1/2", "1/2"])
+        code, doc, _ = run_json(capsys, "construct", "--game", " 1 , 2 ,2 ", "--kind", "pure")
+        assert code == 0 and doc["game"]["counts"] == [1, 2, 2]
 
     def test_full_mass_report(self, capsys, tmp_path):
         doc = {"game": {"counts": [1, 1]}, "strategies": [["1/4"], ["3/4"]]}

@@ -27,6 +27,7 @@ from hotelling import (
     exists_pure,
     find_partition,
     is_equilibrium,
+    is_soi,
     make_game,
     make_olk,
     masses,
@@ -48,7 +49,7 @@ from hotelling.equilibrium import (
 
 from hotelling.serialize import profile_document
 
-from helpers import flatten, rand_profile
+from helpers import flatten, limit_value, rand_profile
 
 F = Fraction
 
@@ -411,7 +412,76 @@ class TestConstructMixed:
             construct_mixed(game, overlap)
 
 
+def soi_design(rng, l, k):
+    """A seeded SOI mixture of l of the k optimal points.
+
+    The uniform mixture over the k cyclic rotations of an l-point pattern
+    covers every point l times in k entries, so it is SOI, and so is any
+    convex combination of such mixtures. Entries that repeat are merged.
+    """
+    optimum = optimal_locations(k)
+    mixtures = rng.randint(1, 3)
+    weights = [F(rng.randint(1, 5)) for _ in range(mixtures)]
+    support: dict[tuple[Fraction, ...], Fraction] = {}
+    for weight in weights:
+        pattern = rng.sample(range(k), l)
+        for shift in range(k):
+            entry = tuple(sorted(optimum[(i + shift) % k] for i in pattern))
+            support[entry] = support.get(entry, F(0)) + weight / sum(weights) / k
+    return MixedStrategy(tuple(support.items()))
+
+
+def perturbed(rng, design, k):
+    """The design made non-SOI: weight moved between two entries, or one
+    location moved off its optimal point."""
+    support = [list(entry) for entry in design.support]
+    if len(support) > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(len(support)), 2)
+        moved = support[i][1] * rng.choice([F(1, 2), F(1, 3), F(1)])
+        support[i][1] -= moved
+        support[j][1] += moved
+        support = [entry for entry in support if entry[1]]
+    else:
+        i = rng.randrange(len(support))
+        locations = list(support[i][0])
+        slot = rng.randrange(len(locations))
+        locations[slot] += rng.choice([F(1, 4 * k), F(-1, 4 * k)])
+        support[i][0] = PureStrategy(tuple(locations))
+    return MixedStrategy(tuple(map(tuple, support)))
+
+
 class TestVerifyTwoPlayer:
+    def test_soi_designs_agree_with_the_oracle(self):
+        # every l <= k <= 4: seeded SOI designs certify with every gain 0,
+        # and each one's non-SOI perturbation is refuted by a gain that the
+        # reference limit payoff of its witness confirms
+        rng = random.Random(11)
+        refuted = 0
+        for k in range(1, 5):
+            optimum = MixedStrategy.point(PureStrategy(optimal_locations(k)))
+            for l in range(1, k + 1):
+                game = make_game([l, k])
+                for _ in range(3):
+                    design = soi_design(rng, l, k)
+                    assert is_soi(design, l, k)
+                    weak = perturbed(rng, design, k)
+                    assert not is_soi(weak, l, k)
+                    for x, soi in ((design, True), (weak, False)):
+                        profile = MixedProfile((x, optimum))
+                        results = certify_no_deviation(game, profile)
+                        verdict = verify_two_player(game, x, optimum).verdict
+                        assert verdict == is_equilibrium(results) == soi, (l, k, x)
+                        if soi:
+                            assert all(r.gain == 0 for r in results), (l, k, x)
+                            continue
+                        current = mixed_payoff(game, profile)
+                        for player, r in enumerate(results):
+                            if r.gain > 0:
+                                opponent = profile.strategies[1 - player]
+                                assert limit_value([opponent], r.witness) - current[player] == r.gain
+                                refuted += 1
+        assert refuted >= 30
+
     def test_canonical_equilibrium(self):
         game = make_game([2, 4])
         profile = two_player_equilibrium(game)

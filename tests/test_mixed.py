@@ -1,5 +1,6 @@
 """Tests for mixed strategies, expectations, the facility measure and SOI."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -30,6 +31,8 @@ from hotelling import (
 
 import hotelling.mixed as mixed_module
 from hotelling.mixed import _expected_counts
+
+from hotelling.serialize import mixed_strategy_from_json, mixed_strategy_to_json
 
 from helpers import combined_strategy, enumerated_payoffs, rand_strategy, reference_support
 
@@ -205,6 +208,20 @@ def support_outcome(check, support):
         return type(exc), str(exc)
 
 
+def fresh_table(x):
+    """The integer table of x's support, scaled afresh from its Fractions."""
+    locations = [loc for s, _ in x.support for loc in s]
+    probs = [p for _, p in x.support]
+    scale, ints = mixed_module._scaled(locations)
+    den, weights = mixed_module._scaled(probs)
+    # the integers read back as the support's values
+    assert scale == math.lcm(*(loc.denominator for loc in locations))
+    assert [F(i, scale) for i in ints] == locations
+    assert den == math.lcm(*(p.denominator for p in probs))
+    assert [F(w, den) for w in weights] == probs
+    return scale, ints, den, weights
+
+
 def test_table_check_agrees_with_entry_by_entry_reference():
     rng = random.Random(15)
     seen = {fault: 0 for fault in SUPPORT_FAULTS}
@@ -218,6 +235,8 @@ def test_table_check_agrees_with_entry_by_entry_reference():
         assert got == expected, (fault, support)
         if expected[0] == "ok":
             valid += 1
+            x = MixedStrategy(support)
+            assert x._table == fresh_table(x), (fault, support)
             for strategy, prob in got[1]:
                 assert type(strategy) is PureStrategy and type(prob) is F
                 assert all(type(x) is F for x in strategy.locations)
@@ -241,6 +260,75 @@ def test_table_check_agrees_with_entry_by_entry_reference():
 def test_table_check_examples(support):
     expected = support_outcome(reference_support, support)
     assert support_outcome(lambda s: MixedStrategy(s).support, support) == expected
+
+
+# subclasses, which MixedStrategy turns into the plain types
+class ExactFraction(Fraction):
+    pass
+
+
+class NamedStrategy(PureStrategy):
+    pass
+
+
+def olk_strategies():
+    return [PureStrategy(s) for s in itertools.combinations(optimal_locations(4), 2)]
+
+
+def partition_strategy(player):
+    game = make_game([1, 2, 6])
+    return construct_mixed(game, find_partition(game)).strategies[player]
+
+
+# equal strategies built by every route into MixedStrategy, built when a
+# test runs, so a route that fails fails that test alone
+TABLE_ROUTES = {
+    "point": lambda: [
+        MixedStrategy.point(PureStrategy(optimal_locations(4)[1:3])),
+        MixedStrategy.point(["3/8", "5/8"]),
+    ],
+    "uniform": lambda: [
+        MixedStrategy.uniform(olk_strategies()),
+        MixedStrategy.uniform(s.locations for s in olk_strategies()),
+        make_olk(2, 4),
+        MixedStrategy(tuple(([str(x) for x in s], "1/6") for s in olk_strategies())),
+        MixedStrategy(tuple(([x if x.denominator > 1 else int(x) for x in s], F(1, 6)) for s in olk_strategies())),
+        mixed_strategy_from_json(mixed_strategy_to_json(make_olk(2, 4))),
+        MixedStrategy(
+            tuple((NamedStrategy(tuple(map(ExactFraction, s))), ExactFraction(1, 6)) for s in olk_strategies())
+        ),
+    ],
+    "partition-1": lambda: [partition_strategy(0), MixedStrategy.uniform([("1/12",), ("3/12",)])],
+    "partition-2": lambda: [
+        partition_strategy(1),
+        MixedStrategy.uniform(itertools.combinations(optimal_locations(6)[2:], 2)),
+    ],
+    "partition-3": lambda: [partition_strategy(2), MixedStrategy.point(optimal_locations(6))],
+}
+
+
+class TestKeptTable:
+    @pytest.mark.parametrize("name", list(TABLE_ROUTES))
+    def test_every_route_keeps_the_support_table(self, name):
+        routes = TABLE_ROUTES[name]()
+        for x in routes:
+            assert x._table == fresh_table(x)
+            assert all(type(s) is PureStrategy for s, _ in x.support)
+            assert all(type(v) is F for s, p in x.support for v in (*s, p))
+        # equal supports from different routes are equal, hash equal and
+        # keep equal tables
+        assert len(set(routes)) == 1 and all(x == routes[0] for x in routes)
+        assert len({repr(x) for x in routes}) == 1
+        assert all(x._table == routes[0]._table for x in routes)
+
+    def test_table_is_not_a_field(self):
+        x = make_olk(2, 4)
+        assert [f.name for f in dataclasses.fields(MixedStrategy)] == ["support"]
+        assert repr(x) == f"MixedStrategy(support={x.support!r})"
+        copy = dataclasses.replace(x)
+        assert copy == x and hash(copy) == hash(x) and copy._table == x._table
+        changed = dataclasses.replace(x, support=((PureStrategy.of("0", "1"), F(1)),))
+        assert changed._table == (1, [0, 1], 1, [1])
 
 
 def grid_points(denom):
