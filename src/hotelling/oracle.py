@@ -9,6 +9,12 @@ the best value over ordered subsets of that family, evaluated as eps -> 0+
 limits. This family argument is validated empirically against dense-grid
 search in the test suite.
 
+The same fact values each subset: a facility's cell depends only on its
+nearest own neighbours and its nearest opponents, so ``_deviator_mass``
+reads each candidate's cell from the chain formula that ``mixed_payoff``
+pays every mixed player with, bisecting one draw's sorted opponent
+positions on the side the candidate's offset picks.
+
 Every answer is exact or refused: a search over more than
 ``DEFAULT_SEARCH_CAP`` subsets or facilities raises ``SearchTooLarge``
 before any draw is built, and opponents with more than
@@ -18,6 +24,7 @@ before any draw is built, and opponents with more than
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
@@ -31,22 +38,22 @@ from .mixed import (
     mixed_payoff,
     optimal_locations,
 )
-from .payoff import OffsetLocation, _catchments
+from .payoff import OffsetLocation
 
 DEFAULT_SEARCH_CAP = 10**5
-
-# An opponent draw: probability plus sorted (position, #players) pairs.
-_Combo = tuple[Fraction, tuple[tuple[Fraction, int], ...]]
 
 
 @dataclass(frozen=True)
 class DeviationResult:
     """Best achievable payoff for one player against fixed opponents.
 
-    ``attained`` tells whether some all-exact witness reaches the supremum;
-    otherwise the witness carries one-sided limits. ``gain`` is relative to
-    the player's payoff in the profile under certification (None when no
-    baseline was supplied). The supremum is always exact: a search too
+    ``attained`` tells whether some all-exact subset of the candidate
+    family reaches the supremum; otherwise the witness carries one-sided
+    limits. It says nothing of exact points off the family: a lone facility
+    strictly between two opponents earns the same anywhere in that gap, so
+    a supremum reported as not attained may still be earned by an exact
+    point inside a gap. ``gain`` is relative to the player's payoff in the
+    profile under certification (None when no baseline was supplied). The supremum is always exact: a search too
     large to run raises ``SearchTooLarge`` instead of returning a result.
     """
 
@@ -56,52 +63,27 @@ class DeviationResult:
     gain: Fraction | None = None
 
 
-def _opponent_combos(opponents: Sequence[MixedStrategy]) -> list[_Combo]:
-    combos: list[_Combo] = []
-    for prob, drawn in _draws([x.support for x in opponents]):
-        counts: dict[Fraction, int] = {}
-        for strategy in drawn:
-            for loc in strategy:
-                counts[loc] = counts.get(loc, 0) + 1
-        combos.append((prob, tuple(sorted(counts.items()))))
-    return combos
+def _deviator_mass(candidates: Sequence[OffsetLocation], opponents: Sequence[Fraction]) -> Fraction:
+    """Doubled limit customer mass of the candidate facilities against one draw.
 
-
-def _deviator_mass(candidates: Sequence[OffsetLocation], opponents: tuple[tuple[Fraction, int], ...]) -> Fraction:
-    """Limit customer mass of the candidate facilities against one draw."""
-    # merge the two sorted streams into the occupied positions, noting the
-    # index and head count of every point the deviator occupies
-    positions: list[Fraction] = []
-    own: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(candidates) and j < len(opponents):
-        cand = candidates[i]
-        opp_pos, count = opponents[j]
-        x = cand.position
-        # offset order: (x, below) < (x, exact) < (x, above)
-        if x < opp_pos or (x == opp_pos and cand.side == "below"):
-            own.append((len(positions), 1))
-            positions.append(x)
-            i += 1
-        elif x == opp_pos and cand.side == "exact":  # co-location shares the cell
-            own.append((len(positions), count + 1))
-            positions.append(x)
-            i += 1
-            j += 1
-        else:
-            positions.append(opp_pos)
-            j += 1
-    for cand in candidates[i:]:
-        own.append((len(positions), 1))
-        positions.append(cand.position)
-    positions.extend([opp_pos for opp_pos, _ in opponents[j:]])
-
-    bounds = _catchments(positions, ONE)
+    ``opponents`` holds the draw's sorted positions, with repeats, between
+    the sentinels -1 and 3. As in ``mixed_payoff``, a facility at ``x``
+    between own neighbours ``prev`` and ``next`` has the doubled cell
+    ``min(next, R) - max(prev, L)`` against its nearest opponents ``L`` and
+    ``R``; a missing neighbour stands at ``-x`` or ``2 - x``. The side picks
+    the nearest opponents: one just below ``x`` has an opponent at ``x`` on
+    its right, one just above has it on its left, and an exact one shares
+    its cell with every opponent at ``x``.
+    """
+    xs = [c.position for c in candidates]
     total = ZERO
-    for k, count in own:
-        cell = bounds[k + 1] - bounds[k]
-        total += cell if count == 1 else cell / count
-    return total / 2
+    for c, prev, nxt in zip(candidates, (-xs[0], *xs), (*xs[1:], 2 - xs[-1])):
+        x = c.position
+        lo = (bisect_right if c.side == "above" else bisect_left)(opponents, x)
+        hi = bisect_right(opponents, x, lo) if c.side == "exact" else lo
+        cell = min(nxt, opponents[hi]) - max(prev, opponents[lo - 1])
+        total += cell if hi == lo else cell / (1 + hi - lo)
+    return total
 
 
 def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...]:
@@ -140,13 +122,16 @@ def _gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocat
 
 
 def _refuse_too_large(family_size: int, m: int) -> None:
-    """The one size rule: raise ``SearchTooLarge`` for a witness of more than
-    ``DEFAULT_SEARCH_CAP`` facilities, or for more m-subsets of the family.
+    """The one size rule: raise ``InvalidInput`` for a witness of no
+    facility, and ``SearchTooLarge`` for one of more than
+    ``DEFAULT_SEARCH_CAP`` facilities or for more m-subsets of the family.
 
     The binomial is counted up only until it passes the cap: C(n, i) grows
     with i up to n/2, at least doubling from i = 1 on, so a few dozen steps
     decide it however large the family.
     """
+    if m < 1:
+        raise InvalidInput(f"player must place at least one facility, got m={m}")
     chosen = min(m, family_size)
     count = 1
     for i in range(min(chosen, family_size - chosen)):
@@ -168,25 +153,29 @@ def _best_subset(
     m-subset of the sorted ``family``.
 
     Refuses first, then pads a family shorter than ``m`` with gap fillers.
+    Subsets are compared by their doubled mass, halved once at the end.
     Returns the supremum, whether it is attained, and the witness: the
     smallest all-exact maximizer if any, else the smallest maximizer.
     """
     _refuse_too_large(len(family), m)
     if m > len(family):  # one subset, never all-exact: the family holds a one-sided entry
         family = sorted([*family, *_gap_fillers([c.position for c in family], m - len(family))])
-    combos = _opponent_combos(opponents)
+    draws = [
+        (prob, [-1, *sorted(itertools.chain.from_iterable(drawn)), 3])
+        for prob, drawn in _draws([x.support for x in opponents])
+    ]
     best = ZERO
     best_witness: tuple[OffsetLocation, ...] | None = None
     best_exact: tuple[OffsetLocation, ...] | None = None
     for subset in itertools.combinations(family, m):
-        value = sum((prob * _deviator_mass(subset, opp) for prob, opp in combos), ZERO)
+        value = sum((prob * _deviator_mass(subset, opp) for prob, opp in draws), ZERO)
         if best_witness is None or value > best:
             best = value
             best_witness = subset
             best_exact = subset if all(c.side == "exact" for c in subset) else None
         elif value == best and best_exact is None and all(c.side == "exact" for c in subset):
             best_exact = subset
-    return best, best_exact is not None, best_witness if best_exact is None else best_exact
+    return best / 2, best_exact is not None, best_witness if best_exact is None else best_exact
 
 
 def best_response(
@@ -203,8 +192,6 @@ def best_response(
     ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets or facilities,
     then ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP`` opponent draws.
     """
-    if m < 1:
-        raise InvalidInput(f"player must place at least one facility, got m={m}")
     positions = {loc for x in opponents for s, _ in x.support for loc in s}
     if not positions:
         # no competition: every strategy collects the whole customer mass

@@ -12,14 +12,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from .core import ONE, ZERO, FacilityRef, PureProfile, RationalLike, _co_located, as_fraction
 from .errors import InvalidDeviation, InvalidInput
 
 Side = str  # "below" | "exact" | "above"
-
-_Num = TypeVar("_Num", int, Fraction)
 
 _SIDE_EPS = {"below": Fraction(-1), "exact": Fraction(0), "above": Fraction(1)}
 
@@ -86,22 +84,6 @@ class MassReport:
     right_masses: Mapping[FacilityRef, Fraction]
 
 
-def _catchments(positions: Sequence[_Num], right: _Num) -> list[_Num]:
-    """Doubled catchment boundaries [0, a+b..., 2*right] of sorted positions.
-
-    Cell j, the customers nearest to positions[j], spans b[j]/2..b[j+1]/2
-    of the line [0, right]. Positions may repeat, as one-sided limits beside
-    an occupied point do; the boundary between two copies of a point is the
-    point itself. Nothing is divided, so integer positions give integer
-    boundaries; the zero takes the type of ``right``, so halving a Fraction
-    boundary never yields a float.
-    """
-    bounds = [0 * right]
-    bounds.extend(a + b for a, b in zip(positions, positions[1:]))
-    bounds.append(2 * right)
-    return bounds
-
-
 def _mass_report(num_players: int, points: Sequence[list[FacilityRef]]) -> MassReport:
     """Split the cell of every occupied point among the facilities there.
 
@@ -115,7 +97,10 @@ def _mass_report(num_players: int, points: Sequence[list[FacilityRef]]) -> MassR
     positions = [refs[0].position for refs in points]
     scale = math.lcm(*(p.denominator for p in positions))
     xs = [p.numerator * (scale // p.denominator) for p in positions]
-    bounds = _catchments(xs, scale)
+    # doubled boundaries: cell j spans bounds[j]/2..bounds[j+1]/2, and
+    # neighbours a and b meet at their midpoint, so one-sided limits beside
+    # an occupied point meet at the point itself
+    bounds = [0, *(a + b for a, b in zip(xs, xs[1:])), 2 * scale]
     den = 2 * scale
     split = math.lcm(*{len(refs) for refs in points})
     totals = [0] * num_players
@@ -149,9 +134,10 @@ def limit_payoff(
     """Masses of a profile whose deviating player uses one-sided limits.
 
     Evaluates lim eps->0+ of masses() with (x, above) read as x + eps and
-    (x, below) as x - eps. Only the deviator may carry non-exact sides, the
-    deviator's entries must be strictly increasing in offset order, and
-    offset-distinct points never tie.
+    (x, below) as x - eps. Every player must place at least one facility,
+    in strictly increasing offset order; only the deviator may carry
+    non-exact sides, so every other player's locations strictly increase,
+    as a ``PureStrategy``'s do. Offset-distinct points never tie.
     """
     raw = profile.strategies if isinstance(profile, PureProfile) else profile
     strategies: list[list[OffsetLocation]] = [
@@ -160,17 +146,16 @@ def limit_payoff(
     if not 0 <= deviator < len(strategies):
         raise InvalidDeviation(f"deviator index {deviator} out of range")
     for i, strat in enumerate(strategies):
-        if i == deviator:
-            continue
+        if not strat:
+            raise InvalidDeviation(f"player {i} places no facility")
         for loc in strat:
-            if loc.side != "exact":
+            if i != deviator and loc.side != "exact":
                 raise InvalidDeviation(f"player {i} is not the deviator but carries side={loc.side}")
-    dev = strategies[deviator]
-    for a, b in zip(dev, dev[1:]):
-        if not a < b:
-            raise InvalidDeviation(
-                f"deviator offsets must strictly increase, got {a} then {b}"
-            )
+        for a, b in zip(strat, strat[1:]):
+            if not a < b:
+                raise InvalidDeviation(
+                    f"player {i}'s offsets must strictly increase, got {a.position} {a.side} then {b.position} {b.side}"
+                )
 
     # eps coordinates only decide the ordering; every boundary's eps term
     # vanishes as eps -> 0+, so masses use constant coordinates alone

@@ -8,7 +8,7 @@ the library's integer sweep. ``flatten`` builds the single-unit twin that
 T4-3 is defined on, the reference route for the verifier's reuse of the
 multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
 ``reference_best_response`` values every subset of a family through
-``limit_payoff``, the reference for the oracle's merged per-draw sweep.
+``limit_payoff``, the reference for the oracle's per-draw chain cells.
 ``reference_support`` checks a mixed support entry by entry, the reference
 for ``MixedStrategy``'s one-table check.
 """

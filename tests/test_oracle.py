@@ -1,5 +1,6 @@
 """Tests for the best-response oracle and deviation certification."""
 
+import itertools
 import math
 import random
 import time
@@ -191,6 +192,19 @@ class TestGridComparison:
         with pytest.raises(SearchTooLarge):
             _refuse_too_large(DEFAULT_SEARCH_CAP + 1, DEFAULT_SEARCH_CAP)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_facility_is_an_input_error(self, m):
+        # one message from the one search, with or without opponents
+        message = f"player must place at least one facility, got m={m}"
+        for search in (
+            lambda: best_response([point("1/2")], m),
+            lambda: best_response([], m),
+            lambda: grid_search([point("1/2")], m, 4),
+        ):
+            with pytest.raises(InvalidInput) as exc:
+                search()
+            assert str(exc.value) == message
+
     def test_grid_resolution_is_an_input_error(self):
         with pytest.raises(InvalidInput):
             grid_search([point("1/2")], 1, 1)
@@ -274,6 +288,34 @@ class TestReferenceAgreement:
             opponent_counts.add(len(opponents))
         assert all(count >= 10 for count in seen.values()), seen
         assert opponent_counts == {1, 2, 3}
+
+    def test_every_subset_matches_reference(self):
+        # each m-subset valued alone, not only the maximiser, so a wrong
+        # cell that never wins a search still shows
+        rng = random.Random(404)
+        seen = {"stacked exact": 0, "one-sided at empty": 0, "end": 0}
+        subsets = 0
+        while subsets < 1500:
+            opponents = _rand_opponents(rng)
+            family = candidate_family(
+                {loc for x in opponents for s, _ in x.support for loc in s}
+            )
+            m = rng.randint(1, min(3, len(family)))
+            drawn = [
+                [loc for s in combo for loc in s]
+                for combo in itertools.product(*([s for s, _ in x.support] for x in opponents))
+            ]
+            for subset in itertools.combinations(family, m):
+                subsets += 1
+                assert _best_subset(subset, m, opponents)[0] == limit_value(opponents, subset)
+                seen["stacked exact"] += any(
+                    c.side == "exact" and d.count(c.position) >= 2 for c in subset for d in drawn
+                )
+                seen["one-sided at empty"] += any(
+                    c.side != "exact" and c.position not in d for c in subset for d in drawn
+                )
+                seen["end"] += any(c.position in (0, 1) for c in subset)
+        assert all(count >= 10 for count in seen.values()), seen
 
     def test_grid_search_matches_reference(self):
         rng = random.Random(77)

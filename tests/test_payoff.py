@@ -212,6 +212,20 @@ class TestLimitPayoff:
         with pytest.raises(InvalidDeviation):
             limit_payoff([[just_above("1/4")], [exactly("1/2")]], deviator=1)
 
+    @pytest.mark.parametrize(
+        "profile, player",
+        [
+            ([["1/2", "1/2"], ["1/4"]], 0),  # stacked
+            ([["3/4", "1/4"], ["1/2"]], 0),  # unsorted
+            ([[], ["1/2"]], 0),  # empty non-deviator
+            ([["1/2"], []], 1),  # empty deviator
+        ],
+    )
+    def test_invalid_strategies_rejected(self, profile, player):
+        # every player is held to what a PureStrategy accepts
+        with pytest.raises(InvalidDeviation, match=rf"^player {player}\b"):
+            limit_payoff(profile, deviator=1)
+
     def test_deviator_limits_never_tie_with_exact(self):
         report = limit_payoff(
             [[exactly("1/2")], [just_below("1/2"), just_above("1/2")]], deviator=1
