@@ -289,6 +289,8 @@ def _atlas_row(counts: tuple[int, ...]) -> dict:
 
 
 def cmd_atlas(args: argparse.Namespace) -> int:
+    if args.max_n < 2:  # the smallest game of two or more players
+        raise InvalidInput(f"--max-n must be at least 2, got {args.max_n}")
     rows = [_atlas_row(counts) for counts in _atlas_multisets(args.max_n)]
     if args.svg:
         svg_dir = Path(args.svg)

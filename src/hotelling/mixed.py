@@ -15,7 +15,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     ONE,
@@ -31,10 +31,10 @@ from .errors import InvalidInput, InvalidStrategy, SupportTooLarge
 
 DEFAULT_SUPPORT_CAP = 10**6
 
-_Item = TypeVar("_Item")
-_Prob = TypeVar("_Prob", int, Fraction)
-# a position with its weighted own left and right neighbours, see _chain_halves
-_Halves = tuple[int, list[tuple[int, int]], list[tuple[int, int]]]
+# a support entry's locations as integers over a scale, see _scaled_supports
+_Row = tuple[int, ...]
+# a bisect key with its weighted own left and right neighbours, see _chain_pay
+_Halves = tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
 # a support as integers, see _checked_table
 _Table = tuple[int, list[int], int, list[int]]
 
@@ -205,12 +205,12 @@ class MixedProfile:
         return math.prod(len(x.support) for x in self.strategies)
 
 
-def _draws(supports: Sequence[Sequence[tuple[_Item, _Prob]]]) -> Iterator[tuple[_Prob, tuple[_Item, ...]]]:
-    """Every joint draw of independent players with its probability.
+def _draws(supports: Sequence[Sequence[tuple[_Row, int]]]) -> Iterator[tuple[int, tuple[_Row, ...]]]:
+    """Every joint draw of independent players with its weight.
 
-    ``supports`` holds one sequence of ``(item, prob)`` entries per player,
-    such as a ``MixedStrategy.support``; a draw's probability is the product
-    of its entries' probabilities. Raises ``SupportTooLarge`` before the
+    ``supports`` holds one sequence of ``(row, weight)`` entries per player,
+    as ``_scaled_supports`` builds them; a draw's weight is the product of
+    its entries' weights. Raises ``SupportTooLarge`` before the
     first draw when there are more than ``DEFAULT_SUPPORT_CAP`` of them.
     """
     size = math.prod(len(x) for x in supports)
@@ -220,17 +220,33 @@ def _draws(supports: Sequence[Sequence[tuple[_Item, _Prob]]]) -> Iterator[tuple[
         yield math.prod(p for _, p in combo), tuple(s for s, _ in combo)
 
 
-def _chain_halves(support: Sequence[tuple[tuple[int, ...], int]], scale: int) -> list[_Halves]:
+def _scaled_supports(strategies: Sequence[MixedStrategy], scale: int) -> list[list[tuple[_Row, int]]]:
+    """Each strategy's support as ``(row, weight)`` pairs from its table:
+    locations as integers over ``scale``, which every table's own scale
+    divides, and probabilities as integers over the table's denominator."""
+    supports = []
+    for mixed in strategies:
+        own, ints, _, weights = mixed._table
+        rows = map((scale // own).__mul__, ints)
+        supports.append(list(zip(zip(*[rows] * mixed.num_facilities), weights)))
+    return supports
+
+
+def _sorted_draws(supports: Sequence[Sequence[tuple[_Row, int]]], scale: int) -> Iterator[tuple[int, list[int]]]:
+    """Each joint draw's weight and sorted positions, with repeats, between
+    sentinels ``-scale`` and ``3*scale`` beyond every own neighbour."""
+    for weight, drawn in _draws(supports):
+        yield weight, [-scale, *sorted(itertools.chain.from_iterable(drawn)), 3 * scale]
+
+
+def _chain_halves(support: Sequence[tuple[_Row, int]], scale: int) -> list[_Halves]:
     """Fold a scaled support into each position's weighted own neighbours.
 
-    A facility at ``x`` between own neighbours ``prev`` and ``next`` has the
-    doubled cell ``min(next, R) - max(prev, L)`` against nearest opponents
-    ``L < x < R``: the ``x`` of both boundaries cancels. That difference
-    splits into a left and a right half, so the chain triples
-    ``(prev, x, next)`` fold into ``(x, [(prev, w)...], [(next, w)...])``
-    with ``w`` the total weight of the entries holding each pair. A missing
-    neighbour stands at ``-x`` or ``2*scale - x``, which puts its boundary at
-    0 or ``2*scale``.
+    ``_chain_pay``'s doubled cell is a right half minus a left half, so
+    the chain triples ``(prev, x, next)`` fold into ``(x, [(prev, w)...],
+    [(next, w)...])`` with ``w`` the total weight of the entries holding
+    each pair. A missing neighbour stands at ``-x`` or ``2*scale - x``,
+    which puts its boundary at 0 or ``2*scale``.
     """
     lefts: defaultdict[int, dict[int, int]] = defaultdict(dict)
     rights: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -243,31 +259,46 @@ def _chain_halves(support: Sequence[tuple[tuple[int, ...], int]], scale: int) ->
     return [(x, list(left.items()), list(rights[x].items())) for x, left in lefts.items()]
 
 
+def _chain_pay(chain: Iterable[_Halves], opponents: Sequence[int], split: int) -> int:
+    """The one cell formula: what a chain's halves earn against one draw.
+
+    A facility at ``x`` between own neighbours ``prev`` and ``next`` has
+    the doubled cell ``min(next, R) - max(prev, L)``, the ``x`` of both
+    midpoints cancelling. ``L`` and ``R`` are the nearest of the sorted
+    ``opponents`` below and above its key: ``x`` itself, or for a one-sided
+    limit a key no opponent can equal, such as an odd key among even
+    positions. Opponents equal to the key share the cell, paid in units of
+    ``1/split``, which every head count divides.
+    """
+    paid = 0
+    for key, left, right in chain:
+        lo = bisect.bisect_left(opponents, key)
+        hi = bisect.bisect_right(opponents, key, lo)
+        low, high = opponents[lo - 1], opponents[hi]
+        cell = sum(w * (b if b < high else high) for b, w in right)
+        cell -= sum(w * (a if a > low else low) for a, w in left)
+        paid += cell * (split // (1 + hi - lo))
+    return paid
+
+
 def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     """Exact expected payoffs from each player's own chain and opponent draws.
 
-    Each player's table of integers is brought to the common scale, the
-    lcm of the players' scales, by one integer multiplication per location;
-    its probabilities stay integers over its own denominator. A facility's
+    The players' tables go onto one scale, the lcm of theirs. A facility's
     cell depends only on its owner's neighbours and on the nearest
-    opponents, so a player's payoff sums its ``_chain_halves`` over the
-    joint draws of its opponents alone, never over its own support. Each
-    cell is paid in units of ``1/split``, which every head count divides,
-    so co-located players split it exactly. The cells partition [0, 1] in
-    every draw, so one player is paid the remainder instead: the one facing
-    most opponent draws, and of those the one with most halves, whose
-    halves times draws cost most. The sums become Fractions once, at the
-    end.
+    opponents, so a player's payoff sums ``_chain_pay`` of its
+    ``_chain_halves`` over the joint draws of its opponents alone, never
+    over its own support. The cells partition [0, 1] in every draw, so one
+    player is paid the remainder instead: the one facing most opponent
+    draws, and of those the one with most halves, whose halves times draws
+    cost most. The sums become Fractions once, at the end.
     """
     require_profile(game, profile)
     tables = [mixed._table for mixed in profile.strategies]
     scale = math.lcm(*(own for own, _, _, _ in tables))
     split = math.lcm(*range(1, game.num_players + 1))
     den = 2 * scale * split * math.prod(probs for _, _, probs, _ in tables)
-    supports = []
-    for mixed, (own, ints, _, weights) in zip(profile.strategies, tables):
-        rows = map((scale // own).__mul__, ints)
-        supports.append(list(zip(zip(*[rows] * mixed.num_facilities), weights)))
+    supports = _scaled_supports(profile.strategies, scale)
     chains = [_chain_halves(support, scale) for support in supports]
     joint = math.prod(len(support) for support in supports)
     draws = [joint // len(support) for support in supports]
@@ -280,18 +311,8 @@ def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     )
     totals = [0] * game.num_players
     for i in direct:
-        for weight, drawn in _draws(supports[:i] + supports[i + 1 :]):
-            # sentinels beyond the own ones, so an empty side never binds
-            opponents = [-scale, *sorted(itertools.chain.from_iterable(drawn)), 3 * scale]
-            paid = 0
-            for x, left, right in chains[i]:
-                lo = bisect.bisect_left(opponents, x)
-                hi = bisect.bisect_right(opponents, x, lo)
-                low, high = opponents[lo - 1], opponents[hi]
-                cell = sum(w * (b if b < high else high) for b, w in right)
-                cell -= sum(w * (a if a > low else low) for a, w in left)
-                paid += cell * (split // (1 + hi - lo))
-            totals[i] += weight * paid
+        for weight, opponents in _sorted_draws(supports[:i] + supports[i + 1 :], scale):
+            totals[i] += weight * _chain_pay(chains[i], opponents, split)
     totals[remainder] = den - sum(totals)
     return tuple(Fraction(t, den) for t in totals)
 

@@ -10,10 +10,9 @@ limits. This family argument is validated empirically against dense-grid
 search in the test suite.
 
 The same fact values each subset: a facility's cell depends only on its
-nearest own neighbours and its nearest opponents, so ``_deviator_mass``
-reads each candidate's cell from the chain formula that ``mixed_payoff``
-pays every mixed player with, bisecting one draw's sorted opponent
-positions on the side the candidate's offset picks.
+nearest own neighbours and its nearest opponents, so each subset is paid
+per opponent draw by ``mixed._chain_pay``, the one chain-cell kernel that
+``mixed_payoff`` pays every player with, on integers throughout.
 
 Every answer is exact or refused: a search over more than
 ``DEFAULT_SEARCH_CAP`` subsets or facilities raises ``SearchTooLarge``
@@ -24,21 +23,23 @@ before any draw is built, and opponents with more than
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .core import ONE, ZERO, Game, PureProfile
 from .errors import InvalidInput, SearchTooLarge
 from .mixed import (
     MixedProfile,
     MixedStrategy,
-    _draws,
+    _chain_pay,
+    _scaled_supports,
+    _sorted_draws,
     mixed_payoff,
     optimal_locations,
 )
-from .payoff import OffsetLocation
+from .payoff import _SIDE_EPS, OffsetLocation
 
 DEFAULT_SEARCH_CAP = 10**5
 
@@ -53,37 +54,16 @@ class DeviationResult:
     strictly between two opponents earns the same anywhere in that gap, so
     a supremum reported as not attained may still be earned by an exact
     point inside a gap. ``gain`` is relative to the player's payoff in the
-    profile under certification (None when no baseline was supplied). The supremum is always exact: a search too
-    large to run raises ``SearchTooLarge`` instead of returning a result.
+    profile under certification (None when no baseline was supplied). The
+    supremum is always exact: ``mixed_payoff``'s integer cell kernel values
+    every subset, and a search too large to run raises ``SearchTooLarge``
+    instead of returning a result.
     """
 
     supremum_payoff: Fraction
     attained: bool
     witness: tuple[OffsetLocation, ...]
     gain: Fraction | None = None
-
-
-def _deviator_mass(candidates: Sequence[OffsetLocation], opponents: Sequence[Fraction]) -> Fraction:
-    """Doubled limit customer mass of the candidate facilities against one draw.
-
-    ``opponents`` holds the draw's sorted positions, with repeats, between
-    the sentinels -1 and 3. As in ``mixed_payoff``, a facility at ``x``
-    between own neighbours ``prev`` and ``next`` has the doubled cell
-    ``min(next, R) - max(prev, L)`` against its nearest opponents ``L`` and
-    ``R``; a missing neighbour stands at ``-x`` or ``2 - x``. The side picks
-    the nearest opponents: one just below ``x`` has an opponent at ``x`` on
-    its right, one just above has it on its left, and an exact one shares
-    its cell with every opponent at ``x``.
-    """
-    xs = [c.position for c in candidates]
-    total = ZERO
-    for c, prev, nxt in zip(candidates, (-xs[0], *xs), (*xs[1:], 2 - xs[-1])):
-        x = c.position
-        lo = (bisect_right if c.side == "above" else bisect_left)(opponents, x)
-        hi = bisect_right(opponents, x, lo) if c.side == "exact" else lo
-        cell = min(nxt, opponents[hi]) - max(prev, opponents[lo - 1])
-        total += cell if hi == lo else cell / (1 + hi - lo)
-    return total
 
 
 def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...]:
@@ -122,7 +102,8 @@ def _gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocat
 
 
 def _refuse_too_large(family_size: int, m: int) -> None:
-    """The one size rule: raise ``InvalidInput`` for a witness of no
+    """The one size rule, checked by both searches before any filler, grid
+    point or draw is built: raise ``InvalidInput`` for a witness of no
     facility, and ``SearchTooLarge`` for one of more than
     ``DEFAULT_SEARCH_CAP`` facilities or for more m-subsets of the family.
 
@@ -149,33 +130,40 @@ def _best_subset(
     m: int,
     opponents: Sequence[MixedStrategy],
 ) -> tuple[Fraction, bool, tuple[OffsetLocation, ...]]:
-    """The one search of ``best_response`` and ``grid_search``: the best
-    m-subset of the sorted ``family``.
+    """The one search of ``best_response`` and ``grid_search``, which refuse
+    first: the best m-subset of the sorted ``family``, padded with gap
+    fillers when it is shorter than ``m``.
 
-    Refuses first, then pads a family shorter than ``m`` with gap fillers.
-    Subsets are compared by their doubled mass, halved once at the end.
-    Returns the supremum, whether it is attained, and the witness: the
-    smallest all-exact maximizer if any, else the smallest maximizer.
+    The family and the opponents' tables share one integer grid, doubled so
+    every position is even; a candidate's key is its position plus its
+    side's offset, so a one-sided key is odd and meets no opponent. Each
+    subset is paid by ``_chain_pay`` per draw and compared as an integer.
+    Returns the supremum, one Fraction built at the end, whether it is
+    attained, and the witness: the smallest all-exact maximizer if any,
+    else the smallest maximizer.
     """
-    _refuse_too_large(len(family), m)
     if m > len(family):  # one subset, never all-exact: the family holds a one-sided entry
         family = sorted([*family, *_gap_fillers([c.position for c in family], m - len(family))])
-    draws = [
-        (prob, [-1, *sorted(itertools.chain.from_iterable(drawn)), 3])
-        for prob, drawn in _draws([x.support for x in opponents])
-    ]
-    best = ZERO
-    best_witness: tuple[OffsetLocation, ...] | None = None
-    best_exact: tuple[OffsetLocation, ...] | None = None
-    for subset in itertools.combinations(family, m):
-        value = sum((prob * _deviator_mass(subset, opp) for prob, opp in draws), ZERO)
+    tables = [x._table for x in opponents]
+    scale = 2 * math.lcm(*(own for own, _, _, _ in tables), *(c.position.denominator for c in family))
+    split = math.lcm(*range(1, len(opponents) + 2))
+    draws = list(_sorted_draws(_scaled_supports(opponents, scale), scale))
+    scaled = [(c.position.numerator * (scale // c.position.denominator), c) for c in family]
+    candidates = [(x, x + _SIDE_EPS[c.side], c) for x, c in scaled]
+    best, best_witness, best_exact = 0, None, None
+    for subset in itertools.combinations(candidates, m):
+        xs = [x for x, _, _ in subset]
+        ends = zip(subset, (-xs[0], *xs), (*xs[1:], 2 * scale - xs[-1]))
+        chain = [(key, ((prev, 1),), ((nxt, 1),)) for (_, key, _), prev, nxt in ends]
+        value = sum(weight * _chain_pay(chain, opps, split) for weight, opps in draws)
         if best_witness is None or value > best:
-            best = value
-            best_witness = subset
-            best_exact = subset if all(c.side == "exact" for c in subset) else None
-        elif value == best and best_exact is None and all(c.side == "exact" for c in subset):
+            best, best_witness = value, subset
+            best_exact = subset if all(x == key for x, key, _ in subset) else None
+        elif value == best and best_exact is None and all(x == key for x, key, _ in subset):
             best_exact = subset
-    return best / 2, best_exact is not None, best_witness if best_exact is None else best_exact
+    den = 2 * scale * split * math.prod(probs for _, _, probs, _ in tables)
+    witness = best_witness if best_exact is None else best_exact
+    return Fraction(best, den), best_exact is not None, tuple(c for _, _, c in witness)
 
 
 def best_response(
@@ -192,14 +180,14 @@ def best_response(
     ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets or facilities,
     then ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP`` opponent draws.
     """
-    positions = {loc for x in opponents for s, _ in x.support for loc in s}
-    if not positions:
+    family = candidate_family({loc for x in opponents for s, _ in x.support for loc in s})
+    _refuse_too_large(len(family), m)
+    if not family:
         # no competition: every strategy collects the whole customer mass
-        _refuse_too_large(0, m)
         best, attained = ONE, True
         witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
     else:
-        best, attained, witness = _best_subset(candidate_family(positions), m, opponents)
+        best, attained, witness = _best_subset(family, m, opponents)
     gain = None if current_payoff is None else best - current_payoff
     return DeviationResult(best, attained, witness, gain)
 
@@ -227,21 +215,6 @@ def is_equilibrium(results: Sequence[DeviationResult]) -> bool:
     return all(r.gain is not None and r.gain <= 0 for r in results)
 
 
-class _Grid:
-    """The exact points {i/resolution}, built as the search reads them, so a
-    grid the search refuses costs nothing."""
-
-    def __init__(self, resolution: int) -> None:
-        self.resolution = resolution
-
-    def __len__(self) -> int:
-        return self.resolution + 1
-
-    def __iter__(self) -> Iterator[OffsetLocation]:
-        for i in range(self.resolution + 1):
-            yield OffsetLocation(Fraction(i, self.resolution), "exact")
-
-
 def grid_search(
     opponents: Sequence[MixedStrategy],
     m: int,
@@ -257,4 +230,6 @@ def grid_search(
         raise InvalidInput(f"grid resolution must be at least 2, got {resolution}")
     if m > resolution + 1:
         raise InvalidInput(f"{m} facilities do not fit on the {resolution + 1} grid points")
-    return _best_subset(_Grid(resolution), m, opponents)[0]
+    _refuse_too_large(resolution + 1, m)
+    grid = [OffsetLocation(Fraction(i, resolution), "exact") for i in range(resolution + 1)]
+    return _best_subset(grid, m, opponents)[0]

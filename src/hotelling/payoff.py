@@ -19,7 +19,8 @@ from .errors import InvalidDeviation, InvalidInput
 
 Side = str  # "below" | "exact" | "above"
 
-_SIDE_EPS = {"below": Fraction(-1), "exact": Fraction(0), "above": Fraction(1)}
+# a side's offset: ordering, and the oracle's bisect key on a doubled grid
+_SIDE_EPS = {"below": -1, "exact": 0, "above": 1}
 
 
 @functools.total_ordering
@@ -49,7 +50,7 @@ class OffsetLocation:
     def __lt__(self, other: "OffsetLocation") -> bool:
         return self.sort_key() < other.sort_key()
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
+    def sort_key(self) -> tuple[Fraction, int]:
         return (self.position, _SIDE_EPS[self.side])
 
 
@@ -159,7 +160,7 @@ def limit_payoff(
 
     # eps coordinates only decide the ordering; every boundary's eps term
     # vanishes as eps -> 0+, so masses use constant coordinates alone
-    groups: dict[tuple[Fraction, Fraction], list[FacilityRef]] = {}
+    groups: dict[tuple[Fraction, int], list[FacilityRef]] = {}
     for i, strat in enumerate(strategies):
         for j, loc in enumerate(strat):
             key = (loc.position, _SIDE_EPS[loc.side])

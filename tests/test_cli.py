@@ -554,11 +554,15 @@ class TestScalarCommands:
             ("best-response", "--against", "1/4", "--m", "0"),
             ("best-response", "--against", "1/4", "--m", "1", "--grid", "1"),
             ("best-response", "--against", "1/4", "--m", "5", "--grid", "2"),
+            ("atlas", "--max-n", "1"),
+            ("atlas", "--max-n", "-3"),
         ],
     )
     def test_best_response_bad_knobs(self, capsys, knob):
-        code, _, err = run(capsys, *knob)
-        assert code == 2 and "input error" in err
+        code, out, err = run(capsys, *knob)
+        assert code == 2 and out == "" and "input error" in err
+        if knob[0] == "atlas":  # the floor is the smallest game of two players
+            assert f"--max-n must be at least 2, got {knob[-1]}" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -452,12 +452,12 @@ def perturbed(rng, design, k):
 
 class TestVerifyTwoPlayer:
     def test_soi_designs_agree_with_the_oracle(self):
-        # every l <= k <= 4: seeded SOI designs certify with every gain 0,
+        # every l <= k <= 5: seeded SOI designs certify with every gain 0,
         # and each one's non-SOI perturbation is refuted by a gain that the
         # reference limit payoff of its witness confirms
         rng = random.Random(11)
         refuted = 0
-        for k in range(1, 5):
+        for k in range(1, 6):
             optimum = MixedStrategy.point(PureStrategy(optimal_locations(k)))
             for l in range(1, k + 1):
                 game = make_game([l, k])
@@ -481,6 +481,42 @@ class TestVerifyTwoPlayer:
                                 assert limit_value([opponent], r.witness) - current[player] == r.gain
                                 refuted += 1
         assert refuted >= 30
+
+    def test_random_profiles_agree_with_the_oracle(self):
+        # seeded two-player profiles, l <= 2 and k <= 4 in either order: the
+        # weak player plays an SOI design or mixes over random l-subsets of
+        # the optimal points, sometimes with one point off them; the strong
+        # player sits on the optimum, on a point moved off it, or mixes both
+        rng = random.Random(12)
+        verdicts = Counter()
+        for _ in range(150):
+            k = rng.randint(1, 4)
+            l = rng.randint(1, min(2, k))
+            optimum = PureStrategy(optimal_locations(k))
+            points = list(optimum.locations)
+            if rng.random() < 0.3:
+                points[rng.randrange(k)] += rng.choice([F(1, 4 * k), F(-1, 4 * k)])
+            entries = list(itertools.combinations(points, l))
+            entries = rng.sample(entries, rng.randint(1, len(entries)))
+            weights = [rng.randint(1, 3) for _ in entries]
+            weak = MixedStrategy(tuple((e, F(w, sum(weights))) for e, w in zip(entries, weights)))
+            if rng.random() < 0.4:
+                weak = soi_design(rng, l, k)
+            moved = list(optimum.locations)
+            moved[rng.randrange(k)] += F(1, 8 * k)
+            strong = MixedStrategy.point(optimum)
+            if rng.random() < 0.5:
+                strong = rng.choice([
+                    MixedStrategy.point(PureStrategy(tuple(moved))),
+                    MixedStrategy.uniform([optimum, PureStrategy(tuple(moved))]),
+                ])
+            game, profile = make_game([l, k]), MixedProfile((weak, strong))
+            if rng.random() < 0.5:
+                game, profile = make_game([k, l]), MixedProfile((strong, weak))
+            verdict = verify_two_player(game, *profile.strategies).verdict
+            assert verdict == is_equilibrium(certify_no_deviation(game, profile)), (game, profile)
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 20, verdicts
 
     def test_canonical_equilibrium(self):
         game = make_game([2, 4])

@@ -316,6 +316,33 @@ class TestReferenceAgreement:
                 )
                 seen["end"] += any(c.position in (0, 1) for c in subset)
         assert all(count >= 10 for count in seen.values()), seen
+        # families whose denominators the opponents' tables do not share:
+        # enriched with grid points i/16 and their one-sided limits, each
+        # subset valued alone; and padded past their size with gap fillers,
+        # where the supremum is what the returned witness earns
+        rng = random.Random(405)
+        seen = {"one-sided beside an opponent": 0, "padded": 0}
+        subsets = 0
+        while subsets < 1500:
+            opponents = _rand_opponents(rng)
+            positions = {loc for x in opponents for s, _ in x.support for loc in s}
+            family = candidate_family(positions | {F(i, 16) for i in rng.sample(range(17), 2)})
+            m = rng.randint(1, 2)
+            for subset in itertools.combinations(family, m):
+                subsets += 1
+                assert _best_subset(subset, m, opponents)[0] == limit_value(opponents, subset)
+                seen["one-sided beside an opponent"] += any(
+                    c.side != "exact" and c.position not in positions
+                    and {c.position - F(1, 16), c.position + F(1, 16)} & positions
+                    for c in subset
+                )
+            if math.prod(len(x.support) for x in opponents) <= 9:
+                padded = candidate_family(positions)
+                supremum, attained, witness = _best_subset(padded, len(padded) + rng.randint(1, 3), opponents)
+                assert not attained and set(padded) < set(witness)
+                assert supremum == limit_value(opponents, witness)
+                seen["padded"] += 1
+        assert all(count >= 10 for count in seen.values()), seen
 
     def test_grid_search_matches_reference(self):
         rng = random.Random(77)
