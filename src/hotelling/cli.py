@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import equilibrium as eq
 from . import serialize as ser
-from .core import Game, PureProfile, PureStrategy, as_fraction, has_dominant_player
+from .core import Game, PureProfile, PureStrategy, _plain, as_fraction, has_dominant_player
 from .errors import (
     ConstructionUnavailable,
     HotellingError,
@@ -58,13 +58,10 @@ def _fields(text: str, name: str) -> list[str]:
 
 
 def _parse_game(text: str) -> Game:
-    message = f"--game: expected comma-separated integers, got {text!r}"
-    if "_" in text or not text.isascii():  # int() would read "1_0" and "٣" too
-        raise InvalidInput(message)
     try:
-        counts = [int(part) for part in _fields(text, "--game")]
+        counts = [int(part) for part in _fields(_plain(text), "--game")]
     except ValueError as exc:
-        raise InvalidInput(message) from exc
+        raise InvalidInput(f"--game: expected comma-separated integers, got {text!r}") from exc
     return Game(tuple(counts))
 
 
@@ -74,12 +71,10 @@ def _count(text: str) -> int:
     Refuses what ``int`` alone would read, "1_0" and "٣", as argparse refuses
     a non-integer: a usage error, exit 2.
     """
-    if "_" not in text and text.isascii():
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return int(_plain(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _parse_inline_profile(text: str) -> PureProfile:
@@ -99,7 +94,7 @@ def _load_document(path_or_inline: str):
     if path.exists():
         try:
             data = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or too deep
             raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
         return ser.parse_profile_document(data)
     try:
@@ -223,10 +218,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
 
 
 def cmd_social_cost(args: argparse.Namespace) -> int:
-    try:
-        locations = [as_fraction(part) for part in _fields(args.locations, "--locations")]
-    except InvalidStrategy as exc:
-        raise InvalidInput(str(exc)) from exc
+    locations = [as_fraction(part) for part in _fields(args.locations, "--locations")]
     _emit(ser.format_fraction(social_cost(locations)), args.out)
     return EXIT_OK
 
@@ -307,13 +299,7 @@ def cmd_atlas(args: argparse.Namespace) -> int:
             )
     if args.out and args.out.endswith(".csv"):
         with open(args.out, "w", newline="") as handle:
-            writer = csv.DictWriter(
-                handle,
-                fieldnames=[
-                    "counts", "n", "players", "dominant_player",
-                    "pure_exists", "reason", "construction", "verified", "partition_plan",
-                ],
-            )
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
             writer.writeheader()
             for row in rows:
                 flat = dict(row)

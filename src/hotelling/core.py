@@ -23,21 +23,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _plain(text: str) -> str:
+    """``text``, refused with a ValueError if it holds ``_`` or a non-ASCII
+    character: ``int`` and ``Fraction`` would read "1_0" and "٣" as numbers."""
+    if "_" in text:
+        raise ValueError("underscores are not accepted")
+    if not text.isascii():
+        raise ValueError("only ASCII characters are accepted")
+    return text
+
+
 def _parse_rational(text: str) -> Fraction:
     """``Fraction(text)`` for an integer, "p/q" or plain decimal string.
 
     Exponents are refused with a ValueError: ``Fraction("1e-1000000000")``
     would build a billion-digit integer before anything could reject it.
-    So are the digit separators (``"1_0"``) and non-ASCII digits (``"٣"``)
-    that ``Fraction`` also reads: numbers are plain ASCII digits.
+    So is anything ``_plain`` refuses.
     """
     if "e" in text or "E" in text:
         raise ValueError("exponents are not accepted")
-    if "_" in text:
-        raise ValueError("underscores are not accepted")
-    if not text.isascii():
-        raise ValueError("only ASCII characters are accepted")
-    return Fraction(text)
+    return Fraction(_plain(text))
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -222,25 +227,33 @@ class FacilityClass:
     co_located_players: frozenset[int]
 
 
-def _co_located(profile: PureProfile) -> list[list[FacilityRef]]:
-    """The profile's facilities grouped by shared position.
+def _co_located(
+    refs: Sequence[FacilityRef], offsets: Sequence[int] | None = None
+) -> tuple[int, list[tuple[int, int, list[FacilityRef]]]]:
+    """The facilities grouped by shared point, on one integer grid.
 
-    Groups come in ascending position order, and each lists its facilities
-    in ``refs()`` (player, slot) order. A player never stacks her own
-    facilities, so a group's size is also its number of players. Positions
-    are keyed by their integer ratio and ordered as integers over the lcm
-    of their denominators, so no Fraction is hashed or compared.
+    ``offsets`` (``payoff._SIDE_EPS``, all 0 when None) puts a facility just
+    below or above its position. Returns the lcm ``scale`` of the
+    denominators and the points in ascending order as ``(x, offset, refs)``:
+    x is the position times ``scale``, refs keep their given order, and no
+    Fraction is hashed or compared. A player never stacks her own
+    facilities, so a point's facility count is its number of players.
     """
-    groups: dict[tuple[int, int], list[FacilityRef]] = {}
-    for ref in profile.refs():
-        groups.setdefault(ref.position.as_integer_ratio(), []).append(ref)
-    scale = math.lcm(*(den for _, den in groups))
-    return [groups[key] for key in sorted(groups, key=lambda ratio: ratio[0] * (scale // ratio[1]))]
+    groups: dict[tuple[tuple[int, int], int], list[FacilityRef]] = {}
+    for ref, offset in zip(refs, offsets or [0] * len(refs)):
+        groups.setdefault((ref.position.as_integer_ratio(), offset), []).append(ref)
+    scale = math.lcm(*(den for (_, den), _ in groups))
+    # sorted on (x, offset), not 2*x + offset: at scale 4, (1/4, above) and
+    # (1/2, below) would both be 3; no two points tie on both keys
+    return scale, sorted(
+        [(num * (scale // den), offset, group) for ((num, den), offset), group in groups.items()]
+    )
 
 
 def classify(profile: PureProfile) -> dict[FacilityRef, FacilityClass]:
     """Classify every facility of a valid profile, in ``refs()`` order."""
-    groups = _co_located(profile)
+    _, points = _co_located(profile.refs())
+    groups = [refs for _, _, refs in points]
     last = len(groups) - 1
     found: dict[FacilityRef, FacilityClass] = {}
     for k, refs in enumerate(groups):

@@ -270,10 +270,9 @@ def construct_odd(game: Game) -> PureProfile:
         raise ConstructionUnavailable(
             f"player {dom} is dominant: the game has no pure equilibrium"
         )
+    # an odd n split between one or two players has a dominant one, so N >= 3 here
     if game.n % 2 == 0 or game.n < 5:
         raise ConstructionUnavailable(f"odd construction needs odd n >= 5, got n={game.n}")
-    if game.num_players < 3:
-        raise ConstructionUnavailable("odd construction needs at least three players")
 
     n = game.n
     p = Fraction(1, n + 1)

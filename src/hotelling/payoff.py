@@ -19,7 +19,8 @@ from .errors import InvalidDeviation, InvalidInput
 
 Side = str  # "below" | "exact" | "above"
 
-# a side's offset: ordering, and the oracle's bisect key on a doubled grid
+# a side's offset: ordering, co-location (``_co_located``), and the
+# oracle's bisect key on a doubled grid
 _SIDE_EPS = {"below": -1, "exact": 0, "above": 1}
 
 
@@ -85,31 +86,31 @@ class MassReport:
     right_masses: Mapping[FacilityRef, Fraction]
 
 
-def _mass_report(num_players: int, points: Sequence[list[FacilityRef]]) -> MassReport:
+def _mass_report(
+    num_players: int, scale: int, points: Sequence[tuple[int, int, list[FacilityRef]]]
+) -> MassReport:
     """Split the cell of every occupied point among the facilities there.
 
-    ``points`` lists the facilities at each occupied point, in ascending
-    point order; the facilities of one point share its position. Positions
-    are scaled once to integers on [0, scale], so the sweep is integer
-    arithmetic over doubled boundaries: each ``c_l``, ``c_r`` and share is
-    one Fraction over ``2*scale``, and each payoff one Fraction built from
-    cells paid in units of ``1/split``, which every head count divides.
+    ``points`` is ``_co_located``'s grid: each occupied point's position as
+    an integer over ``scale``, its offset and the facilities there, in
+    ascending point order. The sweep is integer arithmetic over doubled
+    boundaries: each ``c_l``, ``c_r`` and share is one Fraction over
+    ``2*scale``, and each payoff one Fraction built from cells paid in
+    units of ``1/split``, which every head count divides.
     """
-    positions = [refs[0].position for refs in points]
-    scale = math.lcm(*(p.denominator for p in positions))
-    xs = [p.numerator * (scale // p.denominator) for p in positions]
+    xs = [x for x, _, _ in points]
     # doubled boundaries: cell j spans bounds[j]/2..bounds[j+1]/2, and
     # neighbours a and b meet at their midpoint, so one-sided limits beside
     # an occupied point meet at the point itself
     bounds = [0, *(a + b for a, b in zip(xs, xs[1:])), 2 * scale]
     den = 2 * scale
-    split = math.lcm(*{len(refs) for refs in points})
+    split = math.lcm(*{len(refs) for _, _, refs in points})
     totals = [0] * num_players
     fac: dict[FacilityRef, Fraction] = {}
     left: dict[FacilityRef, Fraction] = {}
     right: dict[FacilityRef, Fraction] = {}
-    for j, refs in enumerate(points):
-        doubled = 2 * xs[j]
+    for j, (x, _, refs) in enumerate(points):
+        doubled = 2 * x
         c_l = Fraction(doubled - bounds[j], den)
         c_r = Fraction(bounds[j + 1] - doubled, den)
         cell = bounds[j + 1] - bounds[j]
@@ -125,7 +126,7 @@ def _mass_report(num_players: int, points: Sequence[list[FacilityRef]]) -> MassR
 
 def masses(profile: PureProfile) -> MassReport:
     """Evaluate V, c_l, c_r and u for every facility of a pure profile."""
-    return _mass_report(profile.num_players, _co_located(profile))
+    return _mass_report(profile.num_players, *_co_located(profile.refs()))
 
 
 def limit_payoff(
@@ -158,14 +159,13 @@ def limit_payoff(
                     f"player {i}'s offsets must strictly increase, got {a.position} {a.side} then {b.position} {b.side}"
                 )
 
-    # eps coordinates only decide the ordering; every boundary's eps term
+    # eps offsets only decide the ordering; every boundary's eps term
     # vanishes as eps -> 0+, so masses use constant coordinates alone
-    groups: dict[tuple[Fraction, int], list[FacilityRef]] = {}
-    for i, strat in enumerate(strategies):
-        for j, loc in enumerate(strat):
-            key = (loc.position, _SIDE_EPS[loc.side])
-            groups.setdefault(key, []).append(FacilityRef(i, j, loc.position))
-    return _mass_report(len(strategies), [groups[key] for key in sorted(groups)])
+    refs = [
+        FacilityRef(i, j, loc.position) for i, strat in enumerate(strategies) for j, loc in enumerate(strat)
+    ]
+    offsets = [_SIDE_EPS[loc.side] for strat in strategies for loc in strat]
+    return _mass_report(len(strategies), *_co_located(refs, offsets))
 
 
 def social_cost(locations: Iterable[RationalLike]) -> Fraction:

@@ -47,6 +47,9 @@ class TestConstruct:
         assert code == 0
         code, payoffs, _ = run_json(capsys, "payoff", "--profile", str(out))
         assert code == 0 and payoffs == ["1/8", "1/8", "3/4"]
+        code, report, err = run(capsys, "payoff", "--full", "--profile", str(out))
+        assert (code, report) == (2, "")
+        assert err == "input error: --full needs a pure profile; mixed profiles have no single mass report\n"
 
     def test_pure_unavailable(self, capsys):
         code, out, err = run(capsys, "construct", "--game", "1,2", "--kind", "pure")
@@ -193,6 +196,16 @@ class TestVerify:
                 {"game": {"counts": [1, 1]}, "strategies": [["1/2"], ["1/2"]], "mixed_strategies": []},
                 "document: give either 'strategies' or 'mixed_strategies', not both",
                 id="both-strategy-kinds",
+            ),
+            pytest.param(
+                # well formed, but verify checks mixed profiles of two players only
+                {"game": {"counts": [1, 1, 4]}, "mixed_strategies": [
+                    [{"strategy": ["1/8"], "prob": "1/2"}, {"strategy": ["3/8"], "prob": "1/2"}],
+                    [{"strategy": ["5/8"], "prob": "1/2"}, {"strategy": ["7/8"], "prob": "1/2"}],
+                    [{"strategy": ["1/8", "3/8", "5/8", "7/8"], "prob": "1/1"}],
+                ]},
+                "mixed verification is supported for two-player games",
+                id="three-player-mixed",
             ),
         ],
     )
@@ -433,7 +446,22 @@ class TestRepeatedCalls:
 
 
 class TestPaths:
-    @pytest.mark.parametrize("kind", ["directory", "invalid-utf8"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "directory",
+            "invalid-utf8",
+            # json.loads raises RecursionError, not JSONDecodeError
+            "deep-nesting",
+            # json.loads raises ValueError past Python's int-string digit limit
+            pytest.param(
+                "huge-integer",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"
+                ),
+            ),
+        ],
+    )
     @pytest.mark.parametrize(
         "argv",
         [
@@ -446,10 +474,14 @@ class TestPaths:
         path = tmp_path / "input"
         if kind == "directory":
             path.mkdir()
-        else:
+        elif kind == "invalid-utf8":
             path.write_bytes(b"\xff\xfe")
-        code, _, err = run(capsys, *argv, str(path))
-        assert code == 2 and "input error" in err
+        elif kind == "deep-nesting":
+            path.write_text('{"game": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        else:
+            path.write_text('{"game": {"counts": [' + "9" * 5_000 + ']}, "strategies": [["1/2"]]}')
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == "" and err.startswith("input error:")
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -463,6 +495,8 @@ class TestPaths:
             (("social-cost", "--locations", "1/6,,1/2"), "--locations: empty field in '1/6,,1/2'"),
             (("payoff", "--profile", "1/4,;3/4"), "player 0: empty field in '1/4,'"),
             (("verify", "--profile", "1/4;,3/4"), "player 1: empty field in ',3/4'"),
+            (("best-response", "--m", "1", "--against", ";1/2"), "player 0 has no locations in ';1/2'"),
+            (("social-cost", "--locations", ""), "social_cost needs at least one location"),
         ],
     )
     def test_missing_input_is_named(self, capsys, argv, message):

@@ -10,7 +10,9 @@ from hypothesis import given, strategies as st
 from hotelling import (
     FacilityRef,
     InvalidGame,
+    InvalidInput,
     InvalidStrategy,
+    MixedProfile,
     MixedStrategy,
     PureProfile,
     PureStrategy,
@@ -19,6 +21,8 @@ from hotelling import (
     has_dominant_player,
     make_game,
 )
+
+from hotelling.serialize import pure_profile_from_json
 
 from helpers import flatten, rand_profile
 
@@ -128,6 +132,23 @@ class TestPureStrategy:
         profile = PureProfile((mixed.support[0][0], PureStrategy(tuple(points))))
         assert len(mixed.support) == 924
         assert len(classify(profile)) == 18
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda: PureProfile(()), InvalidStrategy, "a profile needs at least one strategy",
+                     id="empty-pure"),
+        pytest.param(lambda: MixedProfile(()), InvalidStrategy, "a profile needs at least one strategy",
+                     id="empty-mixed"),
+        pytest.param(lambda: pure_profile_from_json({}), InvalidInput,
+                     "profile: expected an object with a 'strategies' field", id="document-without-strategies"),
+    ],
+)
+def test_profile_faults_are_named(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestAsFraction:

@@ -15,6 +15,7 @@ from hotelling import (
     InvalidPartition,
     MixedProfile,
     MixedStrategy,
+    PartitionPlan,
     PureProfile,
     PureStrategy,
     WrongGameKind,
@@ -410,6 +411,95 @@ class TestConstructMixed:
         overlap = type(plan)(b=(2, 2), blocks=(plan.blocks[0], plan.blocks[0]))
         with pytest.raises(InvalidPartition):
             construct_mixed(game, overlap)
+
+    @pytest.mark.parametrize(
+        "counts,gain",
+        [((1, 1, 4), F(1, 24)), ((1, 2, 6), F(1, 18))],
+    )
+    def test_block_designs_with_uniform_marginals_certify(self, counts, gain):
+        # the N-player form of the two-player characterization: any weak
+        # player's block design with uniform marginals keeps the partition
+        # mixture an equilibrium, and weighing the last weak player's stride
+        # design 2/3-1/3 gives the dominant player the gain ``gain``
+        game = make_game(counts)
+        plan = find_partition(game)
+        dominant = construct_mixed(game, plan).strategies[-1]
+        rng = random.Random(19)
+        designs = [block_design(rng, block, c) for block, c in zip(plan.blocks, counts)]
+        for x, block, c in zip(designs, plan.blocks, counts):
+            assert all(
+                sum((p for s, p in x.support if point in s.locations), F(0)) == F(c, len(block))
+                for point in block
+            )
+        results = certify_no_deviation(game, MixedProfile((*designs, dominant)))
+        assert [r.gain for r in results] == [0] * len(counts)
+
+        block, c = plan.blocks[-1], counts[-2]
+        stride = len(block) // c
+        skewed = MixedStrategy(((block[0::stride], F(2, 3)), (block[1::stride], F(1, 3))))
+        profile = MixedProfile((*designs[:-1], skewed, dominant))
+        results = certify_no_deviation(game, profile)
+        assert [r.gain for r in results] == [0] * (len(counts) - 1) + [gain]
+        opponents = profile.strategies[:-1]
+        current = mixed_payoff(game, profile)[-1]
+        assert limit_value(opponents, results[-1].witness) - current == gain
+
+
+def _plan(b, blocks):
+    return PartitionPlan(b=b, blocks=tuple(tuple(F(x) for x in block) for block in blocks))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda: construct_even(make_game([1, 2, 2])), ConstructionUnavailable,
+                     "even construction needs even n >= 4, got n=5", id="even-on-odd-n"),
+        pytest.param(lambda: construct_mixed(make_game([1, 1, 2]), _plan((2,), [["1/4", "3/4"]])),
+                     WrongGameKind, "construct_mixed needs a dominant player", id="mixed-no-dominant"),
+        pytest.param(lambda: construct_mixed(make_game([1, 1, 4]), _plan((2, 1), [["1/8", "3/8"], ["5/8"]])),
+                     InvalidPartition, "block sizes (2, 1) do not sum to 4", id="mixed-size-sum"),
+        # two sizes but one block: the optimal points 5/8 and 7/8 are left out
+        pytest.param(lambda: construct_mixed(make_game([1, 1, 4]), _plan((2, 2), [["1/8", "3/8"]])),
+                     InvalidPartition, "blocks must cover every optimal location", id="mixed-coverage"),
+        pytest.param(
+            lambda: construct_mixed(
+                make_game([1, 2, 6]), _plan((3, 3), [["1/12", "1/4", "5/12"], ["7/12", "3/4", "11/12"]])
+            ),
+            InvalidPartition, "player 0: count 1 and block size 3 violate n_i/b_i = (n - n_N)/n_N",
+            id="mixed-ratio",
+        ),
+        pytest.param(lambda: verify_two_player(make_game([1, 1, 2]), make_olk(1, 2), make_olk(1, 2)),
+                     WrongGameKind, "verify_two_player needs exactly two players", id="two-player-three-players"),
+        pytest.param(lambda: verify_two_player(make_game([1, 2]), make_olk(1, 2), make_olk(1, 2)),
+                     WrongGameKind, "strategy sizes do not match the game counts", id="two-player-sizes"),
+        pytest.param(lambda: verify_single_unit(PureProfile.of(["1/2"], ["1/2"])).result("C9"),
+                     KeyError, "'C9'", id="report-absent-condition"),
+    ],
+)
+def test_faults_are_named(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def block_design(rng, block, c):
+    """A seeded mixture of c-point subsets of ``block`` with uniform marginals.
+
+    A random positive combination of two rotation mixtures, for c dividing
+    the block size b: the b/c cyclic windows of c consecutive points, and
+    the b/c rotations of the stride pattern of every (b/c)-th point. Each
+    puts weight c/b on every point, and so does any convex combination.
+    Entries that repeat are merged.
+    """
+    stride = len(block) // c
+    weights = [F(rng.randint(1, 5)) for _ in range(2)]
+    support: dict[tuple[Fraction, ...], Fraction] = {}
+    windows = [block[i : i + c] for i in range(0, len(block), c)]
+    strides = [block[shift::stride] for shift in range(stride)]
+    for weight, entries in zip(weights, (windows, strides)):
+        for entry in entries:
+            support[entry] = support.get(entry, F(0)) + weight / sum(weights) / stride
+    return MixedStrategy(tuple(support.items()))
 
 
 def soi_design(rng, l, k):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hotelling import (
+    InvalidInput,
     InvalidStrategy,
     MeasureQuery,
     MixedProfile,
@@ -662,6 +663,27 @@ class TestMakeOlk:
         assert len(x.support) == math.comb(4, 2)
         assert all(p == F(1, 6) for _, p in x.support)
         assert is_soi(x, 2, 4).ok
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda: MixedStrategy.uniform([]), InvalidStrategy, "uniform mixture over an empty family",
+                     id="uniform-empty"),
+        pytest.param(lambda: make_olk(1, 2).as_pure(), InvalidStrategy, "not a point mass", id="as-pure-mixture"),
+        pytest.param(lambda: MeasureQuery.interval("3/4", "1/4"), InvalidInput,
+                     "query [3/4, 1/4] must satisfy 0 <= lower <= upper <= 1", id="query-upper-below-lower"),
+        pytest.param(lambda: is_soi(make_olk(1, 2), 3, 2), InvalidInput, "need 1 <= l <= k, got l=3, k=2",
+                     id="soi-l-above-k"),
+        pytest.param(lambda: is_soi(make_olk(1, 2), 2, 4), InvalidInput,
+                     "strategy places 1 facilities, expected l=2", id="soi-wrong-size"),
+        pytest.param(lambda: make_olk(0, 3), InvalidInput, "need 1 <= l <= k, got l=0, k=3", id="olk-l-zero"),
+    ],
+)
+def test_faults_are_named(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestCombinedStrategy:

@@ -269,6 +269,23 @@ class TestSocialCost:
             assert social_cost(points + [extra]) <= base
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda: OffsetLocation(F(3, 2)), InvalidInput, "offset position 3/2 outside [0,1]",
+                     id="offset-outside"),
+        pytest.param(lambda: limit_payoff([["1/4"], ["3/4"]], deviator=2), InvalidDeviation,
+                     "deviator index 2 out of range", id="deviator-out-of-range"),
+        pytest.param(lambda: social_cost(["1/2", "5/4"]), InvalidInput, "location 5/4 outside [0,1]",
+                     id="social-cost-outside"),
+    ],
+)
+def test_arguments_outside_their_domain_are_named(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestReimport:
     def test_reimport_releases_previous_module_generation(self):
         # Module-level typing constructs over the package's own classes enter
