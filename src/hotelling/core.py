@@ -250,24 +250,28 @@ def _co_located(
     )
 
 
-def classify(profile: PureProfile) -> dict[FacilityRef, FacilityClass]:
-    """Classify every facility of a valid profile, in ``refs()`` order."""
-    _, points = _co_located(profile.refs())
-    groups = [refs for _, _, refs in points]
-    last = len(groups) - 1
-    found: dict[FacilityRef, FacilityClass] = {}
-    for k, refs in enumerate(groups):
-        shared = FacilityClass(
+def _point_classes(points: Sequence[tuple[int, int, list[FacilityRef]]]) -> list[FacilityClass]:
+    """The class shared by the facilities at each of ``_co_located``'s exact points, in point order."""
+    last = len(points) - 1
+    return [
+        FacilityClass(
             is_lone=len(refs) == 1,
             is_paired=len(refs) == 2,
             is_peripheral=k in (0, last),
-            left_neighbor=groups[k - 1][0].position if k > 0 else None,
-            right_neighbor=groups[k + 1][0].position if k < last else None,
+            left_neighbor=points[k - 1][2][0].position if k > 0 else None,
+            right_neighbor=points[k + 1][2][0].position if k < last else None,
             co_located_players=frozenset(ref.player for ref in refs),
         )
-        for ref in refs:
-            found[ref] = shared
-    return dict(sorted(found.items(), key=lambda item: (item[0].player, item[0].slot)))
+        for k, (_, _, refs) in enumerate(points)
+    ]
+
+
+def classify(profile: PureProfile) -> dict[FacilityRef, FacilityClass]:
+    """Classify every facility of a valid profile, in ``refs()`` order."""
+    refs = profile.refs()
+    _, points = _co_located(refs)
+    found = {ref: cls for (_, _, group), cls in zip(points, _point_classes(points)) for ref in group}
+    return {ref: found[ref] for ref in refs}
 
 
 def has_dominant_player(game: Game) -> int | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import (
     FacilityClass,
@@ -21,7 +21,8 @@ from .core import (
     Game,
     PureProfile,
     PureStrategy,
-    classify,
+    _co_located,
+    _point_classes,
     has_dominant_player,
     require_profile,
 )
@@ -33,7 +34,7 @@ from .mixed import (
     is_soi,
     optimal_locations,
 )
-from .payoff import MassReport, masses
+from .payoff import MassReport, _mass_report
 
 # Stable condition codes used in reports and JSON output.
 COND_PAIRED_EXTREMES = "T3-1"
@@ -93,48 +94,37 @@ def verify_single_unit(profile: PureProfile) -> VerificationReport:
         raise WrongGameKind("verify_single_unit needs exactly one facility per player")
     if profile.num_players == 1:
         return _report([])
-    return _report(_single_unit_conditions(classify(profile), masses(profile)))
+    refs = profile.refs()
+    scale, points = _co_located(refs)
+    report = _mass_report(profile.num_players, scale, points)
+    return _report(_single_unit_conditions(refs, points, _point_classes(points), report))
 
 
 def _single_unit_conditions(
-    classes: Mapping[FacilityRef, FacilityClass], report: MassReport
+    refs: Sequence[FacilityRef], points: Sequence, classes: Sequence[FacilityClass], report: MassReport
 ) -> list[ConditionResult]:
-    """T3-1 and T3-2 with each facility as its own player, numbered in ``classes`` order.
+    """T3-1 and T3-2 with each facility as its own player, numbered in ``refs`` order.
 
-    Masses depend only on how many facilities share each position, so the
-    report of a multi-unit profile serves its flattening unchanged.
+    ``points`` and ``classes`` are the profile's ``_co_located`` grid and its
+    ``_point_classes``. Masses depend only on how many facilities share each
+    point, so a multi-unit profile's report serves its flattening unchanged.
     """
-    # the report lists facilities by ascending position, so its first and
-    # last entries sit at the two end positions, left end first
-    by_position = list(report.facility_masses)
-    lone_ends = [ref.position for ref in (by_position[0], by_position[-1]) if classes[ref].is_lone]
-    cond1 = ConditionResult(
-        COND_PAIRED_EXTREMES,
-        not lone_ends,
-        None if not lone_ends else {"position": lone_ends[0]},
-    )
+    lone_ends = [points[k][2][0].position for k in (0, len(points) - 1) if classes[k].is_lone]
+    cond1 = ConditionResult(COND_PAIRED_EXTREMES, not lone_ends, {"position": lone_ends[0]} if lone_ends else None)
 
-    # max one-sided mass, scanned in deterministic (position, side) order
-    best = None
-    for ref in by_position:
-        for side, value in (("left", report.left_masses[ref]), ("right", report.right_masses[ref])):
-            if best is None or value > best[2]:
-                best = (ref.position, side, value)
-    assert best is not None
-    cond2_witness = None
-    for player, ref in enumerate(classes):
-        payoff = report.facility_masses[ref]
-        if payoff < best[2]:
-            cond2_witness = {
-                "player": player,
-                "payoff": payoff,
-                "position": best[0],
-                "side": best[1],
-                "side_mass": best[2],
-            }
-            break
-    cond2 = ConditionResult(COND_PAYOFF_COVERS_SIDES, cond2_witness is None, cond2_witness)
-    return [cond1, cond2]
+    # the largest one-sided mass, the first in (position, side) order;
+    # co-located facilities share their one-sided masses
+    sides = (("left", report.left_masses), ("right", report.right_masses))
+    position, side, side_mass = max(
+        ((group[0].position, side, of[group[0]]) for _, _, group in points for side, of in sides),
+        key=lambda entry: entry[2],
+    )
+    payer = next((i for i, ref in enumerate(refs) if report.facility_masses[ref] < side_mass), None)
+    witness2 = None if payer is None else {
+        "player": payer, "payoff": report.facility_masses[refs[payer]],
+        "position": position, "side": side, "side_mass": side_mass,
+    }
+    return [cond1, ConditionResult(COND_PAYOFF_COVERS_SIDES, payer is None, witness2)]
 
 
 def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
@@ -147,23 +137,26 @@ def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
     require_profile(game, profile)
     if game.num_players == 1:
         return _report([])
-    report = masses(profile)
-    classes = classify(profile)  # in refs() order: by player, then slot
+    refs = profile.refs()  # by player, then slot
+    scale, points = _co_located(refs)
+    report = _mass_report(game.num_players, scale, points)
+    classes = _point_classes(points)
 
+    # lone facilities beside a point their owner occupies, left side first
+    isolated = [
+        (group[0], j)
+        for k, (_, _, group) in enumerate(points) if classes[k].is_lone
+        for j in (k - 1, k + 1) if 0 <= j < len(points) and group[0].player in classes[j].co_located_players
+    ]
     witness1 = None
-    for ref, cls in classes.items():
-        if not cls.is_lone:
-            continue
-        own = profile.strategies[ref.player].locations
-        neighbor = next((p for p in (cls.left_neighbor, cls.right_neighbor) if p in own), None)
-        if neighbor is not None:
-            witness1 = {"player": ref.player, "position": ref.position, "neighbor": neighbor}
-            break
+    if isolated:
+        ref, j = min(isolated, key=lambda pair: (pair[0].player, pair[0].slot))
+        witness1 = {"player": ref.player, "position": ref.position, "neighbor": points[j][2][0].position}
     cond1 = ConditionResult(COND_LONE_ISOLATION, witness1 is None, witness1)
 
     witness2 = None
-    for player, refs in itertools.groupby(classes, key=lambda r: r.player):
-        values = [(r.position, report.facility_masses[r]) for r in refs]
+    for player, own_refs in itertools.groupby(refs, key=lambda r: r.player):
+        values = [(r.position, report.facility_masses[r]) for r in own_refs]
         low = min(values, key=lambda v: v[1])
         high = max(values, key=lambda v: v[1])
         if low[1] != high[1]:
@@ -177,13 +170,10 @@ def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
             break
     cond2 = ConditionResult(COND_EQUAL_OWN_MASSES, witness2 is None, witness2)
 
-    # the flattened profile numbers facilities in (player, slot) order, as classes does
-    flat_report = _report(_single_unit_conditions(classes, report))
-    witness3 = None
-    if not flat_report.verdict:
-        first = flat_report.failed()[0]
-        witness3 = {"condition": first.condition, **(first.witness or {})}
-    cond3 = ConditionResult(COND_FLATTENED_EQUILIBRIUM, flat_report.verdict, witness3)
+    # the flattened profile numbers facilities in (player, slot) order, as refs does
+    failed = [c for c in _single_unit_conditions(refs, points, classes, report) if not c.passed]
+    witness3 = {"condition": failed[0].condition, **failed[0].witness} if failed else None
+    cond3 = ConditionResult(COND_FLATTENED_EQUILIBRIUM, not failed, witness3)
 
     return _report([cond1, cond2, cond3])
 

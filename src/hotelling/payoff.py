@@ -24,6 +24,12 @@ Side = str  # "below" | "exact" | "above"
 _SIDE_EPS = {"below": -1, "exact": 0, "above": 1}
 
 
+def _in_unit(position: Fraction) -> Fraction:
+    if not (ZERO <= position <= ONE):
+        raise InvalidInput(f"offset position {position} outside [0,1]")
+    return position
+
+
 @functools.total_ordering
 @dataclass(frozen=True)
 class OffsetLocation:
@@ -41,8 +47,7 @@ class OffsetLocation:
         object.__setattr__(self, "position", as_fraction(self.position))
         if self.side not in _SIDE_EPS:
             raise InvalidInput(f"unknown side {self.side!r}")
-        if not (ZERO <= self.position <= ONE):
-            raise InvalidInput(f"offset position {self.position} outside [0,1]")
+        _in_unit(self.position)
         if self.position == ZERO and self.side == "below":
             raise InvalidInput("side=below is meaningless at position 0")
         if self.position == ONE and self.side == "above":
@@ -136,35 +141,37 @@ def limit_payoff(
     """Masses of a profile whose deviating player uses one-sided limits.
 
     Evaluates lim eps->0+ of masses() with (x, above) read as x + eps and
-    (x, below) as x - eps. Every player must place at least one facility,
-    in strictly increasing offset order; only the deviator may carry
-    non-exact sides, so every other player's locations strictly increase,
-    as a ``PureStrategy``'s do. Offset-distinct points never tie.
+    (x, below) as x - eps. Only the deviator may carry non-exact sides, and
+    every player places at least one facility in strictly increasing offset
+    order, as a ``PureStrategy`` does; offset-distinct points never tie. A
+    ``PureProfile`` holds all that, so with an in-range deviator it is used
+    as it is. Otherwise faults are raised in this order: a bare rational
+    not exact or outside [0,1], the deviator index, then player by player
+    no facility, a side on a non-deviator and the offset order.
     """
+    if isinstance(profile, PureProfile) and 0 <= deviator < profile.num_players:
+        return masses(profile)
     raw = profile.strategies if isinstance(profile, PureProfile) else profile
-    strategies: list[list[OffsetLocation]] = [
-        [e if isinstance(e, OffsetLocation) else exactly(e) for e in s] for s in raw
+    strategies: list[list[tuple[Fraction, Side]]] = [
+        [(e.position, e.side) if isinstance(e, OffsetLocation) else (_in_unit(as_fraction(e)), "exact") for e in s]
+        for s in raw
     ]
     if not 0 <= deviator < len(strategies):
         raise InvalidDeviation(f"deviator index {deviator} out of range")
     for i, strat in enumerate(strategies):
         if not strat:
             raise InvalidDeviation(f"player {i} places no facility")
-        for loc in strat:
-            if i != deviator and loc.side != "exact":
-                raise InvalidDeviation(f"player {i} is not the deviator but carries side={loc.side}")
-        for a, b in zip(strat, strat[1:]):
-            if not a < b:
-                raise InvalidDeviation(
-                    f"player {i}'s offsets must strictly increase, got {a.position} {a.side} then {b.position} {b.side}"
-                )
+        for _, side in strat:
+            if i != deviator and side != "exact":
+                raise InvalidDeviation(f"player {i} is not the deviator but carries side={side}")
+        for (a, sa), (b, sb) in zip(strat, strat[1:]):
+            if not (a, _SIDE_EPS[sa]) < (b, _SIDE_EPS[sb]):
+                raise InvalidDeviation(f"player {i}'s offsets must strictly increase, got {a} {sa} then {b} {sb}")
 
     # eps offsets only decide the ordering; every boundary's eps term
     # vanishes as eps -> 0+, so masses use constant coordinates alone
-    refs = [
-        FacilityRef(i, j, loc.position) for i, strat in enumerate(strategies) for j, loc in enumerate(strat)
-    ]
-    offsets = [_SIDE_EPS[loc.side] for strat in strategies for loc in strat]
+    refs = [FacilityRef(i, j, x) for i, strat in enumerate(strategies) for j, (x, _) in enumerate(strat)]
+    offsets = [_SIDE_EPS[side] for strat in strategies for _, side in strat]
     return _mass_report(len(strategies), *_co_located(refs, offsets))
 
 

@@ -50,7 +50,7 @@ from hotelling.equilibrium import (
 
 from hotelling.serialize import profile_document
 
-from helpers import flatten, limit_value, rand_profile
+from helpers import flatten, limit_value, midpoint_report, rand_profile
 
 F = Fraction
 
@@ -185,9 +185,11 @@ class TestVerifyMultiUnit:
 
 
     def test_witnesses_are_first_in_player_slot_order(self):
-        # witnesses re-derived from raw positions, without classify or the verifier
+        # witnesses re-derived from raw positions, without classify or the
+        # verifier; T4-3's from helpers.midpoint_report
         rng = random.Random(59)
         seen = set()
+        flat_seen = set()
         for _ in range(600):
             k = rng.randint(2, 5)
             game = make_game([rng.randint(1, 12 // k) for _ in range(k)])
@@ -226,11 +228,39 @@ class TestVerifyMultiUnit:
                         "mass_high": high,
                     }
 
+            # T3-1: the first lone end, left end first; T3-2: the best
+            # one-sided mass in (position, left/right) order, and the first
+            # facility in (player, slot) order paid below it
+            reference = midpoint_report(profile.strategies)
+            lone_ends = [x for x in (positions[0], positions[-1]) if hosts[x] == 1]
+            sided = [
+                (ref.position, side, of[ref])
+                for ref in reference.left_masses
+                for side, of in (("left", reference.left_masses), ("right", reference.right_masses))
+            ]
+            top = max(v for _, _, v in sided)
+            position, side, side_mass = next(entry for entry in sided if entry[2] == top)
+            paid = [
+                reference.facility_masses[FacilityRef(player, slot, x)]
+                for player, strategy in enumerate(profile.strategies)
+                for slot, x in enumerate(strategy)
+            ]
+            below = next((i for i, payoff in enumerate(paid) if payoff < side_mass), None)
+            flat = None
+            if lone_ends:
+                flat = {"condition": "T3-1", "position": lone_ends[0]}
+            elif below is not None:
+                flat = {"condition": "T3-2", "player": below, "payoff": paid[below],
+                        "position": position, "side": side, "side_mass": side_mass}
+
             report = verify_multi_unit(game, profile)
             assert report.result(COND_LONE_ISOLATION).witness == lone
             assert report.result(COND_EQUAL_OWN_MASSES).witness == unequal
+            assert report.result(COND_FLATTENED_EQUILIBRIUM).witness == flat
             seen.add((lone is None, unequal is None))
+            flat_seen.add(flat and flat["condition"])
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        assert flat_seen == {None, "T3-1", "T3-2"}
 
 
 class TestExistsPure:
