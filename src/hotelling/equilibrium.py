@@ -110,7 +110,11 @@ def _single_unit_conditions(
     point, so a multi-unit profile's report serves its flattening unchanged.
     """
     lone_ends = [points[k][2][0].position for k in (0, len(points) - 1) if classes[k].is_lone]
-    cond1 = ConditionResult(COND_PAIRED_EXTREMES, not lone_ends, {"position": lone_ends[0]} if lone_ends else None)
+    cond1 = ConditionResult(
+        COND_PAIRED_EXTREMES,
+        not lone_ends,
+        None if not lone_ends else {"position": lone_ends[0]},
+    )
 
     # the largest one-sided mass, the first in (position, side) order;
     # co-located facilities share their one-sided masses
@@ -120,10 +124,15 @@ def _single_unit_conditions(
         key=lambda entry: entry[2],
     )
     payer = next((i for i, ref in enumerate(refs) if report.facility_masses[ref] < side_mass), None)
-    witness2 = None if payer is None else {
-        "player": payer, "payoff": report.facility_masses[refs[payer]],
-        "position": position, "side": side, "side_mass": side_mass,
-    }
+    witness2 = None
+    if payer is not None:
+        witness2 = {
+            "player": payer,
+            "payoff": report.facility_masses[refs[payer]],
+            "position": position,
+            "side": side,
+            "side_mass": side_mass,
+        }
     return [cond1, ConditionResult(COND_PAYOFF_COVERS_SIDES, payer is None, witness2)]
 
 
@@ -145,13 +154,19 @@ def verify_multi_unit(game: Game, profile: PureProfile) -> VerificationReport:
     # lone facilities beside a point their owner occupies, left side first
     isolated = [
         (group[0], j)
-        for k, (_, _, group) in enumerate(points) if classes[k].is_lone
-        for j in (k - 1, k + 1) if 0 <= j < len(points) and group[0].player in classes[j].co_located_players
+        for k, (_, _, group) in enumerate(points)
+        if classes[k].is_lone
+        for j in (k - 1, k + 1)
+        if 0 <= j < len(points) and group[0].player in classes[j].co_located_players
     ]
     witness1 = None
     if isolated:
         ref, j = min(isolated, key=lambda pair: (pair[0].player, pair[0].slot))
-        witness1 = {"player": ref.player, "position": ref.position, "neighbor": points[j][2][0].position}
+        witness1 = {
+            "player": ref.player,
+            "position": ref.position,
+            "neighbor": points[j][2][0].position,
+        }
     cond1 = ConditionResult(COND_LONE_ISOLATION, witness1 is None, witness1)
 
     witness2 = None

@@ -143,17 +143,17 @@ def limit_payoff(
     Evaluates lim eps->0+ of masses() with (x, above) read as x + eps and
     (x, below) as x - eps. Only the deviator may carry non-exact sides, and
     every player places at least one facility in strictly increasing offset
-    order, as a ``PureStrategy`` does; offset-distinct points never tie. A
-    ``PureProfile`` holds all that, so with an in-range deviator it is used
-    as it is. Otherwise faults are raised in this order: a bare rational
-    not exact or outside [0,1], the deviator index, then player by player
-    no facility, a side on a non-deviator and the offset order.
+    order, as a ``PureStrategy`` does; offset-distinct points never tie.
+    Faults are raised in this order: a bare rational not exact or outside
+    [0,1], the deviator index, then player by player no facility, a side on
+    a non-deviator and the offset order.
     """
-    if isinstance(profile, PureProfile) and 0 <= deviator < profile.num_players:
-        return masses(profile)
     raw = profile.strategies if isinstance(profile, PureProfile) else profile
     strategies: list[list[tuple[Fraction, Side]]] = [
-        [(e.position, e.side) if isinstance(e, OffsetLocation) else (_in_unit(as_fraction(e)), "exact") for e in s]
+        [
+            (e.position, e.side) if isinstance(e, OffsetLocation) else (_in_unit(as_fraction(e)), "exact")
+            for e in s
+        ]
         for s in raw
     ]
     if not 0 <= deviator < len(strategies):
@@ -166,11 +166,15 @@ def limit_payoff(
                 raise InvalidDeviation(f"player {i} is not the deviator but carries side={side}")
         for (a, sa), (b, sb) in zip(strat, strat[1:]):
             if not (a, _SIDE_EPS[sa]) < (b, _SIDE_EPS[sb]):
-                raise InvalidDeviation(f"player {i}'s offsets must strictly increase, got {a} {sa} then {b} {sb}")
+                raise InvalidDeviation(
+                    f"player {i}'s offsets must strictly increase, got {a} {sa} then {b} {sb}"
+                )
 
     # eps offsets only decide the ordering; every boundary's eps term
     # vanishes as eps -> 0+, so masses use constant coordinates alone
-    refs = [FacilityRef(i, j, x) for i, strat in enumerate(strategies) for j, (x, _) in enumerate(strat)]
+    refs = [
+        FacilityRef(i, j, x) for i, strat in enumerate(strategies) for j, (x, _) in enumerate(strat)
+    ]
     offsets = [_SIDE_EPS[side] for strat in strategies for _, side in strat]
     return _mass_report(len(strategies), *_co_located(refs, offsets))
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import hotelling
 from hotelling import (
-    HotellingError,
     InvalidDeviation,
     InvalidInput,
     OffsetLocation,
@@ -233,29 +232,6 @@ class TestLimitPayoff:
         with pytest.raises(InvalidDeviation, match=rf"^player {player}\b"):
             limit_payoff(profile, deviator=1)
 
-    @pytest.mark.parametrize(
-        "profile, deviator, error, message",
-        [
-            ([[F(3, 4), F(1, 4)], [just_above(F(1, 2))]], 0, InvalidDeviation,
-             "player 0's offsets must strictly increase, got 3/4 exact then 1/4 exact"),
-            ([[F(3, 2)]], 5, InvalidInput, "offset position 3/2 outside [0,1]"),
-            ([[F(1, 2), just_below(F(1, 2))], [F(1, 4), just_above(F(3, 4))]], 0, InvalidDeviation,
-             "player 0's offsets must strictly increase, got 1/2 exact then 1/2 below"),
-            ([[], [F(3, 2)]], 0, InvalidInput, "offset position 3/2 outside [0,1]"),
-            ([[just_above(F(1, 4))], [F(3, 4), F(1, 4)]], 1, InvalidDeviation,
-             "player 0 is not the deviator but carries side=above"),
-        ],
-        ids=["order-before-later-side", "range-before-deviator", "order-before-later-side-at-a-point",
-             "range-before-empty", "side-before-later-order"],
-    )
-    def test_fault_order(self, profile, deviator, error, message):
-        # every bare rational is converted and range-checked first, then the
-        # deviator index, then player by player: no facility, sides, order
-        with pytest.raises(HotellingError) as exc:
-            limit_payoff(profile, deviator)
-        assert type(exc.value) is error
-        assert str(exc.value) == message
-
     def test_deviator_limits_never_tie_with_exact(self):
         report = limit_payoff(
             [[exactly("1/2")], [just_below("1/2"), just_above("1/2")]], deviator=1
@@ -310,6 +286,22 @@ class TestSocialCost:
                      "deviator index 2 out of range", id="pure-profile-deviator-out-of-range"),
         pytest.param(lambda: limit_payoff(PureProfile.of(["1/4"], ["3/4"]), deviator=-1), InvalidDeviation,
                      "deviator index -1 out of range", id="pure-profile-negative-deviator"),
+        # limit_payoff range-checks every bare rational first, then the
+        # deviator index, then player by player: no facility, sides, order
+        pytest.param(lambda: limit_payoff([[F(3, 4), F(1, 4)], [just_above(F(1, 2))]], 0), InvalidDeviation,
+                     "player 0's offsets must strictly increase, got 3/4 exact then 1/4 exact",
+                     id="order-before-later-side"),
+        pytest.param(lambda: limit_payoff([[F(3, 2)]], 5), InvalidInput, "offset position 3/2 outside [0,1]",
+                     id="range-before-deviator"),
+        pytest.param(lambda: limit_payoff([[F(1, 2), just_below(F(1, 2))], [F(1, 4), just_above(F(3, 4))]], 0),
+                     InvalidDeviation, "player 0's offsets must strictly increase, got 1/2 exact then 1/2 below",
+                     id="order-before-later-side-at-a-point"),
+        pytest.param(lambda: limit_payoff([[], [F(3, 2)]], 0), InvalidInput, "offset position 3/2 outside [0,1]",
+                     id="range-before-empty"),
+        pytest.param(lambda: limit_payoff([[just_above(F(1, 4))], [F(3, 4), F(1, 4)]], 1), InvalidDeviation,
+                     "player 0 is not the deviator but carries side=above", id="side-before-later-order"),
+        pytest.param(lambda: limit_payoff([[just_above(F(3, 4)), F(1, 4)], [F(1, 2)]], 1), InvalidDeviation,
+                     "player 0 is not the deviator but carries side=above", id="side-before-own-order"),
         pytest.param(lambda: social_cost(["1/2", "5/4"]), InvalidInput, "location 5/4 outside [0,1]",
                      id="social-cost-outside"),
     ],
@@ -317,6 +309,7 @@ class TestSocialCost:
 def test_arguments_outside_their_domain_are_named(call, error, message):
     with pytest.raises(error) as exc:
         call()
+    assert type(exc.value) is error
     assert str(exc.value) == message
 
 
