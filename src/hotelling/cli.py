@@ -31,7 +31,7 @@ from .errors import (
     SupportTooLarge,
 )
 from .mixed import MixedProfile, mixed_payoff
-from .oracle import best_response, certify_no_deviation, grid_search
+from .oracle import best_response, certify_no_deviation
 from .payoff import masses, social_cost
 from .svg import render_profile
 
@@ -66,7 +66,7 @@ def _parse_game(text: str) -> Game:
 
 
 def _count(text: str) -> int:
-    """argparse type of ``--m``, ``--grid`` and ``--max-n``: ``--game``'s integers.
+    """argparse type of ``--m`` and ``--max-n``: ``--game``'s integers.
 
     Refuses what ``int`` alone would read, "1_0" and "٣", as argparse refuses
     a non-integer: a usage error, exit 2.
@@ -227,15 +227,7 @@ def cmd_best_response(args: argparse.Namespace) -> int:
     game, profile = _load_document(args.against)
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile)
-    opponents = list(profile.strategies)
-    grid_max = None
-    if args.grid is not None:  # cross-check first, so a bad --grid fails before the search
-        grid_max = grid_search(opponents, args.m, args.grid)
-    result = best_response(opponents, args.m)
-    payload = ser.deviation_to_json(result)
-    if grid_max is not None:
-        payload["grid_max"] = ser.format_fraction(grid_max)
-    _emit(payload, args.out)
+    _emit(ser.deviation_to_json(best_response(list(profile.strategies), args.m)), args.out)
     return EXIT_OK
 
 
@@ -341,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", required=True,
                    help="profile document path, or inline like '1/4' or '1/8,3/8;1/2'")
     p.add_argument("--m", type=_count, required=True, help="number of facilities to place")
-    p.add_argument("--grid", type=_count, default=None,
-                   help="grid resolution for the best-response cross-check")
 
     p = sub.add_parser("atlas", help="existence/construction table over all games", parents=[common])
     p.add_argument("--max-n", type=_count, required=True, dest="max_n")

@@ -6,8 +6,8 @@ opponent positions. Its supremum over a gap is reached in the one-sided
 limit at the gap's ends, so the candidate family {just below, exactly at,
 just above each opponent position} is exhaustive: the true supremum equals
 the best value over ordered subsets of that family, evaluated as eps -> 0+
-limits. This family argument is validated empirically against dense-grid
-search in the test suite.
+limits. The test suite checks this family argument against exact grid
+families and against a gap-local knapsack over the opponents' points.
 
 The same fact values each subset: a facility's cell depends only on its
 nearest own neighbours and its nearest opponents, so each subset is paid
@@ -102,8 +102,8 @@ def _gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocat
 
 
 def _refuse_too_large(family_size: int, m: int) -> None:
-    """The one size rule, checked by both searches before any filler, grid
-    point or draw is built: raise ``InvalidInput`` for a witness of no
+    """The one size rule, checked by ``best_response`` before any filler or
+    draw is built: raise ``InvalidInput`` for a witness of no
     facility, and ``SearchTooLarge`` for one of more than
     ``DEFAULT_SEARCH_CAP`` facilities or for more m-subsets of the family.
 
@@ -130,9 +130,9 @@ def _best_subset(
     m: int,
     opponents: Sequence[MixedStrategy],
 ) -> tuple[Fraction, bool, tuple[OffsetLocation, ...]]:
-    """The one search of ``best_response`` and ``grid_search``, which refuse
-    first: the best m-subset of the sorted ``family``, padded with gap
-    fillers when it is shorter than ``m``.
+    """The one search of ``best_response``, which refuses first: the best
+    m-subset of the sorted ``family``, padded with gap fillers when it is
+    shorter than ``m``.
 
     The family and the opponents' tables share one integer grid, doubled so
     every position is even; a candidate's key is its position plus its
@@ -213,23 +213,3 @@ def certify_no_deviation(
 
 def is_equilibrium(results: Sequence[DeviationResult]) -> bool:
     return all(r.gain is not None and r.gain <= 0 for r in results)
-
-
-def grid_search(
-    opponents: Sequence[MixedStrategy],
-    m: int,
-    resolution: int,
-) -> Fraction:
-    """Best expected payoff over m-subsets of the uniform grid {i/resolution}.
-
-    A blunt cross-check for the offset oracle: its maximum can trail the
-    true supremum by at most one grid cell per side. Raises
-    ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets.
-    """
-    if resolution < 2:
-        raise InvalidInput(f"grid resolution must be at least 2, got {resolution}")
-    if m > resolution + 1:
-        raise InvalidInput(f"{m} facilities do not fit on the {resolution + 1} grid points")
-    _refuse_too_large(resolution + 1, m)
-    grid = [OffsetLocation(Fraction(i, resolution), "exact") for i in range(resolution + 1)]
-    return _best_subset(grid, m, opponents)[0]

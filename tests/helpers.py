@@ -9,6 +9,9 @@ T4-3 is defined on, the reference route for the verifier's reuse of the
 multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
 ``reference_best_response`` values every subset of a family through
 ``limit_payoff``, the reference for the oracle's per-draw chain cells.
+``reference_pure_best_response`` solves the best response against pure
+opponents as a knapsack over their points, a second route to the oracle's
+supremum that shares none of its code.
 ``reference_support`` checks a mixed support entry by entry, the reference
 for ``MixedStrategy``'s one-table check.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -217,6 +221,37 @@ def reference_best_response(
     maximizers = [subset for subset, value in values.items() if value == best]
     exact = [subset for subset in maximizers if all(c.side == "exact" for c in subset)]
     return best, maximizers[0], exact[0] if exact else None
+
+
+def reference_pure_best_response(positions: Sequence[Fraction], m: int) -> Fraction:
+    """Reference supremum of an m-facility player against opponent facilities
+    at ``positions`` (a multiset), as a multiple-choice knapsack over the
+    occupied points (Sinha & Zoltners 1979).
+
+    Customers between two adjacent occupied points see only the facilities
+    at those points and just beside them, so the payoff is a sum over points
+    (Eaton & Lipsey 1975). At a point ``p`` held by ``c`` opponents the
+    player chooses ``b``, ``e`` and ``a`` in {0, 1}: a facility just below,
+    exactly at and just above ``p`` (none below 0, none above 1). That costs
+    ``b + e + a`` facilities and pays ``L·(1 if b else s) + R·(1 if a else
+    s)``, with ``s = e/(c + e)`` and ``L``, ``R`` the half-gaps to the
+    neighbouring points, or the whole end gap at either end. Every payment
+    grows with each of ``b``, ``e`` and ``a``, so a DP over (point,
+    facilities used) takes the best use of at most ``m`` facilities.
+    """
+    counts = Counter(positions)
+    points = sorted(counts)
+    ends = [-points[0], *points, 2 - points[-1]]  # mirrored ends: half of an end gap is the whole gap
+    best = [Fraction(0)] * (m + 1)  # best[k]: the points so far, at most k facilities
+    for j, p in enumerate(points, start=1):
+        left, right = (p - ends[j - 1]) / 2, (ends[j + 1] - p) / 2
+        options = []
+        for b, e, a in itertools.product((0, 1), repeat=3):
+            if not (b and p == 0) and not (a and p == 1):
+                share = Fraction(e, counts[p] + e)
+                options.append((b + e + a, left * (1 if b else share) + right * (1 if a else share)))
+        best = [max(best[k - cost] + pay for cost, pay in options if cost <= k) for k in range(m + 1)]
+    return best[m]
 
 
 def reference_support(support) -> tuple[tuple[PureStrategy, Fraction], ...]:

@@ -575,19 +575,12 @@ class TestScalarCommands:
         assert doc["sup"] == "3/4" and doc["attained"] is False
         assert doc["witness"] == [{"position": "1/4", "side": "above"}]
 
-    def test_best_response_grid_cross_check(self, capsys):
-        code, doc, _ = run_json(
-            capsys, "best-response", "--against", "1/4", "--m", "1", "--grid", "100"
-        )
-        assert code == 0
-        assert F(doc["grid_max"]) <= F(doc["sup"])
-
     @pytest.mark.parametrize(
         "knob",
         [
             ("best-response", "--against", "1/4", "--m", "0"),
-            ("best-response", "--against", "1/4", "--m", "1", "--grid", "1"),
-            ("best-response", "--against", "1/4", "--m", "5", "--grid", "2"),
+            ("best-response", "--against", "1/4", "--m", "-1"),
+            ("atlas", "--max-n", "0"),
             ("atlas", "--max-n", "1"),
             ("atlas", "--max-n", "-3"),
         ],
@@ -609,6 +602,9 @@ class TestScalarCommands:
             ("best-response", "--against", "1/4", "--m", "1", "--seed", "0"),
             ("best-response", "--against", "1/4", "--m", "1", "--cap", "0"),
             ("verify", "--profile", "1/4;3/4", "--cap", "0"),
+            ("best-response", "--against", "1/4", "--m", "1", "--grid", "100"),
+            ("best-response", "--against", "1/4", "--m", "1", "--grid", "1"),
+            ("best-response", "--against", "1/4", "--m", "5", "--grid", "2"),
         ],
     )
     def test_flag_outside_its_command_rejected(self, argv):
@@ -623,8 +619,8 @@ class TestScalarCommands:
             (("atlas", "--max-n"), "1_0"),
             (("best-response", "--against", "1/4", "--m"), "1_0"),
             (("best-response", "--against", "1/4", "--m"), "\u0661"),
-            (("best-response", "--against", "1/4", "--m", "1", "--grid"), "1_00"),
-            (("best-response", "--against", "1/4", "--m", "1", "--grid"), "\uff15"),
+            (("atlas", "--max-n"), "1_00"),
+            (("best-response", "--against", "1/4", "--m"), "\uff15"),
             (("best-response", "--against", "1/4", "--m"), "x"),
         ],
     )
@@ -798,7 +794,7 @@ class TestWriterBytes:
             ("payoff", "--full", "--profile", "1/7;4/7;3/7,6/7;1/7,6/7"),
             ("payoff", "--profile", "1/4;1/2,3/4"),
             ("social-cost", "--locations", "1/6,1/2,5/6"),
-            ("best-response", "--against", "1/4", "--m", "2", "--grid", "8"),
+            ("best-response", "--against", "1/4", "--m", "2"),
             ("atlas", "--max-n", "5"),
         ],
     )

@@ -19,8 +19,10 @@ from hotelling import (
     SupportTooLarge,
     best_response,
     certify_no_deviation,
+    construct_mixed,
     construct_pure,
-    grid_search,
+    exists_pure,
+    find_partition,
     is_equilibrium,
     limit_payoff,
     make_game,
@@ -29,9 +31,16 @@ from hotelling import (
     optimal_locations,
     verify_multi_unit,
 )
+from hotelling.cli import _atlas_multisets
 from hotelling.oracle import DEFAULT_SEARCH_CAP, _best_subset, _refuse_too_large, candidate_family
 
-from helpers import limit_value, rand_profile, rand_strategy, reference_best_response
+from helpers import (
+    limit_value,
+    rand_profile,
+    rand_strategy,
+    reference_best_response,
+    reference_pure_best_response,
+)
 
 F = Fraction
 
@@ -142,6 +151,12 @@ class TestCompletenessArgument:
             assert squeeze.supremum_payoff >= b - a
 
 
+def best_on_grid(opponents, m, resolution):
+    """The best exact placement on the points {i/resolution}, by the reference search."""
+    grid = [OffsetLocation(F(i, resolution), "exact") for i in range(resolution + 1)]
+    return reference_best_response(opponents, m, grid)[0]
+
+
 class TestGridComparison:
     def test_grid_never_beats_oracle(self):
         rng = random.Random(31)
@@ -149,31 +164,45 @@ class TestGridComparison:
             k = rng.randint(1, 4)
             opp = [MixedStrategy.point(rand_strategy(rng, k, 20))]
             oracle = best_response(opp, 1)
-            grid = grid_search(opp, 1, 1000)
+            grid = best_on_grid(opp, 1, 1000)
             assert grid <= oracle.supremum_payoff
             assert oracle.supremum_payoff - grid <= F(2, 1000)
 
     def test_two_facility_grid(self):
         opp = [point("1/3", "2/3")]
         oracle = best_response(opp, 2)
-        grid = grid_search(opp, 2, 128)
+        grid = best_on_grid(opp, 2, 128)
         assert grid <= oracle.supremum_payoff <= grid + F(2, 128)
 
+    def test_grid_values_of_two_mixtures(self):
+        # the (1,1,4) partition mixture against three facilities, and a (1,2)
+        # mixture weighing its entries 1/3 and 2/3 against two
+        game = make_game([1, 1, 4])
+        mixture = construct_mixed(game, find_partition(game))
+        weighted = MixedProfile(
+            (
+                MixedStrategy(((PureStrategy.of("1/4"), F(1, 3)), (PureStrategy.of("3/4"), F(2, 3)))),
+                point("1/3", "1/2"),
+            )
+        )
+        for profile, m, resolution, grid, supremum in (
+            (mixture, 3, 16, F(3, 8), F(3, 8)),
+            (weighted, 2, 12, F(71, 144), F(41, 72)),
+        ):
+            assert best_on_grid(list(profile.strategies), m, resolution) == grid
+            assert best_response(list(profile.strategies), m).supremum_payoff == supremum
+
     def test_grid_cap(self):
+        # three facilities on the 1001 points {i/1000}
         with pytest.raises(SearchTooLarge):
-            grid_search([point("1/2")], 3, 1000)
-        # the grid's points are built only once the search is allowed
-        start = time.perf_counter()
-        with pytest.raises(SearchTooLarge):
-            grid_search([point("1/2")], 1, 10**9)
-        assert time.perf_counter() - start < 1
+            _refuse_too_large(1001, 3)
 
     def test_grid_refusal_does_not_compute_the_binomial(self):
         # C(10**18 + 1, 10**5) has millions of digits; the refusal counts it
         # up only until it passes the cap
         start = time.perf_counter()
         with pytest.raises(SearchTooLarge):
-            grid_search([point("1/2")], DEFAULT_SEARCH_CAP, 10**18)
+            _refuse_too_large(10**18 + 1, DEFAULT_SEARCH_CAP)
         assert time.perf_counter() - start < 0.1
 
     def test_refusal_counts_the_binomial_exactly_at_the_cap(self):
@@ -199,18 +228,10 @@ class TestGridComparison:
         for search in (
             lambda: best_response([point("1/2")], m),
             lambda: best_response([], m),
-            lambda: grid_search([point("1/2")], m, 4),
         ):
             with pytest.raises(InvalidInput) as exc:
                 search()
             assert str(exc.value) == message
-
-    def test_grid_resolution_is_an_input_error(self):
-        with pytest.raises(InvalidInput):
-            grid_search([point("1/2")], 1, 1)
-        # four facilities do not fit on the three points {0, 1/2, 1}
-        with pytest.raises(InvalidInput):
-            grid_search([point("1/2")], 4, 2)
 
     def test_adding_grid_candidates_never_raises_supremum(self):
         # the offset family is already complete: enriching it with exact
@@ -230,19 +251,22 @@ class TestGridComparison:
             assert _best_subset(enriched, m, opp)[0] == _best_subset(family, m, opp)[0]
 
 
+def _split_optimum(rng: random.Random) -> list[PureStrategy]:
+    """The optimal points of some k <= 4 split among 1-3 pure opponents,
+    where exact co-location ties the one-sided limits and the supremum is
+    attained."""
+    points = optimal_locations(rng.randint(1, 4))
+    cuts = sorted(rng.sample(range(1, len(points)), rng.randint(1, min(3, len(points))) - 1))
+    return [PureStrategy(points[a:b]) for a, b in zip([0, *cuts], [*cuts, len(points)])]
+
+
 def _rand_opponents(rng: random.Random) -> list[MixedStrategy]:
     """1-3 opponents, each pure or mixing over up to 3 entries, on a coarse
     grid that puts positions at 0 and 1 and makes maxima tie. One draw in
-    five splits the optimal points of some k among pure opponents, where
-    exact co-location ties the one-sided limits and the supremum is attained.
+    five is ``_split_optimum``.
     """
     if rng.random() < 0.2:
-        points = optimal_locations(rng.randint(1, 4))
-        cuts = sorted(rng.sample(range(1, len(points)), rng.randint(1, min(3, len(points))) - 1))
-        return [
-            MixedStrategy.point(PureStrategy(points[a:b]))
-            for a, b in zip([0, *cuts], [*cuts, len(points)])
-        ]
+        return [MixedStrategy.point(s) for s in _split_optimum(rng)]
     denom = rng.choice([2, 3, 4])
     opponents = []
     for _ in range(rng.randint(1, 3)):
@@ -344,16 +368,6 @@ class TestReferenceAgreement:
                 seen["padded"] += 1
         assert all(count >= 10 for count in seen.values()), seen
 
-    def test_grid_search_matches_reference(self):
-        rng = random.Random(77)
-        for _ in range(40):
-            opponents = _rand_opponents(rng)
-            resolution = rng.randint(2, 6)
-            m = rng.randint(1, min(3, resolution + 1))
-            grid = [OffsetLocation(F(i, resolution), "exact") for i in range(resolution + 1)]
-            supremum = reference_best_response(opponents, m, grid)[0]
-            assert grid_search(opponents, m, resolution) == supremum
-
     def test_padded_search_beyond_the_family(self):
         rng = random.Random(5)
         instances = 0
@@ -372,6 +386,58 @@ class TestReferenceAgreement:
             assert not result.attained
             assert len(result.witness) == m and set(family) <= set(result.witness)
             assert limit_value(opponents, result.witness) == result.supremum_payoff
+
+
+class TestKnapsackAgreement:
+    """The oracle against ``reference_pure_best_response``: pure opponents
+    valued per occupied point, with no subset search and no cell kernel."""
+
+    def test_seeded_point_masses(self):
+        rng = random.Random(13)
+        seen = {"co-located": 0, "ends": 0, "attained": 0, "limit": 0, "padded": 0}
+        ms = set()
+        instances = 0
+        while instances < 300:
+            if rng.random() < 0.2:
+                strategies = _split_optimum(rng)
+            else:
+                denom = rng.choice([6, 8, 12, 24])
+                strategies = [rand_strategy(rng, rng.randint(1, 3), denom) for _ in range(rng.randint(1, 3))]
+            positions = [x for s in strategies for x in s]
+            family = candidate_family(positions)
+            m = rng.randint(1, 5)
+            if math.comb(len(family), m) > 3000:  # keeps the search fast
+                continue
+            instances += 1
+            opponents = [MixedStrategy.point(s) for s in strategies]
+            result = best_response(opponents, m)
+            supremum = reference_pure_best_response(positions, m)
+            assert result.supremum_payoff == supremum
+            assert limit_value(opponents, result.witness) == supremum
+            seen["co-located"] += len(set(positions)) < len(positions)
+            seen["ends"] += bool({F(0), F(1)} & set(positions))
+            seen["attained"] += result.attained
+            seen["limit"] += not result.attained
+            seen["padded"] += m > len(family)
+            ms.add(m)
+        assert all(count >= 10 for count in seen.values()), seen
+        assert ms == {1, 2, 3, 4, 5}
+
+    def test_every_construct_pure_player(self):
+        # every admissible game with n <= 10; the cap refuses none of these
+        # searches
+        players = 0
+        for counts in _atlas_multisets(10):
+            game = make_game(counts)
+            if not exists_pure(game).exists:
+                continue
+            profile = construct_pure(game)
+            for player, m in enumerate(game.counts):
+                rest = [s for i, s in enumerate(profile.strategies) if i != player]
+                result = best_response([MixedStrategy.point(s) for s in rest], m)
+                assert result.supremum_payoff == reference_pure_best_response([x for s in rest for x in s], m)
+                players += 1
+        assert players == 408
 
 
 class TestCertify:
