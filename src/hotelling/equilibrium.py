@@ -23,6 +23,7 @@ from .core import (
     PureStrategy,
     _co_located,
     _point_classes,
+    as_fraction,
     has_dominant_player,
     require_profile,
 )
@@ -31,6 +32,7 @@ from .mixed import (
     MixedProfile,
     MixedStrategy,
     SoiResult,
+    _uniform_subsets,
     is_soi,
     optimal_locations,
 )
@@ -416,10 +418,13 @@ def construct_mixed(game: Game, plan: PartitionPlan) -> MixedProfile:
                 f"n_i/b_i = (n - n_N)/n_N"
             )
 
+    # every location as an integer over 2 * n_dom, the optimal points' denominator
+    scale = 2 * n_dom
     strategies: list[MixedStrategy | None] = [None] * game.num_players
-    strategies[dom] = MixedStrategy.point(PureStrategy(optimal_locations(n_dom)))
+    strategies[dom] = _uniform_subsets(range(1, scale, 2), scale, n_dom)
     for i, block in zip(others, plan.blocks):
-        strategies[i] = MixedStrategy.uniform(itertools.combinations(sorted(block), game.counts[i]))
+        points = sorted(x.numerator * (scale // x.denominator) for x in map(as_fraction, block))
+        strategies[i] = _uniform_subsets(points, scale, game.counts[i])
     return MixedProfile(tuple(strategies))  # type: ignore[arg-type]
 
 

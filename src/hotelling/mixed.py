@@ -39,6 +39,13 @@ _Halves = tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
 _Table = tuple[int, list[int], int, list[int]]
 
 
+def _over_lcm(ratios: dict) -> tuple[int, dict]:
+    """The lcm of the reduced ratios' denominators, and each key's ratio as
+    an integer over it."""
+    scale = math.lcm(*{den for _, den in ratios.values()})
+    return scale, {key: num * (scale // den) for key, (num, den) in ratios.items()}
+
+
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm of the values' denominators, and the values as integers over it.
 
@@ -47,10 +54,27 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     ``id`` while ``values`` holds them, so no Fraction is hashed.
     """
     ids = list(map(id, values))
-    ratios = {key: x.as_integer_ratio() for key, x in dict(zip(ids, values)).items()}
-    scale = math.lcm(*{den for _, den in ratios.values()})
-    ints = {key: num * (scale // den) for key, (num, den) in ratios.items()}
+    scale, ints = _over_lcm({key: x.as_integer_ratio() for key, x in dict(zip(ids, values)).items()})
     return scale, list(map(ints.__getitem__, ids))
+
+
+def _sound_table(table: _Table, size: int, placed: bool = False) -> bool:
+    """Whether a table of ``size``-location rows passes every integer check.
+
+    Unless ``placed`` says the rows are known to lie in [0, 1] and strictly
+    increase, strict increase is one comparison of neighbouring columns,
+    and then the range one ``min`` of the first column and one ``max`` of
+    the last. Duplicates are one set of rows, and the weights must be
+    positive and sum to ``den``.
+    """
+    scale, ints, den, weights = table
+    if not placed:
+        columns = [ints[j::size] for j in range(size)]
+        if not all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:])):
+            return False
+        if min(columns[0]) < 0 or max(columns[-1]) > scale:
+            return False
+    return len(set(zip(*[iter(ints)] * size))) == len(weights) and min(weights) > 0 and sum(weights) == den
 
 
 def _checked_table(support: tuple) -> tuple[tuple[tuple[PureStrategy, Fraction], ...], _Table] | None:
@@ -59,12 +83,11 @@ def _checked_table(support: tuple) -> tuple[tuple[tuple[PureStrategy, Fraction],
     Entries must be ``(strategy, Fraction)`` tuples whose strategy is a
     ``PureStrategy`` or a tuple of Fractions; anything else, and any fault,
     is left to ``_checked_entries``. The locations are scaled once to
-    integers over the lcm of their denominators, so duplicates are one set
-    of rows and, for tuples, which no ``PureStrategy`` check has seen, the
-    range is one ``min``/``max`` and strict increase one comparison of
-    neighbouring columns. The table is ``(scale, ints, den, weights)``:
-    every location, entry after entry, as an integer over ``scale``, and
-    every probability as an integer over ``den``.
+    integers over the lcm of their denominators and checked by
+    ``_sound_table``; a ``PureStrategy``'s locations are in range and
+    increasing already, a tuple's are not. The table is ``(scale, ints,
+    den, weights)``: every location, entry after entry, as an integer over
+    ``scale``, and every probability as an integer over ``den``.
     """
     if set(map(type, support)) != {tuple} or set(map(len, support)) != {2}:
         return None
@@ -77,25 +100,15 @@ def _checked_table(support: tuple) -> tuple[tuple[tuple[PureStrategy, Fraction],
     if not size or set(map(len, rows)) != {size}:
         return None
     flat = list(itertools.chain.from_iterable(rows))
-    # a PureStrategy's locations are checked already, a tuple's are not
     unchecked = kinds != {PureStrategy}
     if unchecked and set(map(type, flat)) != {Fraction}:
         return None
-    scale, ints = _scaled(flat)
-    if unchecked:
-        columns = [ints[j::size] for j in range(size)]
-        if min(ints) < 0 or max(ints) > scale:
-            return None
-        if not all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:])):
-            return None
-    if len(set(zip(*[iter(ints)] * size))) != len(rows):
-        return None
-    den, weights = _scaled(probs)
-    if min(weights) <= 0 or sum(weights) != den:
+    table = (*_scaled(flat), *_scaled(probs))
+    if not _sound_table(table, size, placed=not unchecked):
         return None
     if unchecked:
         support = tuple(zip([s if type(s) is PureStrategy else PureStrategy._checked(s) for s in strategies], probs))
-    return support, (scale, ints, den, weights)
+    return support, table
 
 
 def _checked_entries(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...]:
@@ -140,6 +153,11 @@ class MixedStrategy:
     entries are pairwise distinct and all place the same number of
     facilities. An entry's strategy may be given as a ``PureStrategy`` or
     as a sequence of rationals, and its probability as any rational.
+
+    The strategy is its checked integer table, ``_table``, which equality
+    and hashing compare and the library's payoffs, searches, measures and
+    encoder read. A strategy made from a table (``_of_table``) builds
+    ``support`` on first read.
     """
 
     support: tuple[tuple[PureStrategy, Fraction], ...]
@@ -148,8 +166,37 @@ class MixedStrategy:
         support = tuple(self.support)
         checked, table = _checked_table(support) or _checked_table(_checked_entries(support))
         object.__setattr__(self, "support", checked)
-        # kept for every reader; not a field, so ==, hash and repr ignore it
+        # not a field, so repr shows the support alone
         object.__setattr__(self, "_table", table)
+
+    @classmethod
+    def _of_table(cls, table: _Table) -> "MixedStrategy":
+        """The strategy of a table its caller has already checked, with no
+        ``support`` until it is read."""
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "_table", table)
+        return strategy
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: support, if made from a table
+        if name != "support" or "_table" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        scale, ints, den, weights = self._table
+        locations = {i: Fraction(i, scale) for i in set(ints)}
+        probs = {w: Fraction(w, den) for w in set(weights)}
+        rows = zip(*[map(locations.__getitem__, ints)] * self.num_facilities)
+        support = tuple(zip(map(PureStrategy._checked, rows), map(probs.__getitem__, weights)))
+        object.__setattr__(self, "support", support)
+        return support
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._table == other._table
+
+    def __hash__(self) -> int:
+        scale, ints, den, weights = self._table
+        return hash((scale, tuple(ints), den, tuple(weights)))
 
     @classmethod
     def point(cls, strategy: PureStrategy | Sequence[RationalLike]) -> "MixedStrategy":
@@ -166,15 +213,37 @@ class MixedStrategy:
 
     @property
     def num_facilities(self) -> int:
-        return len(self.support[0][0])
+        _, ints, _, weights = self._table
+        return len(ints) // len(weights)
 
     def is_point(self) -> bool:
-        return len(self.support) == 1
+        return len(self._table[3]) == 1
 
     def as_pure(self) -> PureStrategy:
         if not self.is_point():
             raise InvalidStrategy("not a point mass")
         return self.support[0][0]
+
+
+def _positions(strategies: Iterable[MixedStrategy]) -> set[Fraction]:
+    """Every location some support entry of the strategies uses, read from
+    their tables with one Fraction per distinct integer."""
+    return {Fraction(i, scale) for scale, ints, _, _ in (x._table for x in strategies) for i in set(ints)}
+
+
+def _uniform_subsets(points: Sequence[int], scale: int, size: int) -> MixedStrategy:
+    """The uniform mixture over the ``size``-subsets of ``points``, which are
+    distinct increasing integers in ``[0, scale]``.
+
+    Its table is written directly, with no check: the subsets are distinct,
+    increasing and in range by construction. Like ``_scaled``, the table's
+    scale is the lcm of the locations' reduced denominators, ``scale``
+    divided by its gcd with every point.
+    """
+    common = math.gcd(scale, *points)
+    rows = list(itertools.combinations([x // common for x in points], size))
+    ints = list(itertools.chain.from_iterable(rows))
+    return MixedStrategy._of_table((scale // common, ints, len(rows), [1] * len(rows)))
 
 
 @dataclass(frozen=True)
@@ -202,7 +271,7 @@ class MixedProfile:
         )
 
     def support_size(self) -> int:
-        return math.prod(len(x.support) for x in self.strategies)
+        return math.prod(len(x._table[3]) for x in self.strategies)
 
 
 def _draws(supports: Sequence[Sequence[tuple[_Row, int]]]) -> Iterator[tuple[int, tuple[_Row, ...]]]:
@@ -428,4 +497,4 @@ def make_olk(l: int, k: int) -> MixedStrategy:
     """Uniform mixture over all size-l subsets of the k optimal locations."""
     if not 1 <= l <= k:
         raise InvalidInput(f"need 1 <= l <= k, got l={l}, k={k}")
-    return MixedStrategy.uniform(itertools.combinations(optimal_locations(k), l))
+    return _uniform_subsets(range(1, 2 * k, 2), 2 * k, l)

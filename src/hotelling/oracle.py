@@ -34,6 +34,7 @@ from .mixed import (
     MixedProfile,
     MixedStrategy,
     _chain_pay,
+    _positions,
     _scaled_supports,
     _sorted_draws,
     mixed_payoff,
@@ -180,7 +181,7 @@ def best_response(
     ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets or facilities,
     then ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP`` opponent draws.
     """
-    family = candidate_family({loc for x in opponents for s, _ in x.support for loc in s})
+    family = candidate_family(_positions(opponents))
     _refuse_too_large(len(family), m)
     if not family:
         # no competition: every strategy collects the whole customer mass

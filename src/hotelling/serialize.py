@@ -14,7 +14,7 @@ from typing import Any
 from .core import FacilityRef, Game, PureProfile, PureStrategy, _parse_rational
 from .equilibrium import CONDITION_NAMES, PartitionPlan, VerificationReport
 from .errors import InvalidInput
-from .mixed import MixedProfile, MixedStrategy
+from .mixed import MixedProfile, MixedStrategy, _over_lcm, _sound_table
 from .oracle import DeviationResult
 from .payoff import MassReport, OffsetLocation
 
@@ -79,20 +79,55 @@ def pure_profile_from_json(data: Any, path: str = "profile") -> PureProfile:
 
 
 def mixed_strategy_to_json(strategy: MixedStrategy) -> list:
-    # each distinct location or probability object is formatted once; a
-    # support repeats a few of them over all its entries
-    rows = [(s.locations, p) for s, p in strategy.support]
-    values = [*itertools.chain.from_iterable(locs for locs, _ in rows), *(p for _, p in rows)]
-    text = {key: format_fraction(x) for key, x in dict(zip(map(id, values), values)).items()}
-    return [
-        {"strategy": [text[id(x)] for x in locs], "prob": text[id(p)]}
-        for locs, p in rows
-    ]
+    # written from the table: each distinct integer location and weight is
+    # formatted once, and the rows are runs of the formatted locations
+    scale, ints, den, weights = strategy._table
+    locations = {i: format_fraction(Fraction(i, scale)) for i in set(ints)}
+    probs = {w: format_fraction(Fraction(w, den)) for w in set(weights)}
+    rows = zip(*[map(locations.__getitem__, ints)] * strategy.num_facilities)
+    return [{"strategy": list(row), "prob": prob} for row, prob in zip(rows, map(probs.__getitem__, weights))]
 
 
-def mixed_strategy_from_json(data: Any, path: str = "mixed") -> MixedStrategy:
-    if not isinstance(data, list) or not data:
-        raise InvalidInput(f"{path}: expected a non-empty list of support entries")
+def _table_from_json(data: list) -> MixedStrategy | None:
+    """The strategy of a regular mixed document, read straight into its table.
+
+    Regular means objects whose ``strategy`` lists are all of one size and
+    whose rationals are all strings. Each distinct location string and
+    each distinct probability string is parsed once, the locations and
+    probabilities are scaled to integers as ``MixedStrategy`` scales them,
+    and the table is checked by ``_sound_table``. Returns None for anything else, a bad string or a
+    fault, which the entry-by-entry decoder then names.
+    """
+    if set(map(type, data)) != {dict}:
+        return None
+    try:
+        texts = [entry["strategy"] for entry in data]
+        probs = [entry["prob"] for entry in data]
+    except KeyError:
+        return None
+    if set(map(type, texts)) != {list}:
+        return None
+    size = len(texts[0])
+    flat = list(itertools.chain.from_iterable(texts))
+    if not size or set(map(len, texts)) != {size} or set(map(type, flat)) | set(map(type, probs)) != {str}:
+        return None
+    try:
+        table = (*_scaled_texts(flat), *_scaled_texts(probs))
+    except (ValueError, ZeroDivisionError):
+        return None
+    return MixedStrategy._of_table(table) if _sound_table(table, size) else None
+
+
+def _scaled_texts(texts: list[str]) -> tuple[int, list[int]]:
+    """``mixed._scaled`` for rational strings, each distinct one parsed
+    once: the lcm of their denominators, and each string as an integer over
+    it. Raises what ``_parse_rational`` raises."""
+    scale, ints = _over_lcm({text: _parse_rational(text).as_integer_ratio() for text in set(texts)})
+    return scale, list(map(ints.__getitem__, texts))
+
+
+def _entries_from_json(data: list, path: str) -> MixedStrategy:
+    """Decode a mixed document entry by entry, raising its first fault."""
     # each distinct rational string is parsed once, at its first occurrence,
     # so an invalid one is reported with that occurrence's path; an entry
     # whose strings are all known is read with one map over them, and the
@@ -124,6 +159,12 @@ def mixed_strategy_from_json(data: Any, path: str = "mixed") -> MixedStrategy:
             raise
         support.append((locs, prob))
     return MixedStrategy(tuple(support))
+
+
+def mixed_strategy_from_json(data: Any, path: str = "mixed") -> MixedStrategy:
+    if not isinstance(data, list) or not data:
+        raise InvalidInput(f"{path}: expected a non-empty list of support entries")
+    return _table_from_json(data) or _entries_from_json(data, path)
 
 
 def mixed_profile_to_json(profile: MixedProfile) -> list:

@@ -13,7 +13,9 @@ multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
 opponents as a knapsack over their points, a second route to the oracle's
 supremum that shares none of its code.
 ``reference_support`` checks a mixed support entry by entry, the reference
-for ``MixedStrategy``'s one-table check.
+for ``MixedStrategy``'s one-table check. ``TABLE_ROUTES`` groups equal
+strategies built by every route into ``MixedStrategy``; it is shared with
+the golden corpus, which records their ``repr``.
 """
 
 from __future__ import annotations
@@ -34,13 +36,20 @@ from hotelling import (
     MixedProfile,
     MixedStrategy,
     OffsetLocation,
+    PartitionPlan,
     PureProfile,
     PureStrategy,
+    construct_mixed,
+    find_partition,
     limit_payoff,
+    make_olk,
     masses,
+    optimal_locations,
+    two_player_equilibrium,
 )
 from hotelling.core import as_fraction, require_profile
 from hotelling.oracle import candidate_family
+from hotelling.serialize import mixed_strategy_from_json, mixed_strategy_to_json
 
 TIE_EPS = 1e-12
 
@@ -283,3 +292,76 @@ def reference_support(support) -> tuple[tuple[PureStrategy, Fraction], ...]:
     if total != 1:
         raise InvalidStrategy(f"probabilities sum to {total}, expected 1")
     return tuple(entries)
+
+
+# subclasses, which MixedStrategy turns into the plain types
+class ExactFraction(Fraction):
+    pass
+
+
+class NamedStrategy(PureStrategy):
+    pass
+
+
+def olk_strategies():
+    return [PureStrategy(s) for s in itertools.combinations(optimal_locations(4), 2)]
+
+
+def partition_strategy(player):
+    game = Game((1, 2, 6))
+    return construct_mixed(game, find_partition(game)).strategies[player]
+
+
+# the 3-subsets of the optimal points of k = 4, with locations written as
+# decimals, unreduced or plain, probabilities in several spellings, and an
+# entry key the decoder ignores
+DECODER_DOCUMENT = [
+    {"strategy": ["0.125", "3/8", "5/8"], "prob": "1/4", "note": "ignored"},
+    {"strategy": ["2/16", "0.375", "7/8"], "prob": "0.25"},
+    {"strategy": ["1/8", "10/16", "0.875"], "prob": "2/8", "note": None},
+    {"strategy": ["6/16", "0.625", "14/16"], "prob": "25/100"},
+]
+
+# a plan for (1,1,1,6) whose first block, 1/4 and 3/4, is not a run of
+# neighbouring optimal points, so its locations need only the scale 4
+SPREAD_PLAN = PartitionPlan(
+    (2, 2, 2),
+    ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 12), Fraction(5, 12)), (Fraction(7, 12), Fraction(11, 12))),
+)
+
+# equal strategies built by every route into MixedStrategy, built when a
+# test runs, so a route that fails fails that test alone
+TABLE_ROUTES = {
+    "point": lambda: [
+        MixedStrategy.point(PureStrategy(optimal_locations(4)[1:3])),
+        MixedStrategy.point(["3/8", "5/8"]),
+    ],
+    "uniform": lambda: [
+        MixedStrategy.uniform(olk_strategies()),
+        MixedStrategy.uniform(s.locations for s in olk_strategies()),
+        make_olk(2, 4),
+        MixedStrategy(tuple(([str(x) for x in s], "1/6") for s in olk_strategies())),
+        MixedStrategy(tuple(([x if x.denominator > 1 else int(x) for x in s], Fraction(1, 6)) for s in olk_strategies())),
+        mixed_strategy_from_json(mixed_strategy_to_json(make_olk(2, 4))),
+        MixedStrategy(
+            tuple((NamedStrategy(tuple(map(ExactFraction, s))), ExactFraction(1, 6)) for s in olk_strategies())
+        ),
+    ],
+    "partition-1": lambda: [partition_strategy(0), MixedStrategy.uniform([("1/12",), ("3/12",)])],
+    "partition-2": lambda: [
+        partition_strategy(1),
+        MixedStrategy.uniform(itertools.combinations(optimal_locations(6)[2:], 2)),
+    ],
+    "partition-3": lambda: [partition_strategy(2), MixedStrategy.point(optimal_locations(6))],
+    "decoder-table": lambda: [
+        mixed_strategy_from_json(DECODER_DOCUMENT),
+        MixedStrategy.uniform(itertools.combinations(optimal_locations(4), 3)),
+        make_olk(3, 4),
+    ],
+    "blocks": lambda: [
+        make_olk(1, 2),
+        two_player_equilibrium(Game((1, 2))).strategies[0],
+        construct_mixed(Game((1, 1, 1, 6)), SPREAD_PLAN).strategies[0],
+        MixedStrategy.uniform([("1/4",), ("3/4",)]),
+    ],
+}

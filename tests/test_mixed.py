@@ -1,8 +1,11 @@
 """Tests for mixed strategies, expectations, the facility measure and SOI."""
 
+import copy
 import dataclasses
 import itertools
+import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hotelling import (
+    Game,
     InvalidInput,
     InvalidStrategy,
     MeasureQuery,
@@ -28,14 +32,17 @@ from hotelling import (
     mixed_payoff,
     mu,
     optimal_locations,
+    two_player_equilibrium,
+    verify_two_player,
 )
 
 import hotelling.mixed as mixed_module
 from hotelling.mixed import _expected_counts
 
-from hotelling.serialize import mixed_strategy_from_json, mixed_strategy_to_json
+import hotelling.serialize as serialize_module
+from hotelling.serialize import mixed_strategy_from_json, parse_profile_document, profile_document
 
-from helpers import combined_strategy, enumerated_payoffs, rand_strategy, reference_support
+from helpers import TABLE_ROUTES, combined_strategy, enumerated_payoffs, rand_strategy, reference_support
 
 F = Fraction
 
@@ -263,49 +270,109 @@ def test_table_check_examples(support):
     assert support_outcome(lambda s: MixedStrategy(s).support, support) == expected
 
 
-# subclasses, which MixedStrategy turns into the plain types
-class ExactFraction(Fraction):
-    pass
+DOCUMENT_FAULTS = (
+    "valid", "bad-string", "exponent", "bool", "float", "int", "not-a-list", "missing-key",
+    "sizes", "duplicate", "not-increasing", "outside", "non-positive", "sum",
+)
 
 
-class NamedStrategy(PureStrategy):
-    pass
+def spelled(value, rng):
+    """A rational string for value: plain, unreduced or, where exact, decimal."""
+    form = rng.random()
+    if form < 0.2 and value.denominator in (1, 2, 4, 5, 8):
+        return str(value.numerator / value.denominator)
+    if form < 0.4:
+        factor = rng.randint(2, 5)
+        return f"{value.numerator * factor}/{value.denominator * factor}"
+    return f"{value.numerator}/{value.denominator}"
 
 
-def olk_strategies():
-    return [PureStrategy(s) for s in itertools.combinations(optimal_locations(4), 2)]
+def rand_document(rng, fault):
+    """A seeded mixed document with the named fault, or none for "valid".
+
+    Locations and probabilities are strings in several spellings, and some
+    entries carry a key the decoder ignores; each fault changes one entry.
+    """
+    size = rng.randint(1, 3)
+    denom = rng.choice([2, 4, 6, 8, 12])
+    candidates = list(itertools.combinations(range(denom + 1), size))
+    rows = rng.sample(candidates, min(rng.randint(1, 10), len(candidates)))
+    weights = [rng.randint(1, 4) for _ in rows]
+    entries = [
+        {"strategy": [spelled(F(v, denom), rng) for v in row], "prob": spelled(F(w, sum(weights)), rng)}
+        for row, w in zip(rows, weights)
+    ]
+    for entry in entries:
+        if rng.random() < 0.2:
+            entry["note"] = rng.choice(["x", 1, None])
+    i = rng.randrange(len(entries))
+    entry = entries[i]
+    key = rng.choice(["strategy", "prob"])
+
+    def one_value(value):
+        if key == "prob":
+            entry["prob"] = value
+        else:
+            entry["strategy"][rng.randrange(size)] = value
+
+    if fault == "bad-string":
+        one_value(rng.choice(["x/y", "1/0", "1_0", "", "1/2/3", "\u0663"]))
+    elif fault == "exponent":
+        one_value(rng.choice(["1e-3", "2E-1", "5e-1"]))
+    elif fault == "bool":
+        one_value(rng.choice([True, False]))
+    elif fault == "float":
+        one_value(rng.choice([0.5, 1.0, 0.0]))
+    elif fault == "int":  # ints are rationals: the document may still be valid
+        one_value(rng.choice([0, 1, 2, -1]))
+    elif fault == "not-a-list":
+        entry["strategy"] = rng.choice(["1/2", {"0": "1/2"}, None, 1])
+    elif fault == "missing-key":
+        if rng.random() < 0.2:
+            entries[i] = rng.choice([["1/2"], "1/2", None])
+        else:
+            del entry[key]
+    elif fault == "sizes":
+        if size > 1 and rng.random() < 0.5:
+            entry["strategy"].pop()
+        else:
+            entry["strategy"] = [*entry["strategy"], "1"] if rows[i][-1] < denom else ["0", *entry["strategy"]]
+    elif fault == "duplicate":
+        j = rng.randrange(len(entries))
+        entries.append({"strategy": [spelled(F(v, denom), rng) for v in rows[j]], "prob": "1/2"})
+        for earlier, w in zip(entries, weights):
+            earlier["prob"] = spelled(F(w, 2 * sum(weights)), rng)
+    elif fault == "not-increasing":
+        entry["strategy"] = [*entry["strategy"], entry["strategy"][-1]] if size == 1 else entry["strategy"][::-1]
+    elif fault == "outside":
+        entry["strategy"][rng.randrange(size)] = rng.choice(["-1/3", "5/4", "1.5", f"{denom + 1}/{denom}"])
+    elif fault == "non-positive":
+        entry["prob"] = rng.choice(["0", "-1/3", "0/5"])
+    elif fault == "sum":
+        entry["prob"] = spelled(F(weights[i], sum(weights)) + rng.choice([F(1, 7), F(-1, 100), F(1)]), rng)
+    return entries
 
 
-def partition_strategy(player):
-    game = make_game([1, 2, 6])
-    return construct_mixed(game, find_partition(game)).strategies[player]
-
-
-# equal strategies built by every route into MixedStrategy, built when a
-# test runs, so a route that fails fails that test alone
-TABLE_ROUTES = {
-    "point": lambda: [
-        MixedStrategy.point(PureStrategy(optimal_locations(4)[1:3])),
-        MixedStrategy.point(["3/8", "5/8"]),
-    ],
-    "uniform": lambda: [
-        MixedStrategy.uniform(olk_strategies()),
-        MixedStrategy.uniform(s.locations for s in olk_strategies()),
-        make_olk(2, 4),
-        MixedStrategy(tuple(([str(x) for x in s], "1/6") for s in olk_strategies())),
-        MixedStrategy(tuple(([x if x.denominator > 1 else int(x) for x in s], F(1, 6)) for s in olk_strategies())),
-        mixed_strategy_from_json(mixed_strategy_to_json(make_olk(2, 4))),
-        MixedStrategy(
-            tuple((NamedStrategy(tuple(map(ExactFraction, s))), ExactFraction(1, 6)) for s in olk_strategies())
-        ),
-    ],
-    "partition-1": lambda: [partition_strategy(0), MixedStrategy.uniform([("1/12",), ("3/12",)])],
-    "partition-2": lambda: [
-        partition_strategy(1),
-        MixedStrategy.uniform(itertools.combinations(optimal_locations(6)[2:], 2)),
-    ],
-    "partition-3": lambda: [partition_strategy(2), MixedStrategy.point(optimal_locations(6))],
-}
+def test_decoder_table_route_agrees_with_entry_by_entry_decoding():
+    rng = random.Random(22)
+    raised = {fault: 0 for fault in DOCUMENT_FAULTS}
+    tabled = 0
+    faults = itertools.cycle(DOCUMENT_FAULTS[1:])
+    for case in range(900):
+        fault = "valid" if case % 3 == 0 else next(faults)
+        document = rand_document(rng, fault)
+        expected = support_outcome(lambda d: serialize_module._entries_from_json(d, "mixed")._table, document)
+        got = support_outcome(lambda d: mixed_strategy_from_json(d)._table, document)
+        assert got == expected, (fault, document)
+        direct = serialize_module._table_from_json(document)
+        if direct is not None:  # the table route took it: the same table
+            tabled += 1
+            assert expected == ("ok", direct._table), (fault, document)
+        raised[fault] += expected[0] != "ok" or fault == "valid"
+    # every fault kind raised, not just drawn, and most valid documents
+    # were read by the table route
+    assert all(raised.values()), raised
+    assert tabled >= 250
 
 
 class TestKeptTable:
@@ -326,10 +393,37 @@ class TestKeptTable:
         x = make_olk(2, 4)
         assert [f.name for f in dataclasses.fields(MixedStrategy)] == ["support"]
         assert repr(x) == f"MixedStrategy(support={x.support!r})"
-        copy = dataclasses.replace(x)
-        assert copy == x and hash(copy) == hash(x) and copy._table == x._table
+        same = dataclasses.replace(x)
+        assert same == x and hash(same) == hash(x) and same._table == x._table
         changed = dataclasses.replace(x, support=((PureStrategy.of("0", "1"), F(1)),))
         assert changed._table == (1, [0, 1], 1, [1])
+
+    @pytest.mark.parametrize("name", list(TABLE_ROUTES))
+    def test_copies_agree_on_every_route(self, name):
+        for x in TABLE_ROUTES[name]():
+            # copied before a support made from a table is built, then after
+            copies = [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+            copies += [dataclasses.replace(x), copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+            for same in copies:
+                assert type(same) is MixedStrategy
+                assert same == x and hash(same) == hash(x) and repr(same) == repr(x)
+                assert same.support == x.support and same._table == x._table
+
+    def test_unequal_tables_are_unequal(self):
+        x, y = make_olk(2, 4), make_olk(3, 4)
+        assert x != y and x != make_olk(2, 6) and x != x.support and x != MixedStrategy(x.support[::-1])
+
+    def test_two_player_documents_never_build_the_support(self):
+        game = Game((6, 12))
+        profile = two_player_equilibrium(game)
+        text = json.dumps(profile_document(game, profile))  # construct
+        _, decoded = parse_profile_document(json.loads(text))
+        mixed_payoff(game, decoded)  # payoff
+        assert verify_two_player(game, *decoded.strategies).verdict  # verify
+        # only the optimum's one entry is read, by verify's as_pure
+        for x in (*profile.strategies, decoded.strategies[0]):
+            assert "support" not in vars(x)
+        assert len(decoded.strategies[1].support) == 1
 
 
 def grid_points(denom):
