@@ -1,4 +1,4 @@
-"""The golden corpus: what the CLI prints for a fixed set of mixed-strategy cases.
+"""The golden corpus: what the CLI prints for a fixed set of cases.
 
     python tests/golden/make_golden.py
 
@@ -14,6 +14,12 @@ the in-process CLI. The cases are:
   ``n <= 8``;
 - ``payoff`` of one malformed mixed document per decoding fault;
 - ``atlas --max-n 14``;
+- ``construct --kind pure`` for every game of ``n <= 12``, and ``payoff``,
+  ``payoff --full`` and ``verify`` of each pure equilibrium it writes;
+- ``payoff`` and ``payoff --full`` of ``RANDOM_PROFILES`` seeded inline pure
+  profiles of up to 16 facilities on small grids, so that players share
+  points and sit at 0 and 1, and ``verify`` of those whose certification
+  searches at most ``VERIFY_SUBSETS`` subsets before it is done or refused;
 - the ``repr`` of every strategy in ``helpers.TABLE_ROUTES``.
 
 Documents are written to a temporary directory, whose path reads ``<doc>``
@@ -27,8 +33,11 @@ import copy
 import gzip
 import io
 import json
+import math
+import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -36,6 +45,11 @@ CORPUS = HERE / "corpus.json.gz"
 
 # a valid (2,4) two-player document's mixer, which every fault below mutates
 BASE_GAME = (2, 4)
+
+RANDOM_PROFILES = 200
+# the largest certification ``verify`` runs on a random profile, in subsets
+# summed over its players; larger ones take seconds
+VERIFY_SUBSETS = 300
 
 
 def _partitions(total: int, largest: int):
@@ -62,6 +76,42 @@ def partition_games() -> list[tuple[int, ...]]:
             if len(counts) >= 2 and has_dominant_player(game) is not None and find_partition(game):
                 games.append(counts)
     return games
+
+
+def pure_games() -> list[tuple[int, ...]]:
+    """Every game of 2 <= n <= 12 with at least two players."""
+    return [c for n in range(2, 13) for c in sorted(_partitions(n, n)) if len(c) >= 2]
+
+
+def random_pure_profiles(seed: int = 0) -> list[str]:
+    """Seeded inline pure profiles: 1-5 players, 1-16 facilities, each
+    player's locations drawn from one small grid ``i/q``, ends included."""
+    rng = random.Random(seed)
+    profiles: dict[str, None] = {}  # distinct, in drawing order
+    while len(profiles) < RANDOM_PROFILES:
+        n = rng.randint(1, 16)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(n, 5)) - 1))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        q = max(max(counts) - 1, rng.choice((1, 2, 3, 4, 6, 8, 12, 30)))
+        players = [sorted(rng.sample(range(q + 1), m)) for m in counts]
+        profiles[";".join(",".join(str(Fraction(i, q)) for i in grid) for grid in players)] = None
+    return list(profiles)
+
+
+def search_size(text: str) -> int:
+    """The subsets ``verify`` searches to certify an inline pure profile:
+    every player's search, up to the first one that is refused."""
+    from hotelling.oracle import DEFAULT_SEARCH_CAP, candidate_family
+
+    players = [[Fraction(x) for x in chunk.split(",")] for chunk in text.split(";")]
+    total = 0
+    for i, own in enumerate(players):
+        family = candidate_family(x for j, other in enumerate(players) if j != i for x in other)
+        subsets = math.comb(len(family), len(own)) if len(own) <= len(family) else 1
+        if subsets > DEFAULT_SEARCH_CAP:
+            break
+        total += subsets
+    return total
 
 
 def _faults(mixer: list) -> dict[str, list]:
@@ -157,6 +207,20 @@ def corpus() -> dict[str, list]:
             cases[f"payoff fault {fault}"] = cli("payoff", "--profile", document(fault, json.dumps(faulty)))
 
         cases["atlas --max-n 14"] = cli("atlas", "--max-n", "14")
+
+        for counts in pure_games():
+            game = ",".join(map(str, counts))
+            built = cases[f"construct pure {game}"] = cli("construct", "--game", game, "--kind", "pure")
+            if built[0] == 0:
+                path = document(f"pure-{game}", built[1])
+                for command in (["payoff"], ["payoff", "--full"], ["verify"]):
+                    cases[f"{' '.join(command)} pure {game}"] = cli(*command, "--profile", path)
+        for text in random_pure_profiles():
+            commands = [["payoff"], ["payoff", "--full"]]
+            if search_size(text) <= VERIFY_SUBSETS:
+                commands.append(["verify"])
+            for command in commands:
+                cases[f"{' '.join(command)} {text}"] = cli(*command, "--profile", text)
     for name, route in TABLE_ROUTES.items():
         for i, strategy in enumerate(route()):
             cases[f"repr {name}[{i}]"] = [repr(strategy)]

@@ -1,4 +1,4 @@
-"""The CLI's outputs on mixed strategies match the recorded golden corpus.
+"""The CLI's outputs match the recorded golden corpus.
 
 The corpus (``tests/golden/corpus.json.gz``) holds the exit code, stdout and
 stderr of every case ``tests/golden/make_golden.py`` lists. Regenerate it
