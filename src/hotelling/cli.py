@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import equilibrium as eq
@@ -105,49 +104,8 @@ def _load_document(path_or_inline: str):
     return game, profile
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for the CLI's documents, without its
-    pure-Python indenting encoder.
-
-    Documents hold only lists, str-keyed dicts, strings, ints, booleans and
-    None; ``indent`` is the newline and spaces that precede ``value``'s
-    closing bracket. Strings, the bulk of every document, are escaped in
-    place by json's own C ASCII encoder rather than through a recursive call.
-    """
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is list:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [
-            encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)
-            for item in value
-        ]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        members = [
-            encode_basestring_ascii(key) + ": "
-            + (encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner))
-            for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(members) + indent + "}"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _emit(payload, out: str | None) -> None:
-    text = _json_text(payload)
+    text = ser.document_text(payload)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -172,7 +130,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         profile = eq.construct_mixed(game, plan)
     else:  # two-player
         profile = eq.two_player_equilibrium(game)
-    _emit(ser.profile_document(game, profile), args.out)
+    _emit(ser._profile_tree(game, profile), args.out)
     return EXIT_OK
 
 
@@ -206,7 +164,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
     if isinstance(profile, PureProfile):
         report = masses(profile)
         if args.full:
-            _emit(ser.mass_report_to_json(report), args.out)
+            _emit(report, args.out)
             return EXIT_OK
         payoffs = report.payoffs
     else:

@@ -2,16 +2,19 @@
 
 Every emitted document re-parses to an equal value; rationals are written
 in lowest terms with a positive denominator. Decoding errors carry the
-JSON path of the offending field.
+JSON path of the offending field. ``document_text`` writes every document
+the CLI prints, as ``json.dumps(document, indent=2)`` would.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterator
 
-from .core import FacilityRef, Game, PureProfile, PureStrategy, _parse_rational
+from .core import Game, PureProfile, PureStrategy, _parse_rational
 from .equilibrium import CONDITION_NAMES, PartitionPlan, VerificationReport
 from .errors import InvalidInput
 from .mixed import MixedProfile, MixedStrategy, _over_lcm, _sound_table
@@ -19,8 +22,20 @@ from .oracle import DeviationResult
 from .payoff import MassReport, OffsetLocation
 
 
+# the keys of a mixed strategy's support entry, a mass report and one of
+# its facility rows, in the order both the encoders and the writer use
+_ENTRY_KEYS = ("strategy", "prob")
+_REPORT_KEYS = ("payoffs", "facilities")
+_FACILITY_KEYS = ("player", "slot", "position", "mass", "left", "right")
+
+
 def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+def _quoted(value: Fraction) -> str:
+    """``format_fraction`` as a JSON string, which needs no escapes."""
+    return '"' + format_fraction(value) + '"'
 
 
 def parse_fraction(text: Any, path: str = "value") -> Fraction:
@@ -71,21 +86,33 @@ def pure_profile_from_json(data: Any, path: str = "profile") -> PureProfile:
     for i, entry in enumerate(strategies):
         if not isinstance(entry, list):
             raise InvalidInput(f"{path}.strategies[{i}]: expected a list of rationals")
-        locs = tuple(
-            parse_fraction(x, f"{path}.strategies[{i}][{j}]") for j, x in enumerate(entry)
-        )
+        try:
+            locs = tuple(map(parse_fraction, entry))
+        except InvalidInput:  # parse again to name the first fault's path
+            locs = tuple(
+                parse_fraction(x, f"{path}.strategies[{i}][{j}]") for j, x in enumerate(entry)
+            )
         parsed.append(PureStrategy(locs))
     return PureProfile(tuple(parsed))
 
 
-def mixed_strategy_to_json(strategy: MixedStrategy) -> list:
-    # written from the table: each distinct integer location and weight is
-    # formatted once, and the rows are runs of the formatted locations
+def _support_texts(
+    strategy: MixedStrategy, text: Callable[[Fraction], str]
+) -> tuple[Iterator[str], Iterator[str]]:
+    """Every location, entry after entry, and every probability of the
+    strategy's table as ``text`` writes it: each distinct integer location
+    and weight is formatted once."""
     scale, ints, den, weights = strategy._table
-    locations = {i: format_fraction(Fraction(i, scale)) for i in set(ints)}
-    probs = {w: format_fraction(Fraction(w, den)) for w in set(weights)}
-    rows = zip(*[map(locations.__getitem__, ints)] * strategy.num_facilities)
-    return [{"strategy": list(row), "prob": prob} for row, prob in zip(rows, map(probs.__getitem__, weights))]
+    locations = {i: text(Fraction(i, scale)) for i in set(ints)}
+    probs = {w: text(Fraction(w, den)) for w in set(weights)}
+    return map(locations.__getitem__, ints), map(probs.__getitem__, weights)
+
+
+def mixed_strategy_to_json(strategy: MixedStrategy) -> list:
+    locations, probs = _support_texts(strategy, format_fraction)
+    rows = zip(*[locations] * strategy.num_facilities)
+    strategy_key, prob_key = _ENTRY_KEYS
+    return [{strategy_key: list(row), prob_key: prob} for row, prob in zip(rows, probs)]
 
 
 def _table_from_json(data: list) -> MixedStrategy | None:
@@ -179,12 +206,18 @@ def mixed_profile_from_json(data: Any, path: str = "mixed_strategies") -> MixedP
     )
 
 
+def _profile_tree(game: Game, profile: PureProfile | MixedProfile) -> dict:
+    """``profile_document`` with each mixed strategy left for ``document_text``
+    to write."""
+    if isinstance(profile, PureProfile):
+        return {"game": game_to_json(game), **pure_profile_to_json(profile)}
+    return {"game": game_to_json(game), "mixed_strategies": list(profile.strategies)}
+
+
 def profile_document(game: Game, profile: PureProfile | MixedProfile) -> dict:
     """Self-contained document bundling a game with one of its profiles."""
-    doc: dict = {"game": game_to_json(game)}
-    if isinstance(profile, PureProfile):
-        doc.update(pure_profile_to_json(profile))
-    else:
+    doc = _profile_tree(game, profile)
+    if "mixed_strategies" in doc:
         doc["mixed_strategies"] = mixed_profile_to_json(profile)
     return doc
 
@@ -239,22 +272,20 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-def mass_report_to_json(report: MassReport) -> dict:
-    def row(ref: FacilityRef) -> dict:
-        return {
-            "player": ref.player,
-            "slot": ref.slot,
-            "position": format_fraction(ref.position),
-            "mass": format_fraction(report.facility_masses[ref]),
-            "left": format_fraction(report.left_masses[ref]),
-            "right": format_fraction(report.right_masses[ref]),
-        }
+def _report_texts(report: MassReport, text: Callable[[Fraction], str]) -> tuple[list[str], list[tuple]]:
+    """The payoffs as ``text`` writes them, and one row of values per
+    facility in ``_FACILITY_KEYS`` order, in (player, slot) order."""
+    fac, left, right = report.facility_masses, report.left_masses, report.right_masses
+    rows = [
+        (ref.player, ref.slot, text(ref.position), text(fac[ref]), text(left[ref]), text(right[ref]))
+        for ref in sorted(fac, key=operator.attrgetter("player", "slot"))
+    ]
+    return list(map(text, report.payoffs)), rows
 
-    refs = sorted(report.facility_masses, key=lambda r: (r.player, r.slot))
-    return {
-        "payoffs": [format_fraction(u) for u in report.payoffs],
-        "facilities": [row(r) for r in refs],
-    }
+
+def mass_report_to_json(report: MassReport) -> dict:
+    payoffs, rows = _report_texts(report, format_fraction)
+    return dict(zip(_REPORT_KEYS, (payoffs, [dict(zip(_FACILITY_KEYS, row)) for row in rows])))
 
 
 def deviation_to_json(result: DeviationResult) -> dict:
@@ -272,3 +303,84 @@ def partition_to_json(plan: PartitionPlan) -> dict:
         "b": list(plan.b),
         "blocks": [[format_fraction(x) for x in block] for block in plan.blocks],
     }
+
+
+def document_text(document: Any) -> str:
+    """``json.dumps(document, indent=2)``, without its pure-Python indenting
+    encoder.
+
+    ``document`` holds lists, str-keyed dicts, strings, ints, booleans,
+    None, and two objects written as their encoders would write them: a
+    ``MixedStrategy`` as ``mixed_strategy_to_json`` and a ``MassReport``
+    as ``mass_report_to_json``. Those two are written straight from their
+    values, each support entry or facility row in one fixed layout.
+    """
+    return _text(document, "\n")
+
+
+def _text(value: Any, indent: str) -> str:
+    """``value`` written after ``indent``, the newline and spaces that
+    precede its closing bracket. Strings, the bulk of every document, are
+    escaped in place by json's own C ASCII encoder rather than through a
+    recursive call."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is list or kind is dict:
+        inner = indent + "  "
+        items = value.values() if kind is dict else value
+        texts = [
+            encode_basestring_ascii(item) if type(item) is str else _text(item, inner) for item in items
+        ]
+        return _array(texts, indent) if kind is list else _object(value, texts, indent)
+    if kind is MixedStrategy:
+        return _mixed_text(value, indent)
+    if kind is MassReport:
+        return _report_text(value, indent)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _array(texts: list[str], indent: str) -> str:
+    """A JSON array of item texts written after ``indent`` + 2 spaces."""
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
+def _object(keys, texts: list[str], indent: str) -> str:
+    """A JSON object of keys and value texts written after ``indent`` + 2
+    spaces."""
+    if not texts:
+        return "{}"
+    inner = indent + "  "
+    members = [encode_basestring_ascii(key) + ": " + text for key, text in zip(keys, texts)]
+    return "{" + inner + ("," + inner).join(members) + indent + "}"
+
+
+def _mixed_text(strategy: MixedStrategy, indent: str) -> str:
+    entry = indent + "  "
+    field = entry + "  "
+    # one support entry with a one-location row, cut at the row and at the
+    # probability into its fixed head, middle and tail
+    head, middle, tail = _object(_ENTRY_KEYS, [_array(["\0"], field), "\0"], entry).split("\0")
+    locations, probs = _support_texts(strategy, _quoted)
+    rows = map(("," + field + "  ").join, zip(*[locations] * strategy.num_facilities))
+    return _array([head + row + middle + prob + tail for row, prob in zip(rows, probs)], indent)
+
+
+def _report_text(report: MassReport, indent: str) -> str:
+    inner = indent + "  "
+    row = inner + "  "
+    template = _object(_FACILITY_KEYS, ["%s"] * len(_FACILITY_KEYS), row)
+    payoffs, rows = _report_texts(report, _quoted)
+    texts = [_array(payoffs, inner), _array(list(map(template.__mod__, rows)), inner)]
+    return _object(_REPORT_KEYS, texts, indent)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,9 +16,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hotelling
-from hotelling import InvalidInput, InvalidStrategy, PureStrategy
+from hotelling import (
+    Game,
+    InvalidInput,
+    InvalidStrategy,
+    MixedStrategy,
+    PureProfile,
+    PureStrategy,
+    masses,
+    two_player_equilibrium,
+)
 from hotelling.cli import _emit, main
-from hotelling.serialize import parse_profile_document, profile_document
+from hotelling.serialize import (
+    document_text,
+    mass_report_to_json,
+    mixed_strategy_from_json,
+    mixed_strategy_to_json,
+    parse_profile_document,
+    profile_document,
+)
 
 F = Fraction
 
@@ -761,8 +778,80 @@ JSON_VALUES = st.recursive(
 )
 
 
+@st.composite
+def written_strategies(draw):
+    """Mixed strategies of 1-4 locations over 1-6 entries with uneven
+    weights: grids whose ends 0 and 1 are often drawn, denominators up to
+    2**61 - 1, and point masses."""
+    size = draw(st.integers(1, 4))
+    grid = draw(st.sampled_from([1, 3, 12, 10**9 + 7, 2**61 - 1]))
+    point = st.one_of(st.sampled_from([0, grid]), st.integers(0, grid))
+    rows = draw(st.lists(st.lists(point, min_size=size, max_size=size, unique=True).map(sorted),
+                         min_size=1, max_size=6, unique_by=tuple))
+    weights = draw(st.lists(st.integers(1, 10**12), min_size=len(rows), max_size=len(rows)))
+    total = sum(weights)
+    return MixedStrategy(tuple(
+        (tuple(F(x, grid) for x in row), F(w, total)) for row, w in zip(rows, weights)
+    ))
+
+
+def seeded_pure_profiles(count: int):
+    """Pure profiles of 1-4 players on small grids, so that players share
+    points and sit at 0 and 1."""
+    rng = random.Random(7)
+    for _ in range(count):
+        grid = rng.choice([1, 2, 4, 6, 10])
+        players = rng.randint(1, 4)
+        yield PureProfile(tuple(
+            PureStrategy(tuple(F(x, grid) for x in sorted(rng.sample(range(grid + 1), rng.randint(1, grid + 1)))))
+            for _ in range(players)
+        ))
+
+
 class TestWriterBytes:
     """Every document is written byte for byte as ``json.dumps(indent=2)`` writes it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(written_strategies())
+    def test_mixed_strategy_is_written_as_its_encoding(self, strategy):
+        encoded = mixed_strategy_to_json(strategy)
+        assert document_text(strategy) == json.dumps(encoded, indent=2)
+        # nested as in a profile document, and read back into a bare table
+        read = mixed_strategy_from_json(encoded)
+        assert document_text({"mixed_strategies": [read, strategy]}) == json.dumps(
+            {"mixed_strategies": [encoded, encoded]}, indent=2
+        )
+
+    def test_mass_reports_are_written_as_their_encoding(self):
+        profiles = list(seeded_pure_profiles(150))
+        assert any(len(p.strategies) == 1 for p in profiles)
+        assert any(len({x for s in p.strategies for x in s}) < sum(map(len, p.strategies)) for p in profiles)
+        for profile in profiles:
+            report = masses(profile)
+            encoded = mass_report_to_json(report)
+            assert document_text(report) == json.dumps(encoded, indent=2)
+            assert document_text([{"report": report}]) == json.dumps([{"report": encoded}], indent=2)
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("construct", "--game", "6,12", "--kind", "two-player"),
+             lambda: profile_document(Game((6, 12)), two_player_equilibrium(Game((6, 12))))),
+            (("payoff", "--full", "--profile", "0,1/4,1/2;1/4,1/2,3/4;1/2,1"),
+             lambda: mass_report_to_json(masses(PureProfile.of(["0", "1/4", "1/2"], ["1/4", "1/2", "3/4"],
+                                                               ["1/2", "1"])))),
+        ],
+        ids=["construct-two-player", "payoff-full-co-located"],
+    )
+    def test_direct_paths_write_the_encoders_bytes(self, capsys, tmp_path, argv, expected, to_file):
+        text = json.dumps(expected(), indent=2) + "\n"
+        if to_file:
+            path = tmp_path / "out.json"
+            assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+            assert path.read_bytes() == text.encode()
+        else:
+            assert run(capsys, *argv) == (0, text, "")
 
     @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES)

@@ -143,6 +143,13 @@ class TestPureStrategy:
                      id="empty-mixed"),
         pytest.param(lambda: pure_profile_from_json({}), InvalidInput,
                      "profile: expected an object with a 'strategies' field", id="document-without-strategies"),
+        pytest.param(lambda: pure_profile_from_json({"strategies": [["1/2"], ["1/4", "x/y", "1/0"]]}), InvalidInput,
+                     "profile.strategies[1][1]: invalid rational 'x/y'", id="document-bad-rational"),
+        pytest.param(lambda: pure_profile_from_json({"strategies": [["1/4", 0.5]]}, "doc"), InvalidInput,
+                     "doc.strategies[0][1]: expected a rational string, got float", id="document-float"),
+        pytest.param(lambda: pure_profile_from_json({"strategies": [["1/2", "1/4"]]}), InvalidStrategy,
+                     "locations must strictly increase, got 1/2 then 1/4",
+                     id="document-not-increasing"),
     ],
 )
 def test_profile_faults_are_named(call, error, message):
