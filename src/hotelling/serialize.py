@@ -272,10 +272,12 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-def _report_texts(report: MassReport, text: Callable[[Fraction], str]) -> tuple[list[str], list[tuple]]:
-    """The payoffs as ``text`` writes them, and one row of values per
-    facility in ``_FACILITY_KEYS`` order, in (player, slot) order."""
+def _report_texts(report: MassReport) -> tuple[list[str], list[tuple]]:
+    """The formatted payoffs, and one row of values per facility in
+    ``_FACILITY_KEYS`` order: two ints, then four formatted rationals, in
+    (player, slot) order."""
     fac, left, right = report.facility_masses, report.left_masses, report.right_masses
+    text = format_fraction
     rows = [
         (ref.player, ref.slot, text(ref.position), text(fac[ref]), text(left[ref]), text(right[ref]))
         for ref in sorted(fac, key=operator.attrgetter("player", "slot"))
@@ -284,7 +286,7 @@ def _report_texts(report: MassReport, text: Callable[[Fraction], str]) -> tuple[
 
 
 def mass_report_to_json(report: MassReport) -> dict:
-    payoffs, rows = _report_texts(report, format_fraction)
+    payoffs, rows = _report_texts(report)
     return dict(zip(_REPORT_KEYS, (payoffs, [dict(zip(_FACILITY_KEYS, row)) for row in rows])))
 
 
@@ -313,7 +315,8 @@ def document_text(document: Any) -> str:
     None, and two objects written as their encoders would write them: a
     ``MixedStrategy`` as ``mixed_strategy_to_json`` and a ``MassReport``
     as ``mass_report_to_json``. Those two are written straight from their
-    values, each support entry or facility row in one fixed layout.
+    values: each support entry and each facility row fills the fixed
+    pieces of text that this writer gives a placeholder entry or row.
     """
     return _text(document, "\n")
 
@@ -323,19 +326,30 @@ def _text(value: Any, indent: str) -> str:
     precede its closing bracket. Strings, the bulk of every document, are
     escaped in place by json's own C ASCII encoder rather than through a
     recursive call."""
-    kind = type(value)
-    if kind is str:
+    if type(value) is str:
         return encode_basestring_ascii(value)
-    if kind is list or kind is dict:
+    if type(value) is list:
+        if not value:
+            return "[]"
         inner = indent + "  "
-        items = value.values() if kind is dict else value
-        texts = [
-            encode_basestring_ascii(item) if type(item) is str else _text(item, inner) for item in items
+        items = [
+            encode_basestring_ascii(item) if type(item) is str else _text(item, inner)
+            for item in value
         ]
-        return _array(texts, indent) if kind is list else _object(value, texts, indent)
-    if kind is MixedStrategy:
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        members = [
+            encode_basestring_ascii(key) + ": "
+            + (encode_basestring_ascii(item) if type(item) is str else _text(item, inner))
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(members) + indent + "}"
+    if type(value) is MixedStrategy:
         return _mixed_text(value, indent)
-    if kind is MassReport:
+    if type(value) is MassReport:
         return _report_text(value, indent)
     if value is None:
         return "null"
@@ -343,44 +357,34 @@ def _text(value: Any, indent: str) -> str:
         return "true"
     if value is False:
         return "false"
-    if kind is int:
+    if type(value) is int:
         return int.__repr__(value)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _array(texts: list[str], indent: str) -> str:
-    """A JSON array of item texts written after ``indent`` + 2 spaces."""
-    if not texts:
-        return "[]"
-    inner = indent + "  "
-    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+# how _text writes the placeholder string "\0"
+_SLOT = encode_basestring_ascii("\0")
 
 
-def _object(keys, texts: list[str], indent: str) -> str:
-    """A JSON object of keys and value texts written after ``indent`` + 2
-    spaces."""
-    if not texts:
-        return "{}"
-    inner = indent + "  "
-    members = [encode_basestring_ascii(key) + ": " + text for key, text in zip(keys, texts)]
-    return "{" + inner + ("," + inner).join(members) + indent + "}"
+def _pieces(skeleton: Any, indent: str) -> list[str]:
+    """The text of ``skeleton`` cut at each placeholder string "\\0"."""
+    return _text(skeleton, indent).split(_SLOT)
 
 
 def _mixed_text(strategy: MixedStrategy, indent: str) -> str:
-    entry = indent + "  "
-    field = entry + "  "
-    # one support entry with a one-location row, cut at the row and at the
-    # probability into its fixed head, middle and tail
-    head, middle, tail = _object(_ENTRY_KEYS, [_array(["\0"], field), "\0"], entry).split("\0")
+    # the fixed text around and between support entries, and inside each
+    # entry around and between its locations and before its probability
+    first, between, last = _pieces(["\0", "\0"], indent)
+    head, comma, middle, tail = _pieces(dict(zip(_ENTRY_KEYS, (["\0", "\0"], "\0"))), indent + "  ")
     locations, probs = _support_texts(strategy, _quoted)
-    rows = map(("," + field + "  ").join, zip(*[locations] * strategy.num_facilities))
-    return _array([head + row + middle + prob + tail for row, prob in zip(rows, probs)], indent)
+    rows = map(comma.join, zip(*[locations] * strategy.num_facilities))
+    return first + between.join([head + row + middle + prob + tail for row, prob in zip(rows, probs)]) + last
 
 
 def _report_text(report: MassReport, indent: str) -> str:
-    inner = indent + "  "
-    row = inner + "  "
-    template = _object(_FACILITY_KEYS, ["%s"] * len(_FACILITY_KEYS), row)
-    payoffs, rows = _report_texts(report, _quoted)
-    texts = [_array(payoffs, inner), _array(list(map(template.__mod__, rows)), inner)]
-    return _object(_REPORT_KEYS, texts, indent)
+    payoffs, rows = _report_texts(report)
+    first, between, last = _pieces(dict(zip(_REPORT_KEYS, (payoffs, ["\0", "\0"]))), indent)
+    # one facility row: the two ints bare, the rationals as JSON strings
+    slots = dict(zip(_FACILITY_KEYS, ("%d", "%d", "%s", "%s", "%s", "%s")))
+    row = _text(slots, indent + "    ").replace('"%d"', "%d")
+    return first + between.join(map(row.__mod__, rows)) + last
