@@ -10,8 +10,8 @@ the in-process CLI. The cases are:
 - ``construct``, ``payoff`` and ``verify`` for every two-player game with
   ``k <= 12`` (``--kind two-player``) and every game of ``n <= 16`` with an
   integral partition mixture (``--kind mixed``);
-- ``best-response --m 1`` against those documents with ``k <= 5`` or
-  ``n <= 8``;
+- ``best-response`` with ``--m 1``, ``--m 2`` and ``--m 3`` against those
+  documents with ``k <= 5`` or ``n <= 8``;
 - ``payoff`` of one malformed mixed document per decoding fault;
 - ``atlas --max-n 14``;
 - ``construct --kind pure`` for every game of ``n <= 12``, and ``payoff``,
@@ -199,7 +199,8 @@ def corpus() -> dict[str, list]:
             for command in ("payoff", "verify"):
                 cases[f"{command} {tag}"] = cli(command, "--profile", path)
             if searched:
-                cases[f"best-response --m 1 {tag}"] = cli("best-response", "--against", path, "--m", "1")
+                for m in ("1", "2", "3"):
+                    cases[f"best-response --m {m} {tag}"] = cli("best-response", "--against", path, "--m", m)
 
         base = profile_document(Game(BASE_GAME), two_player_equilibrium(Game(BASE_GAME)))
         for fault, mixer in _faults(base["mixed_strategies"][0]).items():
