@@ -8,10 +8,10 @@ chain of facilities over its opponents' joint draws.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,9 +200,12 @@ class MixedStrategy:
 
     @classmethod
     def point(cls, strategy: PureStrategy | Sequence[RationalLike]) -> "MixedStrategy":
-        if not isinstance(strategy, PureStrategy):
+        """The point mass on a strategy, written straight to its table: a
+        checked ``PureStrategy`` is in range and increasing, and one entry
+        of weight 1 is a sound support."""
+        if type(strategy) is not PureStrategy:
             strategy = PureStrategy.of(*strategy)
-        return cls(((strategy, ONE),))
+        return cls._of_table((*_scaled(strategy.locations), 1, [1]))
 
     @classmethod
     def uniform(cls, strategies: Iterable[PureStrategy | tuple[Fraction, ...]]) -> "MixedStrategy":
@@ -274,6 +277,13 @@ class MixedProfile:
         return math.prod(len(x._table[3]) for x in self.strategies)
 
 
+def _refuse_too_many_draws(size: int) -> None:
+    """The one draw cap: raise ``SupportTooLarge`` for more than
+    ``DEFAULT_SUPPORT_CAP`` joint draws."""
+    if size > DEFAULT_SUPPORT_CAP:
+        raise SupportTooLarge(f"product support has {size} combinations (cap {DEFAULT_SUPPORT_CAP})")
+
+
 def _draws(supports: Sequence[Sequence[tuple[_Row, int]]]) -> Iterator[tuple[int, tuple[_Row, ...]]]:
     """Every joint draw of independent players with its weight.
 
@@ -282,9 +292,7 @@ def _draws(supports: Sequence[Sequence[tuple[_Row, int]]]) -> Iterator[tuple[int
     its entries' weights. Raises ``SupportTooLarge`` before the
     first draw when there are more than ``DEFAULT_SUPPORT_CAP`` of them.
     """
-    size = math.prod(len(x) for x in supports)
-    if size > DEFAULT_SUPPORT_CAP:
-        raise SupportTooLarge(f"product support has {size} combinations (cap {DEFAULT_SUPPORT_CAP})")
+    _refuse_too_many_draws(math.prod(len(x) for x in supports))
     for combo in itertools.product(*supports):
         yield math.prod(p for _, p in combo), tuple(s for s, _ in combo)
 
@@ -341,11 +349,14 @@ def _chain_pay(chain: Iterable[_Halves], opponents: Sequence[int], split: int) -
     """
     paid = 0
     for key, left, right in chain:
-        lo = bisect.bisect_left(opponents, key)
-        hi = bisect.bisect_right(opponents, key, lo)
+        lo = bisect_left(opponents, key)
+        hi = bisect_right(opponents, key, lo)
         low, high = opponents[lo - 1], opponents[hi]
-        cell = sum(w * (b if b < high else high) for b, w in right)
-        cell -= sum(w * (a if a > low else low) for a, w in left)
+        cell = 0
+        for b, w in right:
+            cell += w * (b if b < high else high)
+        for a, w in left:
+            cell -= w * (a if a > low else low)
         paid += cell * (split // (1 + hi - lo))
     return paid
 

@@ -17,7 +17,8 @@ per opponent draw by ``mixed._chain_pay``, the one chain-cell kernel that
 Every answer is exact or refused: a search over more than
 ``DEFAULT_SEARCH_CAP`` subsets or facilities raises ``SearchTooLarge``
 before any draw is built, and opponents with more than
-``DEFAULT_SUPPORT_CAP`` joint draws raise ``SupportTooLarge``.
+``DEFAULT_SUPPORT_CAP`` joint draws raise ``SupportTooLarge``. Both are
+checked for every player before ``certify_no_deviation`` runs any search.
 """
 
 from __future__ import annotations
@@ -26,21 +27,22 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .core import ONE, ZERO, Game, PureProfile
+from .core import ONE, ZERO, Game, PureProfile, as_fraction
 from .errors import InvalidInput, SearchTooLarge
 from .mixed import (
     MixedProfile,
     MixedStrategy,
     _chain_pay,
     _positions,
+    _refuse_too_many_draws,
     _scaled_supports,
     _sorted_draws,
     mixed_payoff,
     optimal_locations,
 )
-from .payoff import _SIDE_EPS, OffsetLocation
+from .payoff import _SIDE_EPS, OffsetLocation, _in_unit
 
 DEFAULT_SEARCH_CAP = 10**5
 
@@ -68,14 +70,20 @@ class DeviationResult:
 
 
 def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...]:
-    """All one-sided and exact placements around the given positions."""
+    """All one-sided and exact placements around the given positions.
+
+    Each position is coerced and range-checked once, as ``OffsetLocation``
+    would check it, and its members are built without further checks.
+    """
     family: list[OffsetLocation] = []
     for x in sorted(set(positions)):
-        if x > ZERO:
-            family.append(OffsetLocation(x, "below"))
-        family.append(OffsetLocation(x, "exact"))
+        below = x > ZERO  # compared before coercion, as OffsetLocation(x, "below") was
+        x = _in_unit(as_fraction(x))
+        if below:
+            family.append(OffsetLocation._checked(x, "below"))
+        family.append(OffsetLocation._checked(x, "exact"))
         if x < ONE:
-            family.append(OffsetLocation(x, "above"))
+            family.append(OffsetLocation._checked(x, "above"))
     return tuple(family)
 
 
@@ -103,7 +111,7 @@ def _gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocat
 
 
 def _refuse_too_large(family_size: int, m: int) -> None:
-    """The one size rule, checked by ``best_response`` before any filler or
+    """The one size rule, checked by ``_checked_family`` before any filler or
     draw is built: raise ``InvalidInput`` for a witness of no
     facility, and ``SearchTooLarge`` for one of more than
     ``DEFAULT_SEARCH_CAP`` facilities or for more m-subsets of the family.
@@ -127,18 +135,19 @@ def _refuse_too_large(family_size: int, m: int) -> None:
 
 
 def _best_subset(
-    family: Collection[OffsetLocation],
+    family: Sequence[OffsetLocation],
     m: int,
     opponents: Sequence[MixedStrategy],
 ) -> tuple[Fraction, bool, tuple[OffsetLocation, ...]]:
-    """The one search of ``best_response``, which refuses first: the best
-    m-subset of the sorted ``family``, padded with gap fillers when it is
-    shorter than ``m``.
+    """The one search of ``best_response`` and ``certify_no_deviation``,
+    which refuse first (``_checked_family``): the best m-subset of the
+    sorted ``family``, padded with gap fillers when it is shorter than ``m``.
 
     The family and the opponents' tables share one integer grid, doubled so
     every position is even; a candidate's key is its position plus its
     side's offset, so a one-sided key is odd and meets no opponent. Each
-    subset is paid by ``_chain_pay`` per draw and compared as an integer.
+    subset's chain is assembled from halves built once per candidate, paid
+    by ``_chain_pay`` per draw and compared as an integer.
     Returns the supremum, one Fraction built at the end, whether it is
     attained, and the witness: the smallest all-exact maximizer if any,
     else the smallest maximizer.
@@ -149,22 +158,61 @@ def _best_subset(
     scale = 2 * math.lcm(*(own for own, _, _, _ in tables), *(c.position.denominator for c in family))
     split = math.lcm(*range(1, len(opponents) + 2))
     draws = list(_sorted_draws(_scaled_supports(opponents, scale), scale))
-    scaled = [(c.position.numerator * (scale // c.position.denominator), c) for c in family]
-    candidates = [(x, x + _SIDE_EPS[c.side], c) for x, c in scaled]
+    # per candidate, once: its bisect key, and its position as a neighbour's
+    # half, as the first facility's left end and as the last one's right end
+    xs = [c.position.numerator * (scale // c.position.denominator) for c in family]
+    keys = [x + _SIDE_EPS[c.side] for x, c in zip(xs, family)]
+    halves = [((x, 1),) for x in xs]
+    heads = [((-x, 1),) for x in xs]
+    tails = [((2 * scale - x, 1),) for x in xs]
+    one_sided = {i for i, c in enumerate(family) if c.side != "exact"}
     best, best_witness, best_exact = 0, None, None
-    for subset in itertools.combinations(candidates, m):
-        xs = [x for x, _, _ in subset]
-        ends = zip(subset, (-xs[0], *xs), (*xs[1:], 2 * scale - xs[-1]))
-        chain = [(key, ((prev, 1),), ((nxt, 1),)) for (_, key, _), prev, nxt in ends]
-        value = sum(weight * _chain_pay(chain, opps, split) for weight, opps in draws)
+    for subset in itertools.combinations(range(len(family)), m):
+        chain = []
+        left = heads[subset[0]]
+        for i, j in zip(subset, subset[1:]):
+            chain.append((keys[i], left, halves[j]))
+            left = halves[i]
+        last = subset[-1]
+        chain.append((keys[last], left, tails[last]))
+        value = 0
+        for weight, opps in draws:
+            value += weight * _chain_pay(chain, opps, split)
         if best_witness is None or value > best:
             best, best_witness = value, subset
-            best_exact = subset if all(x == key for x, key, _ in subset) else None
-        elif value == best and best_exact is None and all(x == key for x, key, _ in subset):
+            best_exact = subset if one_sided.isdisjoint(subset) else None
+        elif value == best and best_exact is None and one_sided.isdisjoint(subset):
             best_exact = subset
     den = 2 * scale * split * math.prod(probs for _, _, probs, _ in tables)
     witness = best_witness if best_exact is None else best_exact
-    return Fraction(best, den), best_exact is not None, tuple(c for _, _, c in witness)
+    return Fraction(best, den), best_exact is not None, tuple(family[i] for i in witness)
+
+
+def _checked_family(opponents: Sequence[MixedStrategy], m: int) -> tuple[OffsetLocation, ...]:
+    """The candidate family of an m-facility player against the opponents,
+    once its search is known to run: ``_refuse_too_large``, then the cap on
+    the opponents' joint draws."""
+    family = candidate_family(_positions(opponents))
+    _refuse_too_large(len(family), m)
+    _refuse_too_many_draws(math.prod(len(x._table[3]) for x in opponents))
+    return family
+
+
+def _deviation(
+    family: Sequence[OffsetLocation],
+    opponents: Sequence[MixedStrategy],
+    m: int,
+    current_payoff: Fraction | None,
+) -> DeviationResult:
+    """The best response over a family that ``_checked_family`` returned."""
+    if not family:
+        # no competition: every strategy collects the whole customer mass
+        best, attained = ONE, True
+        witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
+    else:
+        best, attained, witness = _best_subset(family, m, opponents)
+    gain = None if current_payoff is None else best - current_payoff
+    return DeviationResult(best, attained, witness, gain)
 
 
 def best_response(
@@ -181,16 +229,7 @@ def best_response(
     ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets or facilities,
     then ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP`` opponent draws.
     """
-    family = candidate_family(_positions(opponents))
-    _refuse_too_large(len(family), m)
-    if not family:
-        # no competition: every strategy collects the whole customer mass
-        best, attained = ONE, True
-        witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
-    else:
-        best, attained, witness = _best_subset(family, m, opponents)
-    gain = None if current_payoff is None else best - current_payoff
-    return DeviationResult(best, attained, witness, gain)
+    return _deviation(_checked_family(opponents, m), opponents, m, current_payoff)
 
 
 def certify_no_deviation(
@@ -199,17 +238,17 @@ def certify_no_deviation(
     """Best response for every player; all gains <= 0 certifies equilibrium.
 
     Any strictly positive gain is a constructive refutation: its witness is
-    a beneficial deviation for that player. Raises ``SearchTooLarge`` when
-    any player's search exceeds ``DEFAULT_SEARCH_CAP`` subsets.
+    a beneficial deviation for that player. Every player's search is
+    checked, in player order, before the first one runs: ``SearchTooLarge``
+    or ``SupportTooLarge`` for any player is raised before any search.
     """
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile)
     current = mixed_payoff(game, profile)
-    results = []
-    for player in range(game.num_players):
-        opponents = [x for i, x in enumerate(profile.strategies) if i != player]
-        results.append(best_response(opponents, game.counts[player], current_payoff=current[player]))
-    return tuple(results)
+    strategies = profile.strategies
+    opponents = [strategies[:i] + strategies[i + 1 :] for i in range(game.num_players)]
+    families = [_checked_family(x, m) for x, m in zip(opponents, game.counts)]
+    return tuple(map(_deviation, families, opponents, game.counts, current))
 
 
 def is_equilibrium(results: Sequence[DeviationResult]) -> bool:

@@ -53,6 +53,15 @@ class OffsetLocation:
         if self.position == ONE and self.side == "above":
             raise InvalidInput("side=above is meaningless at position 1")
 
+    @classmethod
+    def _checked(cls, position: Fraction, side: Side) -> "OffsetLocation":
+        """A location its caller has already checked, as ``candidate_family``
+        checks each position once for its three sides."""
+        location = object.__new__(cls)
+        object.__setattr__(location, "position", position)
+        object.__setattr__(location, "side", side)
+        return location
+
     def __lt__(self, other: "OffsetLocation") -> bool:
         return self.sort_key() < other.sort_key()
 

@@ -136,6 +136,25 @@ class TestVerify:
         assert code == 1 and report["verdict"] is False
         assert "deviation" not in report
 
+    def test_a_later_refusal_comes_before_any_search(self, capsys, monkeypatch):
+        # player 0 could be searched (74,613 subsets), but player 2's
+        # C(20, 8) = 125,970 subsets are over the cap: every player is
+        # checked first, so no search runs and none is thrown away
+        def refuse(*args):
+            raise AssertionError("searched before every player was checked")
+
+        monkeypatch.setattr(hotelling.oracle, "_best_subset", refuse)
+        code, out, err = run(
+            capsys, "verify", "--profile", "1/12,1/6,1/4,1/3,2/3,11/12;0;0,1/12,1/4,5/12,7/12,2/3,5/6,1"
+        )
+        assert code == 1 and json.loads(out)["verdict"] is False
+        assert "deviation" not in out
+        assert err == (
+            "[FAIL] T4-1: no lone facility neighbors a facility of its owner\n"
+            "[FAIL] T4-2: each player's facilities attract equal mass\n"
+            "[FAIL] T4-3: flattened profile is a single-unit equilibrium\n"
+        )
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -409,6 +409,18 @@ class TestKeptTable:
                 assert same == x and hash(same) == hash(x) and repr(same) == repr(x)
                 assert same.support == x.support and same._table == x._table
 
+    @pytest.mark.parametrize("locations", [["0"], ["1"], ["1/3", "1/2", "1"], ["0", "2/7", "5/6"]])
+    def test_point_masses_are_written_as_tables(self, locations):
+        strategy = PureStrategy.of(*locations)
+        checked = MixedStrategy(((strategy, F(1)),))
+        for x in (MixedStrategy.point(strategy), MixedStrategy.point(locations)):
+            assert "support" not in vars(x)
+            assert x._table == checked._table == fresh_table(checked)
+            assert x == checked and hash(x) == hash(checked) and repr(x) == repr(checked)
+            assert x.is_point() and x.as_pure() == strategy
+        with pytest.raises(InvalidStrategy):
+            MixedStrategy.point(locations[::-1] + ["0"])
+
     def test_unequal_tables_are_unequal(self):
         x, y = make_olk(2, 4), make_olk(3, 4)
         assert x != y and x != make_olk(2, 6) and x != x.support and x != MixedStrategy(x.support[::-1])

@@ -10,6 +10,7 @@ import pytest
 
 from hotelling import (
     InvalidInput,
+    InvalidStrategy,
     MixedProfile,
     MixedStrategy,
     OffsetLocation,
@@ -31,6 +32,8 @@ from hotelling import (
     optimal_locations,
     verify_multi_unit,
 )
+import hotelling.mixed as mixed_module
+import hotelling.oracle as oracle_module
 from hotelling.cli import _atlas_multisets
 from hotelling.oracle import DEFAULT_SEARCH_CAP, _best_subset, _refuse_too_large, candidate_family
 
@@ -47,6 +50,47 @@ F = Fraction
 
 def point(*locations):
     return MixedStrategy.point(PureStrategy.of(*locations))
+
+
+class TestCandidateFamily:
+    def test_members_behave_like_checked_locations(self):
+        rng = random.Random(24)
+        for _ in range(30):
+            q = rng.choice((1, 2, 3, 5, 8, 12))
+            positions = [F(i, q) for i in rng.sample(range(q + 1), rng.randint(1, q + 1))]
+            family = candidate_family(positions + [int(x) for x in positions if x.denominator == 1])
+            checked = [OffsetLocation(c.position, c.side) for c in family]
+            assert list(family) == checked
+            assert [hash(c) for c in family] == [hash(c) for c in checked]
+            assert [repr(c) for c in family] == [repr(c) for c in checked]
+            assert [c.sort_key() for c in family] == [c.sort_key() for c in checked]
+            assert all(type(c.position) is Fraction for c in family)
+            assert sorted(checked, reverse=True) == sorted(family, reverse=True) == checked[::-1]
+            assert all(a < b and not b < a for a, b in zip(family, family[1:]))
+            assert len(set(family) | set(checked)) == len(family)
+
+    @pytest.mark.parametrize(
+        "positions, error, message",
+        [
+            ([F(3, 2)], InvalidInput, "offset position 3/2 outside [0,1]"),
+            ([F(-1, 2)], InvalidInput, "offset position -1/2 outside [0,1]"),
+            ([2], InvalidInput, "offset position 2 outside [0,1]"),
+            ([F(-1, 2), 0.25], InvalidInput, "offset position -1/2 outside [0,1]"),
+            ([0.5], InvalidStrategy, "expected an exact rational, got float"),
+            ([1.5], InvalidStrategy, "expected an exact rational, got float"),
+            ([-0.5], InvalidStrategy, "expected an exact rational, got float"),
+            ([F(1, 4), 0.5], InvalidStrategy, "expected an exact rational, got float"),
+            ([True], InvalidStrategy, "expected an exact rational, got bool"),
+            (["1/2"], TypeError, "'>' not supported between instances of 'str' and 'Fraction'"),
+            ([None], TypeError, "'>' not supported between instances of 'NoneType' and 'Fraction'"),
+        ],
+    )
+    def test_faulty_positions_raise_as_offset_locations_do(self, positions, error, message):
+        # the error and message of the first faulty position in sorted order,
+        # as when each member was built by OffsetLocation(x, side)
+        with pytest.raises(error) as exc:
+            candidate_family(positions)
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestBestResponse:
@@ -94,6 +138,40 @@ class TestBestResponse:
         profile = PureProfile.of([F(i, 17) for i in range(12, 17)], opponent[:5], opponent[5:])
         with pytest.raises(SearchTooLarge):
             certify_no_deviation(make_game([5, 5, 5]), profile)
+
+    @pytest.mark.parametrize(
+        "counts, profile, error",
+        [
+            # players 0 and 1 have searches in bounds; player 2's is C(20, 8)
+            (
+                [6, 1, 8],
+                PureProfile.of(
+                    ["1/12", "1/6", "1/4", "1/3", "2/3", "11/12"],
+                    ["0"],
+                    ["0", "1/12", "1/4", "5/12", "7/12", "2/3", "5/6", "1"],
+                ),
+                SearchTooLarge,
+            ),
+            # player 2 alone faces 11 * 10 opponent draws, over a cap of 100
+            (
+                [1, 1, 1],
+                MixedProfile((
+                    MixedStrategy.uniform([(F(i, 10),) for i in range(11)]),
+                    MixedStrategy.uniform([(F(i, 9),) for i in range(10)]),
+                    point("1/2"),
+                )),
+                SupportTooLarge,
+            ),
+        ],
+    )
+    def test_every_player_is_checked_before_any_search(self, monkeypatch, counts, profile, error):
+        def refuse(*args):
+            raise AssertionError("searched before every player was checked")
+
+        monkeypatch.setattr(mixed_module, "DEFAULT_SUPPORT_CAP", 100)
+        monkeypatch.setattr(oracle_module, "_best_subset", refuse)
+        with pytest.raises(error):
+            certify_no_deviation(make_game(counts), profile)
 
     def test_oversized_opponent_support_is_refused(self):
         # m = 1 keeps the search to 301 subsets, under the search cap; the
