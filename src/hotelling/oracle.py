@@ -77,7 +77,7 @@ def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...
     """
     family: list[OffsetLocation] = []
     for x in sorted(set(positions)):
-        below = x > ZERO  # compared before coercion, as OffsetLocation(x, "below") was
+        below = x > ZERO  # on the raw value: an uncomparable one raises TypeError here
         x = _in_unit(as_fraction(x))
         if below:
             family.append(OffsetLocation._checked(x, "below"))
