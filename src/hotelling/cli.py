@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success / verdict true, 1 verdict
-false, 2 input error, 3 construction unavailable, 4 search capped (a
-search over more than 10^5 subsets or facilities, or an expectation that
-would enumerate more than 10^6 opponent draws, is refused and nothing is
-written), 141 stdout closed
-by its reader (128 + SIGPIPE, as a shell reports a writer SIGPIPE killed).
+false, 2 input error (among them a best response of fewer than one or
+more than 10^5 facilities), 3 construction unavailable, 4 search capped
+(an expectation or a search that would enumerate more than 10^6 opponent
+draws is refused and nothing is written), 141 stdout closed by its reader
+(128 + SIGPIPE, as a shell reports a writer SIGPIPE killed).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     HotellingError,
     InvalidInput,
     InvalidStrategy,
-    SearchTooLarge,
     SupportTooLarge,
 )
 from .mixed import MixedProfile, mixed_payoff
@@ -145,13 +144,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = ser.report_to_json(report)
     if not report.verdict and isinstance(profile, PureProfile):
         # attach the strongest refutation: a concrete beneficial deviation
-        try:
-            results = certify_no_deviation(game, profile)
-        except SearchTooLarge:
-            pass  # the structural verdict stands without a witness
-        else:
-            player = max(range(game.num_players), key=lambda i: results[i].gain)
-            payload["deviation"] = {"player": player, **ser.deviation_to_json(results[player])}
+        results = certify_no_deviation(game, profile)
+        player = max(range(game.num_players), key=lambda i: results[i].gain)
+        payload["deviation"] = {"player": player, **ser.deviation_to_json(results[player])}
     _emit(payload, args.out)
     for cond in report.conditions:
         status = "pass" if cond.passed else "FAIL"
@@ -321,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionUnavailable as exc:
         print(f"construction unavailable: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
-    except (SearchTooLarge, SupportTooLarge) as exc:
+    except SupportTooLarge as exc:
         print(f"search capped: {exc}", file=sys.stderr)
         return EXIT_CAPPED
     except (HotellingError, OSError) as exc:  # OSError: unreadable or unwritable path

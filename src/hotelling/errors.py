@@ -35,7 +35,3 @@ class ConstructionUnavailable(HotellingError):
 
 class InvalidPartition(HotellingError):
     """A partition plan does not satisfy the block-size conditions for its game."""
-
-
-class SearchTooLarge(HotellingError):
-    """A requested exhaustive search exceeds the search cap."""

@@ -33,8 +33,8 @@ DEFAULT_SUPPORT_CAP = 10**6
 
 # a support entry's locations as integers over a scale, see _scaled_supports
 _Row = tuple[int, ...]
-# a bisect key with its weighted own left and right neighbours, see _chain_pay
-_Halves = tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
+# a facility's weighted own left and right neighbours, see _chain_pay
+_Halves = tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
 # a support as integers, see _checked_table
 _Table = tuple[int, list[int], int, list[int]]
 
@@ -316,14 +316,14 @@ def _sorted_draws(supports: Sequence[Sequence[tuple[_Row, int]]], scale: int) ->
         yield weight, [-scale, *sorted(itertools.chain.from_iterable(drawn)), 3 * scale]
 
 
-def _chain_halves(support: Sequence[tuple[_Row, int]], scale: int) -> list[_Halves]:
+def _chain_halves(support: Sequence[tuple[_Row, int]], scale: int) -> tuple[list[int], list[_Halves]]:
     """Fold a scaled support into each position's weighted own neighbours.
 
     ``_chain_pay``'s doubled cell is a right half minus a left half, so
-    the chain triples ``(prev, x, next)`` fold into ``(x, [(prev, w)...],
-    [(next, w)...])`` with ``w`` the total weight of the entries holding
-    each pair. A missing neighbour stands at ``-x`` or ``2*scale - x``,
-    which puts its boundary at 0 or ``2*scale``.
+    the chain triples ``(prev, x, next)`` fold into the keys ``x`` and
+    their halves ``([(prev, w)...], [(next, w)...])``, with ``w`` the total
+    weight of the entries holding each pair. A missing neighbour stands at
+    ``-x`` or ``2*scale - x``, which puts its boundary at 0 or ``2*scale``.
     """
     lefts: defaultdict[int, dict[int, int]] = defaultdict(dict)
     rights: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -333,31 +333,42 @@ def _chain_halves(support: Sequence[tuple[_Row, int]], scale: int) -> list[_Halv
             left[prev] = left.get(prev, 0) + weight
             right = rights[x]
             right[nxt] = right.get(nxt, 0) + weight
-    return [(x, list(left.items()), list(rights[x].items())) for x, left in lefts.items()]
+    return list(lefts), [(list(left.items()), list(rights[x].items())) for x, left in lefts.items()]
 
 
-def _chain_pay(chain: Iterable[_Halves], opponents: Sequence[int], split: int) -> int:
-    """The one cell formula: what a chain's halves earn against one draw.
+def _nearest(keys: Sequence[int], opponents: Sequence[int], split: int) -> list[tuple[int, int, int]]:
+    """Each key's nearest opponents ``L`` below and ``R`` above, and its
+    share of the cell, in units of ``1/split``.
+
+    ``opponents`` is a sorted draw between sentinels. A key is a position,
+    or for a one-sided limit a key no opponent can equal, such as an odd
+    key among even positions. Opponents equal to the key share the cell,
+    so the share is ``split`` over the head count, which divides it.
+    """
+    bounds = []
+    for key in keys:
+        lo = bisect_left(opponents, key)
+        hi = bisect_right(opponents, key, lo)
+        bounds.append((opponents[lo - 1], opponents[hi], split // (1 + hi - lo)))
+    return bounds
+
+
+def _chain_pay(keys: Sequence[int], halves: Sequence[_Halves], opponents: Sequence[int], split: int) -> int:
+    """The cell formula: what a chain's halves earn against one draw.
 
     A facility at ``x`` between own neighbours ``prev`` and ``next`` has
     the doubled cell ``min(next, R) - max(prev, L)``, the ``x`` of both
-    midpoints cancelling. ``L`` and ``R`` are the nearest of the sorted
-    ``opponents`` below and above its key: ``x`` itself, or for a one-sided
-    limit a key no opponent can equal, such as an odd key among even
-    positions. Opponents equal to the key share the cell, paid in units of
-    ``1/split``, which every head count divides.
+    midpoints cancelling, with ``L``, ``R`` and its share from ``_nearest``
+    of its key.
     """
     paid = 0
-    for key, left, right in chain:
-        lo = bisect_left(opponents, key)
-        hi = bisect_right(opponents, key, lo)
-        low, high = opponents[lo - 1], opponents[hi]
+    for (left, right), (low, high, share) in zip(halves, _nearest(keys, opponents, split)):
         cell = 0
         for b, w in right:
             cell += w * (b if b < high else high)
         for a, w in left:
             cell -= w * (a if a > low else low)
-        paid += cell * (split // (1 + hi - lo))
+        paid += cell * share
     return paid
 
 
@@ -382,7 +393,7 @@ def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     chains = [_chain_halves(support, scale) for support in supports]
     joint = math.prod(len(support) for support in supports)
     draws = [joint // len(support) for support in supports]
-    halves = [sum(len(left) + len(right) for _, left, right in chain) for chain in chains]
+    halves = [sum(len(left) + len(right) for left, right in chain[1]) for chain in chains]
     # the remainder goes to the player facing most opponent draws, then most
     # halves; the others follow in that order, so each faces at most the
     # second-most draws, and the cap in _draws refuses before any work
@@ -392,7 +403,7 @@ def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     totals = [0] * game.num_players
     for i in direct:
         for weight, opponents in _sorted_draws(supports[:i] + supports[i + 1 :], scale):
-            totals[i] += weight * _chain_pay(chains[i], opponents, split)
+            totals[i] += weight * _chain_pay(*chains[i], opponents, split)
     totals[remainder] = den - sum(totals)
     return tuple(Fraction(t, den) for t in totals)
 

@@ -9,32 +9,33 @@ the best value over ordered subsets of that family, evaluated as eps -> 0+
 limits. The test suite checks this family argument against exact grid
 families and against a gap-local knapsack over the opponents' points.
 
-The same fact values each subset: a facility's cell depends only on its
-nearest own neighbours and its nearest opponents, so each subset is paid
-per opponent draw by ``mixed._chain_pay``, the one chain-cell kernel that
-``mixed_payoff`` pays every player with, on integers throughout.
+The same fact makes the search polynomial: a facility's cell depends only
+on its nearest own neighbours and its nearest opponents, so a subset's
+value is a sum of terms over its first facility, each pair of neighbours
+and its last, the halves of ``mixed._chain_pay``'s cell, on integers
+throughout. A dynamic program over the sorted family finds the best chain
+of m candidates in ``O((draws + m) * |F|^2)`` steps.
 
-Every answer is exact or refused: a search over more than
-``DEFAULT_SEARCH_CAP`` subsets or facilities raises ``SearchTooLarge``
-before any draw is built, and opponents with more than
-``DEFAULT_SUPPORT_CAP`` joint draws raise ``SupportTooLarge``. Both are
-checked for every player before ``certify_no_deviation`` runs any search.
+Every answer is exact or refused: a witness of fewer than one or more than
+``_MAX_WITNESS`` facilities is an input error, and opponents with more
+than ``DEFAULT_SUPPORT_CAP`` joint draws raise ``SupportTooLarge``. Both
+are checked for every player before ``certify_no_deviation`` runs any
+search.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import ONE, ZERO, Game, PureProfile, as_fraction
-from .errors import InvalidInput, SearchTooLarge
+from .errors import InvalidInput
 from .mixed import (
     MixedProfile,
     MixedStrategy,
-    _chain_pay,
+    _nearest,
     _positions,
     _refuse_too_many_draws,
     _scaled_supports,
@@ -44,7 +45,8 @@ from .mixed import (
 )
 from .payoff import _SIDE_EPS, OffsetLocation, _in_unit
 
-DEFAULT_SEARCH_CAP = 10**5
+# the most facilities a witness may hold
+_MAX_WITNESS = 10**5
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,8 @@ class DeviationResult:
     a supremum reported as not attained may still be earned by an exact
     point inside a gap. ``gain`` is relative to the player's payoff in the
     profile under certification (None when no baseline was supplied). The
-    supremum is always exact: ``mixed_payoff``'s integer cell kernel values
-    every subset, and a search too large to run raises ``SearchTooLarge``
-    instead of returning a result.
+    supremum is always exact: every subset is valued on integers by the
+    halves of ``mixed_payoff``'s cell formula.
     """
 
     supremum_payoff: Fraction
@@ -110,28 +111,61 @@ def _gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocat
     return fillers
 
 
-def _refuse_too_large(family_size: int, m: int) -> None:
+def _refuse_too_large(m: int) -> None:
     """The one size rule, checked by ``_checked_family`` before any filler or
-    draw is built: raise ``InvalidInput`` for a witness of no
-    facility, and ``SearchTooLarge`` for one of more than
-    ``DEFAULT_SEARCH_CAP`` facilities or for more m-subsets of the family.
-
-    The binomial is counted up only until it passes the cap: C(n, i) grows
-    with i up to n/2, at least doubling from i = 1 on, so a few dozen steps
-    decide it however large the family.
-    """
+    draw is built: a witness of no facility, or of more than
+    ``_MAX_WITNESS`` facilities, is an input error."""
     if m < 1:
         raise InvalidInput(f"player must place at least one facility, got m={m}")
-    chosen = min(m, family_size)
-    count = 1
-    for i in range(min(chosen, family_size - chosen)):
-        if count > DEFAULT_SEARCH_CAP:
-            break
-        count = count * (family_size - i) // (i + 1)
-    if m > DEFAULT_SEARCH_CAP or count > DEFAULT_SEARCH_CAP:
-        raise SearchTooLarge(
-            f"{m} facilities over C({family_size},{chosen}) subsets exceed cap {DEFAULT_SEARCH_CAP}"
-        )
+    if m > _MAX_WITNESS:
+        raise InvalidInput(f"a witness of {m} facilities exceeds the limit of {_MAX_WITNESS}")
+
+
+def _best_chain(
+    head: Sequence[int],
+    tail: Sequence[int],
+    pair: Sequence[Sequence[int]],
+    m: int,
+    allowed: Sequence[bool],
+) -> tuple[int, list[int]] | None:
+    """The best chain of ``m`` allowed candidates and its value, None if
+    there is none; of equal chains, the lexicographically smallest.
+
+    ``pair[a][g]`` is the term of candidate ``a`` followed by ``a + 1 + g``.
+    A chain's j-th candidate is ``j + t`` with ``0 <= t <= slack = |F| - m``,
+    and ``t`` never falls along it. ``best[j][t]`` is the best value of its
+    facilities from the j-th on, the j-th being ``j + t``, tail included and
+    head left out; the witness is walked greedily from the smallest ``t``
+    that keeps the value.
+    """
+    slack = len(head) - m
+    row = [tail[m - 1 + t] if allowed[m - 1 + t] else None for t in range(slack + 1)]
+    best = [row]
+    for j in range(m - 2, -1, -1):
+        after, row = row, []
+        for t in range(slack + 1):
+            top = None
+            if allowed[j + t]:
+                weights = pair[j + t]
+                for u in range(t, slack + 1):
+                    if after[u] is not None:
+                        value = weights[u - t] + after[u]
+                        if top is None or value > top:
+                            top = value
+            row.append(top)
+        best.append(row)
+    best.reverse()
+    totals = [None if v is None else head[t] + v for t, v in enumerate(best[0])]
+    if all(v is None for v in totals):
+        return None
+    top = max(v for v in totals if v is not None)
+    t = totals.index(top)
+    chain = [t]
+    for j in range(1, m):
+        weights, goal, after = pair[j - 1 + t], best[j - 1][t], best[j]
+        t = next(u for u in range(t, slack + 1) if after[u] is not None and weights[u - t] + after[u] == goal)
+        chain.append(j + t)
+    return top, chain
 
 
 def _best_subset(
@@ -146,8 +180,11 @@ def _best_subset(
     The family and the opponents' tables share one integer grid, doubled so
     every position is even; a candidate's key is its position plus its
     side's offset, so a one-sided key is odd and meets no opponent. Each
-    subset's chain is assembled from halves built once per candidate, paid
-    by ``_chain_pay`` per draw and compared as an integer.
+    draw is bisected once per candidate (``_nearest``). A subset's value is
+    then a head term for its first candidate, a pair term for each pair of
+    neighbours and a tail term for its last: the halves of ``_chain_pay``'s
+    cell, summed over the draws as integers. ``_best_chain`` maximizes
+    them over all candidates, and again over the exact ones alone.
     Returns the supremum, one Fraction built at the end, whether it is
     attained, and the witness: the smallest all-exact maximizer if any,
     else the smallest maximizer.
@@ -157,43 +194,36 @@ def _best_subset(
     tables = [x._table for x in opponents]
     scale = 2 * math.lcm(*(own for own, _, _, _ in tables), *(c.position.denominator for c in family))
     split = math.lcm(*range(1, len(opponents) + 2))
-    draws = list(_sorted_draws(_scaled_supports(opponents, scale), scale))
-    # per candidate, once: its bisect key, and its position as a neighbour's
-    # half, as the first facility's left end and as the last one's right end
     xs = [c.position.numerator * (scale // c.position.denominator) for c in family]
     keys = [x + _SIDE_EPS[c.side] for x, c in zip(xs, family)]
-    halves = [((x, 1),) for x in xs]
-    heads = [((-x, 1),) for x in xs]
-    tails = [((2 * scale - x, 1),) for x in xs]
-    one_sided = {i for i, c in enumerate(family) if c.side != "exact"}
-    best, best_witness, best_exact = 0, None, None
-    for subset in itertools.combinations(range(len(family)), m):
-        chain = []
-        left = heads[subset[0]]
-        for i, j in zip(subset, subset[1:]):
-            chain.append((keys[i], left, halves[j]))
-            left = halves[i]
-        last = subset[-1]
-        chain.append((keys[last], left, tails[last]))
-        value = 0
-        for weight, opps in draws:
-            value += weight * _chain_pay(chain, opps, split)
-        if best_witness is None or value > best:
-            best, best_witness = value, subset
-            best_exact = subset if one_sided.isdisjoint(subset) else None
-        elif value == best and best_exact is None and one_sided.isdisjoint(subset):
-            best_exact = subset
+    # neighbours in a chain of m are at most |F| - m + 1 candidates apart
+    reach = len(family) - m + 2 if m > 1 else 1
+    head = [0] * len(family)
+    tail = [0] * len(family)
+    pair = [[0] * (reach - 1) for _ in family]
+    for weight, opps in _sorted_draws(_scaled_supports(opponents, scale), scale):
+        bounds = _nearest(keys, opps, split)
+        for a, (x, (low, high, share)) in enumerate(zip(xs, bounds)):
+            head[a] -= weight * share * (-x if -x > low else low)
+            tail[a] += weight * share * (2 * scale - x if 2 * scale - x < high else high)
+            row = pair[a]
+            for g, (y, (below, _, other)) in enumerate(zip(xs[a + 1 : a + reach], bounds[a + 1 : a + reach])):
+                row[g] += weight * (share * (y if y < high else high) - other * (x if x > below else below))
+    top, chain = _best_chain(head, tail, pair, m, [True] * len(family))
+    exact = _best_chain(head, tail, pair, m, [c.side == "exact" for c in family])
+    attained = exact is not None and exact[0] == top
+    if attained:
+        chain = exact[1]
     den = 2 * scale * split * math.prod(probs for _, _, probs, _ in tables)
-    witness = best_witness if best_exact is None else best_exact
-    return Fraction(best, den), best_exact is not None, tuple(family[i] for i in witness)
+    return Fraction(top, den), attained, tuple(family[i] for i in chain)
 
 
 def _checked_family(opponents: Sequence[MixedStrategy], m: int) -> tuple[OffsetLocation, ...]:
     """The candidate family of an m-facility player against the opponents,
     once its search is known to run: ``_refuse_too_large``, then the cap on
     the opponents' joint draws."""
+    _refuse_too_large(m)
     family = candidate_family(_positions(opponents))
-    _refuse_too_large(len(family), m)
     _refuse_too_many_draws(math.prod(len(x._table[3]) for x in opponents))
     return family
 
@@ -222,12 +252,13 @@ def best_response(
 ) -> DeviationResult:
     """Exact supremum payoff of an m-facility player against the opponents.
 
-    Enumerates ordered m-subsets of the offset candidate family and
-    evaluates each in the eps -> 0+ limit. Ties are broken toward the
+    Maximizes over ordered m-subsets of the offset candidate family, each
+    valued in the eps -> 0+ limit. Ties are broken toward the
     lexicographically smallest witness; when the supremum is attained, the
     witness reported is the smallest all-exact maximizer. Raises
-    ``SearchTooLarge`` beyond ``DEFAULT_SEARCH_CAP`` subsets or facilities,
-    then ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP`` opponent draws.
+    ``InvalidInput`` for fewer than one or more than ``_MAX_WITNESS``
+    facilities, then ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP``
+    opponent draws.
     """
     return _deviation(_checked_family(opponents, m), opponents, m, current_payoff)
 
@@ -239,7 +270,7 @@ def certify_no_deviation(
 
     Any strictly positive gain is a constructive refutation: its witness is
     a beneficial deviation for that player. Every player's search is
-    checked, in player order, before the first one runs: ``SearchTooLarge``
+    checked, in player order, before the first one runs: ``InvalidInput``
     or ``SupportTooLarge`` for any player is raised before any search.
     """
     if isinstance(profile, PureProfile):

@@ -19,7 +19,7 @@ the in-process CLI. The cases are:
 - ``payoff`` and ``payoff --full`` of ``RANDOM_PROFILES`` seeded inline pure
   profiles of up to 16 facilities on small grids, so that players share
   points and sit at 0 and 1, and ``verify`` of those whose certification
-  searches at most ``VERIFY_SUBSETS`` subsets before it is done or refused;
+  weighs at most ``VERIFY_SUBSETS`` subsets over all players;
 - the ``repr`` of every strategy in ``helpers.TABLE_ROUTES``.
 
 Documents are written to a temporary directory, whose path reads ``<doc>``
@@ -48,7 +48,8 @@ BASE_GAME = (2, 4)
 
 RANDOM_PROFILES = 200
 # the largest certification ``verify`` runs on a random profile, in subsets
-# summed over its players; larger ones take seconds
+# of its candidate families summed over its players; fixed, so that the
+# corpus keeps the cases it was written with
 VERIFY_SUBSETS = 300
 
 
@@ -99,18 +100,15 @@ def random_pure_profiles(seed: int = 0) -> list[str]:
 
 
 def search_size(text: str) -> int:
-    """The subsets ``verify`` searches to certify an inline pure profile:
-    every player's search, up to the first one that is refused."""
-    from hotelling.oracle import DEFAULT_SEARCH_CAP, candidate_family
+    """The subsets of the candidate family ``verify``'s certification of an
+    inline pure profile would weigh, summed over every player."""
+    from hotelling.oracle import candidate_family
 
     players = [[Fraction(x) for x in chunk.split(",")] for chunk in text.split(";")]
     total = 0
     for i, own in enumerate(players):
         family = candidate_family(x for j, other in enumerate(players) if j != i for x in other)
-        subsets = math.comb(len(family), len(own)) if len(own) <= len(family) else 1
-        if subsets > DEFAULT_SEARCH_CAP:
-            break
-        total += subsets
+        total += math.comb(len(family), len(own)) if len(own) <= len(family) else 1
     return total
 
 

@@ -124,9 +124,9 @@ class TestVerify:
         assert F(deviation["gain"]) > 0
         assert all(w["side"] in ("below", "exact", "above") for w in deviation["witness"])
 
-    def test_refused_search_leaves_out_deviation(self, capsys):
-        # player 0 has 30 candidates, C(30, 5) subsets: the refutation
-        # search is refused, and the structural verdict stands alone
+    def test_thirty_candidate_search_attaches_deviation(self, capsys):
+        # player 0 has 30 candidates, C(30, 5) subsets: every player is
+        # searched, and player 1 gains most
         code, report, _ = run_json(
             capsys,
             "verify",
@@ -134,21 +134,17 @@ class TestVerify:
             "6/17,7/17,8/17,9/17,10/17",
         )
         assert code == 1 and report["verdict"] is False
-        assert "deviation" not in report
+        assert report["deviation"]["player"] == 1 and report["deviation"]["gain"] == "4/17"
 
-    def test_a_later_refusal_comes_before_any_search(self, capsys, monkeypatch):
-        # player 0 could be searched (74,613 subsets), but player 2's
-        # C(20, 8) = 125,970 subsets are over the cap: every player is
-        # checked first, so no search runs and none is thrown away
-        def refuse(*args):
-            raise AssertionError("searched before every player was checked")
-
-        monkeypatch.setattr(hotelling.oracle, "_best_subset", refuse)
+    def test_eight_facilities_over_twenty_candidates_attach_deviation(self, capsys):
+        # player 2's C(20, 8) = 125,970 subsets are searched like every
+        # other player's
         code, out, err = run(
             capsys, "verify", "--profile", "1/12,1/6,1/4,1/3,2/3,11/12;0;0,1/12,1/4,5/12,7/12,2/3,5/6,1"
         )
-        assert code == 1 and json.loads(out)["verdict"] is False
-        assert "deviation" not in out
+        report = json.loads(out)
+        assert code == 1 and report["verdict"] is False
+        assert report["deviation"]["player"] == 2 and report["deviation"]["gain"] == "5/24"
         assert err == (
             "[FAIL] T4-1: no lone facility neighbors a facility of its owner\n"
             "[FAIL] T4-2: each player's facilities attract equal mass\n"
@@ -681,26 +677,40 @@ class TestScalarCommands:
         assert not out_path.exists()
 
     def test_oversized_witness_is_refused(self, capsys, tmp_path):
-        # one candidate subset, but a witness of 10**6 facilities: refused
-        # before any gap filler is built, and nothing is written
+        # three candidates, but a witness of 10**6 facilities: an input
+        # error before any gap filler is built, and nothing is written
         out_path = tmp_path / "response.json"
         start = time.perf_counter()
         code, out, err = run(
             capsys, "best-response", "--against", "1/2", "--m", "1000000", "--out", str(out_path)
         )
         assert time.perf_counter() - start < 1
-        assert code == 4 and out == "" and "search capped" in err
+        assert code == 2 and out == ""
+        assert err == "input error: a witness of 1000000 facilities exceeds the limit of 100000\n"
         assert not out_path.exists()
 
-    def test_capped_search_exit_code(self, capsys):
-        # C(30, 5) = 142,506 candidate subsets exceed the search cap
-        code, out, err = run(
+    def test_capped_search_exit_code(self, capsys, tmp_path):
+        # the opponents' 101**3 = 1,030,301 joint draws exceed the support
+        # cap of 10**6: the one search cap, before any draw is built
+        uniform = [{"strategy": [f"{i}/100"], "prob": "1/101"} for i in range(101)]
+        doc = {"game": {"counts": [1, 1, 1]}, "mixed_strategies": [uniform] * 3}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "best-response", "--against", str(path), "--m", "5")
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == "" and "search capped" in err
+
+    def test_five_facilities_over_thirty_candidates(self, capsys):
+        # C(30, 5) = 142,506 candidate subsets, answered exactly
+        code, doc, _ = run_json(
             capsys,
             "best-response",
             "--against", "1/17,2/17,3/17,4/17,5/17,6/17,7/17,8/17,9/17,10/17",
             "--m", "5",
         )
-        assert code == 4 and out == "" and "search capped" in err
+        assert code == 0 and doc["sup"] == "19/34" and doc["attained"] is False
+        assert len(doc["witness"]) == 5
 
 
 class TestAtlas:

@@ -443,6 +443,17 @@ class TestConstructMixed:
             construct_mixed(game, overlap)
 
     @pytest.mark.parametrize(
+        "counts", [(3, 7), (4, 8), (5, 10), (6, 12), (2, 2, 8), (2, 3, 10), (3, 3, 12)]
+    )
+    def test_large_mixtures_certify(self, counts):
+        # two-player (imitation, optimum) equilibria, which the partition
+        # mixture of a two-player game is, and three-player partition
+        # mixtures: the oracle finds no player a gain
+        game = make_game(counts)
+        profile = construct_mixed(game, find_partition(game))
+        assert [r.gain for r in certify_no_deviation(game, profile)] == [0] * len(counts)
+
+    @pytest.mark.parametrize(
         "counts,gain",
         [((1, 1, 4), F(1, 24)), ((1, 2, 6), F(1, 18))],
     )
@@ -572,12 +583,12 @@ def perturbed(rng, design, k):
 
 class TestVerifyTwoPlayer:
     def test_soi_designs_agree_with_the_oracle(self):
-        # every l <= k <= 5: seeded SOI designs certify with every gain 0,
+        # every l <= k <= 12: seeded SOI designs certify with every gain 0,
         # and each one's non-SOI perturbation is refuted by a gain that the
         # reference limit payoff of its witness confirms
         rng = random.Random(11)
         refuted = 0
-        for k in range(1, 6):
+        for k in range(1, 13):
             optimum = MixedStrategy.point(PureStrategy(optimal_locations(k)))
             for l in range(1, k + 1):
                 game = make_game([l, k])
@@ -600,7 +611,7 @@ class TestVerifyTwoPlayer:
                                 opponent = profile.strategies[1 - player]
                                 assert limit_value([opponent], r.witness) - current[player] == r.gain
                                 refuted += 1
-        assert refuted >= 30
+        assert refuted >= 300
 
     def test_random_profiles_agree_with_the_oracle(self):
         # seeded two-player profiles, l <= 2 and k <= 4 in either order: the

@@ -16,7 +16,6 @@ from hotelling import (
     OffsetLocation,
     PureProfile,
     PureStrategy,
-    SearchTooLarge,
     SupportTooLarge,
     best_response,
     certify_no_deviation,
@@ -35,7 +34,7 @@ from hotelling import (
 import hotelling.mixed as mixed_module
 import hotelling.oracle as oracle_module
 from hotelling.cli import _atlas_multisets
-from hotelling.oracle import DEFAULT_SEARCH_CAP, _best_subset, _refuse_too_large, candidate_family
+from hotelling.oracle import _best_subset, _refuse_too_large, candidate_family
 
 from helpers import (
     limit_value,
@@ -128,29 +127,34 @@ class TestBestResponse:
         assert len(result.witness) == 5
         assert len({o.sort_key() for o in result.witness}) == 5
 
-    def test_over_cap_search_is_refused(self):
-        # 30 candidates and m = 5: C(30, 5) = 142,506 subsets exceed the cap
+    def test_five_facilities_over_thirty_candidates(self):
+        # C(30, 5) = 142,506 subsets: the chain search answers exactly, as
+        # the knapsack over the opponents' points does
         opponent = [F(i, 17) for i in range(1, 11)]
         assert len(candidate_family(opponent)) == 30
-        with pytest.raises(SearchTooLarge):
-            best_response([point(*opponent)], 5)
+        result = best_response([point(*opponent)], 5)
+        assert result.supremum_payoff == F(19, 34) == reference_pure_best_response(opponent, 5)
+        assert not result.attained
+        assert limit_value([point(*opponent)], result.witness) == F(19, 34)
         # player 0 of this profile faces exactly those opponents
         profile = PureProfile.of([F(i, 17) for i in range(12, 17)], opponent[:5], opponent[5:])
-        with pytest.raises(SearchTooLarge):
-            certify_no_deviation(make_game([5, 5, 5]), profile)
+        results = certify_no_deviation(make_game([5, 5, 5]), profile)
+        assert results[0].supremum_payoff == F(19, 34)
+        assert max(r.gain for r in results) == results[1].gain == F(4, 17)
 
     @pytest.mark.parametrize(
         "counts, profile, error",
         [
-            # players 0 and 1 have searches in bounds; player 2's is C(20, 8)
+            # player 1 alone faces 11 * 10 opponent draws, over a cap of 100,
+            # after player 0's 10 draws would have been searched
             (
-                [6, 1, 8],
-                PureProfile.of(
-                    ["1/12", "1/6", "1/4", "1/3", "2/3", "11/12"],
-                    ["0"],
-                    ["0", "1/12", "1/4", "5/12", "7/12", "2/3", "5/6", "1"],
-                ),
-                SearchTooLarge,
+                [1, 1, 1],
+                MixedProfile((
+                    MixedStrategy.uniform([(F(i, 10),) for i in range(11)]),
+                    point("1/2"),
+                    MixedStrategy.uniform([(F(i, 9),) for i in range(10)]),
+                )),
+                SupportTooLarge,
             ),
             # player 2 alone faces 11 * 10 opponent draws, over a cap of 100
             (
@@ -174,9 +178,8 @@ class TestBestResponse:
             certify_no_deviation(make_game(counts), profile)
 
     def test_oversized_opponent_support_is_refused(self):
-        # m = 1 keeps the search to 301 subsets, under the search cap; the
-        # 101**3 = 1,030,301 opponent draws exceed the support cap of 10**6,
-        # so the search is refused before any draw is built
+        # the 101**3 = 1,030,301 opponent draws exceed the support cap of
+        # 10**6, so the search is refused before any draw is built
         uniform = MixedStrategy.uniform([PureStrategy((F(i, 100),)) for i in range(101)])
         start = time.perf_counter()
         with pytest.raises(SupportTooLarge):
@@ -184,31 +187,34 @@ class TestBestResponse:
         assert time.perf_counter() - start < 1
 
     def test_search_cap_is_checked_before_any_draw(self):
-        # 10**6 opponent draws sit at the support cap, but C(298, 5) subsets
-        # are refused before a single draw is built
-        uniform = MixedStrategy.uniform([PureStrategy((F(i, 100),)) for i in range(1, 101)])
+        # the draw cap is the one search cap: five facilities over 301
+        # candidates against 101**3 opponent draws are refused before a
+        # single draw or term of the search is built
+        uniform = MixedStrategy.uniform([PureStrategy((F(i, 100),)) for i in range(101)])
         start = time.perf_counter()
-        with pytest.raises(SearchTooLarge):
+        with pytest.raises(SupportTooLarge):
             best_response([uniform, uniform, uniform], 5)
         assert time.perf_counter() - start < 1
 
     def test_oversized_witness_is_refused_before_padding(self):
-        # one subset to search, but a witness of 10**6 facilities
+        # three candidates, but a witness of 10**6 facilities: an input
+        # error before any gap filler is built
         start = time.perf_counter()
-        with pytest.raises(SearchTooLarge) as exc:
+        with pytest.raises(InvalidInput) as exc:
             best_response([point("1/2")], 10**6)
         assert time.perf_counter() - start < 1
-        assert str(exc.value) == "1000000 facilities over C(3,3) subsets exceed cap 100000"
+        assert str(exc.value) == "a witness of 1000000 facilities exceeds the limit of 100000"
 
     def test_oversized_witness_without_opponents_is_refused(self):
         # no opponent position, so no search: the same size rule still holds
         # before the witness of optimal locations is built
         start = time.perf_counter()
-        with pytest.raises(SearchTooLarge) as exc:
-            best_response([], DEFAULT_SEARCH_CAP + 1)
+        with pytest.raises(InvalidInput) as exc:
+            best_response([], 10**5 + 1)
         assert time.perf_counter() - start < 0.1
-        assert str(exc.value) == "100001 facilities over C(0,0) subsets exceed cap 100000"
+        assert str(exc.value) == "a witness of 100001 facilities exceeds the limit of 100000"
         assert len(best_response([], 3).witness) == 3
+        _refuse_too_large(10**5)  # the bound itself is allowed
 
 
 class TestCompletenessArgument:
@@ -269,35 +275,6 @@ class TestGridComparison:
         ):
             assert best_on_grid(list(profile.strategies), m, resolution) == grid
             assert best_response(list(profile.strategies), m).supremum_payoff == supremum
-
-    def test_grid_cap(self):
-        # three facilities on the 1001 points {i/1000}
-        with pytest.raises(SearchTooLarge):
-            _refuse_too_large(1001, 3)
-
-    def test_grid_refusal_does_not_compute_the_binomial(self):
-        # C(10**18 + 1, 10**5) has millions of digits; the refusal counts it
-        # up only until it passes the cap
-        start = time.perf_counter()
-        with pytest.raises(SearchTooLarge):
-            _refuse_too_large(10**18 + 1, DEFAULT_SEARCH_CAP)
-        assert time.perf_counter() - start < 0.1
-
-    def test_refusal_counts_the_binomial_exactly_at_the_cap(self):
-        # C(n, r) against the cap for families of up to 40 candidates; the
-        # exact-cap m = 10**5 with one subset is allowed
-        for n in range(41):
-            for r in range(1, n + 1):
-                try:
-                    _refuse_too_large(n, r)
-                    refused = False
-                except SearchTooLarge:
-                    refused = True
-                assert refused == (math.comb(n, r) > DEFAULT_SEARCH_CAP)
-        _refuse_too_large(0, DEFAULT_SEARCH_CAP)
-        _refuse_too_large(DEFAULT_SEARCH_CAP, DEFAULT_SEARCH_CAP)
-        with pytest.raises(SearchTooLarge):
-            _refuse_too_large(DEFAULT_SEARCH_CAP + 1, DEFAULT_SEARCH_CAP)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_no_facility_is_an_input_error(self, m):
@@ -484,8 +461,6 @@ class TestKnapsackAgreement:
             positions = [x for s in strategies for x in s]
             family = candidate_family(positions)
             m = rng.randint(1, 5)
-            if math.comb(len(family), m) > 3000:  # keeps the search fast
-                continue
             instances += 1
             opponents = [MixedStrategy.point(s) for s in strategies]
             result = best_response(opponents, m)
@@ -502,8 +477,7 @@ class TestKnapsackAgreement:
         assert ms == {1, 2, 3, 4, 5}
 
     def test_every_construct_pure_player(self):
-        # every admissible game with n <= 10; the cap refuses none of these
-        # searches
+        # every admissible game with n <= 10
         players = 0
         for counts in _atlas_multisets(10):
             game = make_game(counts)
@@ -516,6 +490,54 @@ class TestKnapsackAgreement:
                 assert result.supremum_payoff == reference_pure_best_response([x for s in rest for x in s], m)
                 players += 1
         assert players == 408
+
+    def test_seeded_profiles_up_to_sixty_facilities(self):
+        # one seeded player of each of 40 pure profiles of 2-6 players and
+        # up to 60 facilities, each player's on one small grid i/q, ends
+        # included
+        rng = random.Random(60)
+        seen = {"co-located": 0, "ends": 0, "attained": 0, "limit": 0, "m >= 10": 0}
+        for _ in range(40):
+            n = rng.randint(2, 60)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(2, min(n, 6)) - 1))
+            counts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+            strategies = []
+            for m in counts:
+                q = max(m - 1, rng.choice((4, 6, 8, 12, 24)))
+                strategies.append(PureStrategy(tuple(F(i, q) for i in sorted(rng.sample(range(q + 1), m)))))
+            player = rng.randrange(len(counts))
+            m, rest = counts[player], strategies[:player] + strategies[player + 1 :]
+            positions = [x for s in rest for x in s]
+            opponents = [MixedStrategy.point(s) for s in rest]
+            result = best_response(opponents, m)
+            assert result.supremum_payoff == reference_pure_best_response(positions, m)
+            assert limit_value(opponents, result.witness) == result.supremum_payoff
+            seen["co-located"] += len(set(positions)) < len(positions)
+            seen["ends"] += bool({F(0), F(1)} & set(positions))
+            seen["attained"] += result.attained
+            seen["limit"] += not result.attained
+            seen["m >= 10"] += m >= 10
+        assert all(count >= 3 for count in seen.values()), seen
+
+    def test_large_constructions_certify(self):
+        # construct_pure of four games with 16 to 40 facilities and of seeded
+        # games with 30 <= n <= 100: every player's supremum is the
+        # knapsack's and its payoff in the equilibrium, so every gain is 0
+        rng = random.Random(100)
+        games = [(5, 5, 6), (6, 7, 7), (8, 8, 8), (10, 10, 10, 10)]
+        while len(games) < 10:
+            n = rng.randint(30, 100)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(2, 10) - 1))
+            counts = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+            if exists_pure(make_game(counts)).exists:
+                games.append(counts)
+        for counts in games:
+            profile = construct_pure(make_game(counts))
+            results = certify_no_deviation(make_game(counts), profile)
+            for player, (m, result) in enumerate(zip(counts, results)):
+                rest = [x for i, s in enumerate(profile.strategies) if i != player for x in s]
+                assert result.gain == 0, (counts, player)
+                assert result.supremum_payoff == reference_pure_best_response(rest, m)
 
 
 class TestCertify:
