@@ -228,12 +228,6 @@ class MixedStrategy:
         return self.support[0][0]
 
 
-def _positions(strategies: Iterable[MixedStrategy]) -> set[Fraction]:
-    """Every location some support entry of the strategies uses, read from
-    their tables with one Fraction per distinct integer."""
-    return {Fraction(i, scale) for scale, ints, _, _ in (x._table for x in strategies) for i in set(ints)}
-
-
 def _uniform_subsets(points: Sequence[int], scale: int, size: int) -> MixedStrategy:
     """The uniform mixture over the ``size``-subsets of ``points``, which are
     distinct increasing integers in ``[0, scale]``.

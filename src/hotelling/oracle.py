@@ -13,8 +13,10 @@ The same fact makes the search polynomial: a facility's cell depends only
 on its nearest own neighbours and its nearest opponents, so a subset's
 value is a sum of terms over its first facility, each pair of neighbours
 and its last, the halves of ``mixed._chain_pay``'s cell, on integers
-throughout. A dynamic program over the sorted family finds the best chain
-of m candidates in ``O((draws + m) * |F|^2)`` steps.
+throughout: the family's keys are read from the opponents' integer tables,
+and only the witness's entries become ``OffsetLocation``s. A dynamic
+program over the sorted family finds the best chain of m candidates in
+``O((draws + m) * |F|^2)`` steps.
 
 Every answer is exact or refused: a witness of fewer than one or more than
 ``_MAX_WITNESS`` facilities is an input error, and opponents with more
@@ -25,6 +27,7 @@ search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +39,6 @@ from .mixed import (
     MixedProfile,
     MixedStrategy,
     _nearest,
-    _positions,
     _refuse_too_many_draws,
     _scaled_supports,
     _sorted_draws,
@@ -47,6 +49,8 @@ from .payoff import _SIDE_EPS, OffsetLocation, _in_unit
 
 # the most facilities a witness may hold
 _MAX_WITNESS = 10**5
+# a side by its offset on the doubled grid
+_SIDES = {offset: side for side, offset in _SIDE_EPS.items()}
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,10 @@ def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...
     """All one-sided and exact placements around the given positions.
 
     Each position is coerced and range-checked once, as ``OffsetLocation``
-    would check it, and its members are built without further checks.
+    would check it, and its members are built without further checks. The
+    search never calls it: it builds the same family as integer pairs from
+    the opponents' tables (``_grid_family``), and this list of
+    ``OffsetLocation``s is the reference the tests hold those pairs to.
     """
     family: list[OffsetLocation] = []
     for x in sorted(set(positions)):
@@ -88,27 +95,53 @@ def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...
     return tuple(family)
 
 
-def _gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocation]:
-    """Deterministic exact points strictly inside unoccupied gaps.
+def _grid_family(opponents: Sequence[MixedStrategy]) -> tuple[int, list[tuple[int, int]]]:
+    """The candidate family as sorted integer pairs on the opponents' grid.
+
+    ``half`` is the lcm of the opponents' table scales, and each position
+    some support entry uses is read from its table as an integer ``q`` over
+    it. Each ``q`` gives ``(q, offset)`` for the offsets -1, 0 and +1 of
+    ``_SIDE_EPS``, none below 0 and none above ``half``: the
+    ``(position, side)`` list of ``candidate_family``, in its order.
+    """
+    tables = [x._table for x in opponents]
+    half = math.lcm(*(own for own, _, _, _ in tables))
+    points = sorted({i * (half // own) for own, ints, _, _ in tables for i in set(ints)})
+    family = []
+    for q in points:
+        if q:
+            family.append((q, -1))
+        family.append((q, 0))
+        if q < half:
+            family.append((q, 1))
+    return half, family
+
+
+def _padded(family: Sequence[tuple[int, int]], half: int, needed: int) -> tuple[int, list[tuple[int, int]]]:
+    """The family with ``needed`` deterministic exact points strictly inside
+    the gaps between its positions and the ends, on a grid fine enough for
+    all of them, and that grid's ``half``.
 
     Used when the player has more facilities than the candidate family has
     slots; interior extras never change the achievable mass once both ends
-    of every gap are approached, so they only pad the witness.
+    of every gap are approached, so they only pad the witness. Fillers
+    halve each gap, then quarter it, and so on, gap after gap, so a depth
+    ``d`` holds ``2**(d - 1)`` per gap; the grid is refined by ``2**depth``
+    for the deepest one needed.
     """
-    pts = sorted(set(positions))
-    gaps = [(ZERO, pts[0])] + list(zip(pts, pts[1:])) + [(pts[-1], ONE)]
-    gaps = [(a, b) for a, b in gaps if a < b]
-    fillers: list[OffsetLocation] = []
+    ends = [0, *sorted({q for q, _ in family}), half]
+    gaps = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
     depth = 1
-    while len(fillers) < needed:
-        denom = 2**depth
-        for a, b in gaps:
-            for num in range(1, denom, 2):
-                fillers.append(OffsetLocation(a + (b - a) * Fraction(num, denom), "exact"))
-                if len(fillers) == needed:
-                    return fillers
+    while len(gaps) * (2**depth - 1) < needed:
         depth += 1
-    return fillers
+    fillers = (
+        ((a << depth) + ((b - a) * num << (depth - level)), 0)
+        for level in range(1, depth + 1)
+        for a, b in gaps
+        for num in range(1, 2**level, 2)
+    )
+    refined = [(q << depth, side) for q, side in family]
+    return half << depth, sorted([*refined, *itertools.islice(fillers, needed)])
 
 
 def _refuse_too_large(m: int) -> None:
@@ -169,17 +202,20 @@ def _best_chain(
 
 
 def _best_subset(
-    family: Sequence[OffsetLocation],
+    family: Sequence[tuple[int, int]],
+    half: int,
     m: int,
     opponents: Sequence[MixedStrategy],
 ) -> tuple[Fraction, bool, tuple[OffsetLocation, ...]]:
     """The one search of ``best_response`` and ``certify_no_deviation``,
     which refuse first (``_checked_family``): the best m-subset of the
-    sorted ``family``, padded with gap fillers when it is shorter than ``m``.
+    sorted ``family`` of ``(q, offset)`` pairs, positions ``q / half``,
+    padded with gap fillers (``_padded``) when it is shorter than ``m``.
+    Every opponent table's scale divides ``half``.
 
     The family and the opponents' tables share one integer grid, doubled so
-    every position is even; a candidate's key is its position plus its
-    side's offset, so a one-sided key is odd and meets no opponent. Each
+    every position is even: a candidate's position is ``2q`` and its key
+    ``2q + offset``, so a one-sided key is odd and meets no opponent. Each
     draw is bisected once per candidate (``_nearest``). A subset's value is
     then a head term for its first candidate, a pair term for each pair of
     neighbours and a tail term for its last: the halves of ``_chain_pay``'s
@@ -187,15 +223,16 @@ def _best_subset(
     them over all candidates, and again over the exact ones alone.
     Returns the supremum, one Fraction built at the end, whether it is
     attained, and the witness: the smallest all-exact maximizer if any,
-    else the smallest maximizer.
+    else the smallest maximizer. Only the witness's ``m`` entries become
+    ``OffsetLocation``s.
     """
     if m > len(family):  # one subset, never all-exact: the family holds a one-sided entry
-        family = sorted([*family, *_gap_fillers([c.position for c in family], m - len(family))])
+        half, family = _padded(family, half, m - len(family))
     tables = [x._table for x in opponents]
-    scale = 2 * math.lcm(*(own for own, _, _, _ in tables), *(c.position.denominator for c in family))
+    scale = 2 * half
     split = math.lcm(*range(1, len(opponents) + 2))
-    xs = [c.position.numerator * (scale // c.position.denominator) for c in family]
-    keys = [x + _SIDE_EPS[c.side] for x, c in zip(xs, family)]
+    xs = [2 * q for q, _ in family]
+    keys = [2 * q + side for q, side in family]
     # neighbours in a chain of m are at most |F| - m + 1 candidates apart
     reach = len(family) - m + 2 if m > 1 else 1
     head = [0] * len(family)
@@ -210,37 +247,40 @@ def _best_subset(
             for g, (y, (below, _, other)) in enumerate(zip(xs[a + 1 : a + reach], bounds[a + 1 : a + reach])):
                 row[g] += weight * (share * (y if y < high else high) - other * (x if x > below else below))
     top, chain = _best_chain(head, tail, pair, m, [True] * len(family))
-    exact = _best_chain(head, tail, pair, m, [c.side == "exact" for c in family])
+    exact = _best_chain(head, tail, pair, m, [side == 0 for _, side in family])
     attained = exact is not None and exact[0] == top
     if attained:
         chain = exact[1]
     den = 2 * scale * split * math.prod(probs for _, _, probs, _ in tables)
-    return Fraction(top, den), attained, tuple(family[i] for i in chain)
+    entries = [family[i] for i in chain]
+    witness = tuple(OffsetLocation._checked(Fraction(q, half), _SIDES[side]) for q, side in entries)
+    return Fraction(top, den), attained, witness
 
 
-def _checked_family(opponents: Sequence[MixedStrategy], m: int) -> tuple[OffsetLocation, ...]:
-    """The candidate family of an m-facility player against the opponents,
-    once its search is known to run: ``_refuse_too_large``, then the cap on
-    the opponents' joint draws."""
+def _checked_family(opponents: Sequence[MixedStrategy], m: int) -> tuple[int, list[tuple[int, int]]]:
+    """The grid family (``_grid_family``) of an m-facility player against
+    the opponents, once its search is known to run: ``_refuse_too_large``,
+    then the cap on the opponents' joint draws."""
     _refuse_too_large(m)
-    family = candidate_family(_positions(opponents))
+    checked = _grid_family(opponents)
     _refuse_too_many_draws(math.prod(len(x._table[3]) for x in opponents))
-    return family
+    return checked
 
 
 def _deviation(
-    family: Sequence[OffsetLocation],
+    checked: tuple[int, list[tuple[int, int]]],
     opponents: Sequence[MixedStrategy],
     m: int,
     current_payoff: Fraction | None,
 ) -> DeviationResult:
-    """The best response over a family that ``_checked_family`` returned."""
+    """The best response over a grid family that ``_checked_family`` returned."""
+    half, family = checked
     if not family:
         # no competition: every strategy collects the whole customer mass
         best, attained = ONE, True
         witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
     else:
-        best, attained, witness = _best_subset(family, m, opponents)
+        best, attained, witness = _best_subset(family, half, m, opponents)
     gain = None if current_payoff is None else best - current_payoff
     return DeviationResult(best, attained, witness, gain)
 

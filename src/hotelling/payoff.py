@@ -56,7 +56,8 @@ class OffsetLocation:
     @classmethod
     def _checked(cls, position: Fraction, side: Side) -> "OffsetLocation":
         """A location its caller has already checked, as ``candidate_family``
-        checks each position once for its three sides."""
+        checks each position once for its three sides, and as the oracle's
+        witness entries lie on the grid of the opponents' checked tables."""
         location = object.__new__(cls)
         object.__setattr__(location, "position", position)
         object.__setattr__(location, "side", side)

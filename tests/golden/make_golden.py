@@ -16,11 +16,14 @@ the in-process CLI. The cases are:
 - ``atlas --max-n 14``;
 - ``construct --kind pure`` for every game of ``n <= 12``, and ``payoff``,
   ``payoff --full`` and ``verify`` of each pure equilibrium it writes;
-- ``payoff`` and ``payoff --full`` of ``RANDOM_PROFILES`` seeded inline pure
-  profiles of up to 16 facilities on small grids, so that players share
-  points and sit at 0 and 1, and ``verify`` of those whose certification
-  weighs at most ``VERIFY_SUBSETS`` subsets over all players;
-- the ``repr`` of every strategy in ``helpers.TABLE_ROUTES``.
+- ``payoff``, ``payoff --full`` and ``verify`` of ``RANDOM_PROFILES`` seeded
+  inline pure profiles of up to 16 facilities on small grids, so that
+  players share points and sit at 0 and 1;
+- the ``repr`` of every strategy in ``helpers.TABLE_ROUTES``;
+- the ``repr`` of every player's ``certify_no_deviation`` result (supremum,
+  ``attained``, witness and gain) for ``construct_pure`` of every game of
+  ``n <= 14`` that has a pure equilibrium, and for every partition mixture
+  of ``n <= 14``, called in the library.
 
 Documents are written to a temporary directory, whose path reads ``<doc>``
 in the corpus. Only the standard library and ``hotelling`` are used.
@@ -33,7 +36,6 @@ import copy
 import gzip
 import io
 import json
-import math
 import random
 import sys
 import tempfile
@@ -47,10 +49,8 @@ CORPUS = HERE / "corpus.json.gz"
 BASE_GAME = (2, 4)
 
 RANDOM_PROFILES = 200
-# the largest certification ``verify`` runs on a random profile, in subsets
-# of its candidate families summed over its players; fixed, so that the
-# corpus keeps the cases it was written with
-VERIFY_SUBSETS = 300
+# the largest game whose equilibria the certification cases cover
+CERTIFY_N = 14
 
 
 def _partitions(total: int, largest: int):
@@ -84,6 +84,24 @@ def pure_games() -> list[tuple[int, ...]]:
     return [c for n in range(2, 13) for c in sorted(_partitions(n, n)) if len(c) >= 2]
 
 
+def certified_profiles() -> dict[str, tuple]:
+    """The equilibria the certification cases cover, by name: ``construct_pure``
+    of every game of ``2 <= n <= CERTIFY_N`` with a pure equilibrium, one
+    player included, then each partition mixture of ``n <= CERTIFY_N``."""
+    from hotelling import Game, construct_mixed, construct_pure, exists_pure, find_partition
+
+    profiles: dict[str, tuple] = {}
+    for counts in (c for n in range(2, CERTIFY_N + 1) for c in sorted(_partitions(n, n))):
+        game = Game(counts)
+        if exists_pure(game).exists:
+            profiles[f"pure {','.join(map(str, counts))}"] = (game, construct_pure(game))
+    for counts in partition_games():
+        if sum(counts) <= CERTIFY_N:
+            game = Game(counts)
+            profiles[f"mixed {','.join(map(str, counts))}"] = (game, construct_mixed(game, find_partition(game)))
+    return profiles
+
+
 def random_pure_profiles(seed: int = 0) -> list[str]:
     """Seeded inline pure profiles: 1-5 players, 1-16 facilities, each
     player's locations drawn from one small grid ``i/q``, ends included."""
@@ -97,19 +115,6 @@ def random_pure_profiles(seed: int = 0) -> list[str]:
         players = [sorted(rng.sample(range(q + 1), m)) for m in counts]
         profiles[";".join(",".join(str(Fraction(i, q)) for i in grid) for grid in players)] = None
     return list(profiles)
-
-
-def search_size(text: str) -> int:
-    """The subsets of the candidate family ``verify``'s certification of an
-    inline pure profile would weigh, summed over every player."""
-    from hotelling.oracle import candidate_family
-
-    players = [[Fraction(x) for x in chunk.split(",")] for chunk in text.split(";")]
-    total = 0
-    for i, own in enumerate(players):
-        family = candidate_family(x for j, other in enumerate(players) if j != i for x in other)
-        total += math.comb(len(family), len(own)) if len(own) <= len(family) else 1
-    return total
 
 
 def _faults(mixer: list) -> dict[str, list]:
@@ -173,7 +178,7 @@ def run(argv: list[str], directory: str) -> list:
 def corpus() -> dict[str, list]:
     """Every case's key and output, computed afresh."""
     from helpers import TABLE_ROUTES
-    from hotelling import Game, two_player_equilibrium
+    from hotelling import Game, certify_no_deviation, two_player_equilibrium
     from hotelling.serialize import profile_document
 
     cases: dict[str, list] = {}
@@ -215,14 +220,13 @@ def corpus() -> dict[str, list]:
                 for command in (["payoff"], ["payoff", "--full"], ["verify"]):
                     cases[f"{' '.join(command)} pure {game}"] = cli(*command, "--profile", path)
         for text in random_pure_profiles():
-            commands = [["payoff"], ["payoff", "--full"]]
-            if search_size(text) <= VERIFY_SUBSETS:
-                commands.append(["verify"])
-            for command in commands:
+            for command in (["payoff"], ["payoff", "--full"], ["verify"]):
                 cases[f"{' '.join(command)} {text}"] = cli(*command, "--profile", text)
     for name, route in TABLE_ROUTES.items():
         for i, strategy in enumerate(route()):
             cases[f"repr {name}[{i}]"] = [repr(strategy)]
+    for name, (game, profile) in certified_profiles().items():
+        cases[f"certify {name}"] = list(map(repr, certify_no_deviation(game, profile)))
     return cases
 
 

@@ -8,7 +8,9 @@ the library's integer sweep. ``flatten`` builds the single-unit twin that
 T4-3 is defined on, the reference route for the verifier's reuse of the
 multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
 ``reference_best_response`` values every subset of a family through
-``limit_payoff``, the reference for the oracle's per-draw chain cells.
+``limit_payoff``, the reference for the oracle's per-draw chain cells;
+``best_subset`` runs the oracle's search over such a family, and
+``reference_gap_fillers`` pads a family as the oracle does, in Fractions.
 ``reference_pure_best_response`` solves the best response against pure
 opponents as a knapsack over their points, a second route to the oracle's
 supremum that shares none of its code.
@@ -48,7 +50,7 @@ from hotelling import (
     two_player_equilibrium,
 )
 from hotelling.core import as_fraction, require_profile
-from hotelling.oracle import candidate_family
+from hotelling.oracle import _best_subset, candidate_family
 from hotelling.serialize import mixed_strategy_from_json, mixed_strategy_to_json
 
 TIE_EPS = 1e-12
@@ -230,6 +232,36 @@ def reference_best_response(
     maximizers = [subset for subset, value in values.items() if value == best]
     exact = [subset for subset in maximizers if all(c.side == "exact" for c in subset)]
     return best, maximizers[0], exact[0] if exact else None
+
+
+def best_subset(
+    family: Sequence[OffsetLocation], m: int, opponents: Sequence[MixedStrategy]
+) -> tuple[Fraction, bool, tuple[OffsetLocation, ...]]:
+    """``oracle._best_subset`` over a sorted ``OffsetLocation`` family, which
+    may be enriched beyond or cut from the candidate family: its entries go
+    onto the grid of the lcm of the opponents' table scales and of the
+    family's own denominators, as ``(q, offset)`` pairs."""
+    half = math.lcm(*(x._table[0] for x in opponents), *(c.position.denominator for c in family))
+    pairs = [(c.position.numerator * (half // c.position.denominator), _SIDE_ORDER[c.side]) for c in family]
+    return _best_subset(pairs, half, m, opponents)
+
+
+def reference_gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocation]:
+    """Exact points strictly inside the gaps between the positions and the
+    ends, in ``Fraction`` arithmetic: each gap's midpoint, gap after gap,
+    then its odd quarters, then its odd eighths, until ``needed`` are made.
+    The reference for the oracle's fillers on a refined integer grid."""
+    pts = sorted(set(positions))
+    gaps = [(a, b) for a, b in zip([Fraction(0), *pts], [*pts, Fraction(1)]) if a < b]
+    fillers: list[OffsetLocation] = []
+    depth = 1
+    while len(fillers) < needed:
+        for a, b in gaps:
+            for num in range(1, 2**depth, 2):
+                if len(fillers) < needed:
+                    fillers.append(OffsetLocation(a + (b - a) * Fraction(num, 2**depth), "exact"))
+        depth += 1
+    return fillers
 
 
 def reference_pure_best_response(positions: Sequence[Fraction], m: int) -> Fraction:

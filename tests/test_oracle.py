@@ -34,13 +34,15 @@ from hotelling import (
 import hotelling.mixed as mixed_module
 import hotelling.oracle as oracle_module
 from hotelling.cli import _atlas_multisets
-from hotelling.oracle import _best_subset, _refuse_too_large, candidate_family
+from hotelling.oracle import _grid_family, _refuse_too_large, candidate_family
 
 from helpers import (
+    best_subset,
     limit_value,
     rand_profile,
     rand_strategy,
     reference_best_response,
+    reference_gap_fillers,
     reference_pure_best_response,
 )
 
@@ -91,6 +93,30 @@ class TestCandidateFamily:
             candidate_family(positions)
         assert type(exc.value) is error and str(exc.value) == message
 
+    def test_grid_family_is_candidate_family(self):
+        # seeded opponents whose tables have different scales, that share
+        # points and sit at 0 and 1: the integer pairs on the lcm of their
+        # scales are candidate_family's (position, side) list, in its order
+        sides = {-1: "below", 0: "exact", 1: "above"}
+        rng = random.Random(26)
+        seen = {"scales": 0, "co-located": 0, "ends": 0}
+        for _ in range(200):
+            opponents = []
+            for _ in range(rng.randint(1, 4)):
+                q, k = rng.choice((1, 2, 3, 4, 5, 6, 8, 12)), rng.randint(1, 3)
+                entries = list({rand_strategy(rng, k, max(q, k - 1)) for _ in range(rng.randint(1, 3))})
+                opponents.append(MixedStrategy.uniform(entries))
+            positions = [loc for x in opponents for s, _ in x.support for loc in s]
+            half, family = _grid_family(opponents)
+            assert [(F(q, half), sides[side]) for q, side in family] == [
+                (c.position, c.side) for c in candidate_family(positions)
+            ]
+            seen["scales"] += len({x._table[0] for x in opponents}) > 1
+            seen["co-located"] += len(set(positions)) < len(positions)
+            seen["ends"] += bool({F(0), F(1)} & set(positions))
+        assert all(count >= 20 for count in seen.values()), seen
+        assert _grid_family([]) == (1, []) and candidate_family([]) == ()
+
 
 class TestBestResponse:
     def test_two_slots_against_full_optimum(self):
@@ -126,6 +152,18 @@ class TestBestResponse:
         assert not result.attained
         assert len(result.witness) == 5
         assert len({o.sort_key() for o in result.witness}) == 5
+        # nothing below 0 or above 1: the family's four candidates and the
+        # gap filler 1/2
+        result = best_response([point(0, 1)], 5)
+        assert (result.supremum_payoff, result.attained) == (1, False)
+        assert [(c.position, c.side) for c in result.witness] == [
+            (0, "exact"), (0, "above"), (F(1, 2), "exact"), (1, "below"), (1, "exact"),
+        ]
+        # nine fillers reach the gaps' odd eighths
+        result = best_response([point("1/3")], 12)
+        family = candidate_family([F(1, 3)])
+        assert result.witness == tuple(sorted([*family, *reference_gap_fillers([F(1, 3)], 9)]))
+        assert result.supremum_payoff == 1 and not result.attained
 
     def test_five_facilities_over_thirty_candidates(self):
         # C(30, 5) = 142,506 subsets: the chain search answers exactly, as
@@ -303,7 +341,7 @@ class TestGridComparison:
                 | {OffsetLocation(F(i, 16), "exact") for i in range(17)}
             )
             m = min(2, len(family))
-            assert _best_subset(enriched, m, opp)[0] == _best_subset(family, m, opp)[0]
+            assert best_subset(enriched, m, opp)[0] == best_subset(family, m, opp)[0]
 
 
 def _split_optimum(rng: random.Random) -> list[PureStrategy]:
@@ -386,7 +424,7 @@ class TestReferenceAgreement:
             ]
             for subset in itertools.combinations(family, m):
                 subsets += 1
-                assert _best_subset(subset, m, opponents)[0] == limit_value(opponents, subset)
+                assert best_subset(subset, m, opponents)[0] == limit_value(opponents, subset)
                 seen["stacked exact"] += any(
                     c.side == "exact" and d.count(c.position) >= 2 for c in subset for d in drawn
                 )
@@ -409,7 +447,7 @@ class TestReferenceAgreement:
             m = rng.randint(1, 2)
             for subset in itertools.combinations(family, m):
                 subsets += 1
-                assert _best_subset(subset, m, opponents)[0] == limit_value(opponents, subset)
+                assert best_subset(subset, m, opponents)[0] == limit_value(opponents, subset)
                 seen["one-sided beside an opponent"] += any(
                     c.side != "exact" and c.position not in positions
                     and {c.position - F(1, 16), c.position + F(1, 16)} & positions
@@ -417,7 +455,7 @@ class TestReferenceAgreement:
                 )
             if math.prod(len(x.support) for x in opponents) <= 9:
                 padded = candidate_family(positions)
-                supremum, attained, witness = _best_subset(padded, len(padded) + rng.randint(1, 3), opponents)
+                supremum, attained, witness = best_subset(padded, len(padded) + rng.randint(1, 3), opponents)
                 assert not attained and set(padded) < set(witness)
                 assert supremum == limit_value(opponents, witness)
                 seen["padded"] += 1
@@ -440,6 +478,8 @@ class TestReferenceAgreement:
             assert result.supremum_payoff == reference_best_response(opponents, len(family))[0]
             assert not result.attained
             assert len(result.witness) == m and set(family) <= set(result.witness)
+            positions = [loc for x in opponents for s, _ in x.support for loc in s]
+            assert result.witness == tuple(sorted([*family, *reference_gap_fillers(positions, m - len(family))]))
             assert limit_value(opponents, result.witness) == result.supremum_payoff
 
 
