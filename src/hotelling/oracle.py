@@ -14,9 +14,13 @@ on its nearest own neighbours and its nearest opponents, so a subset's
 value is a sum of terms over its first facility, each pair of neighbours
 and its last, the halves of ``mixed._chain_pay``'s cell, on integers
 throughout: the family's keys are read from the opponents' integer tables,
-and only the witness's entries become ``OffsetLocation``s. A dynamic
+and only the witness's entries become ``OffsetLocation``s. One dynamic
 program over the sorted family finds the best chain of m candidates in
-``O((draws + m) * |F|^2)`` steps.
+``O((draws + m) * |F|^2)`` steps; each term carries its candidate's exact
+indicator, so the same run also decides whether an all-exact chain reaches
+the supremum (``attained``). When certifying, the search pays the player's
+own chain against the same opponent draws with the same cell formula, so
+the gain needs no second pass over them.
 
 Every answer is exact or refused: a witness of fewer than one or more than
 ``_MAX_WITNESS`` facilities is an input error, and opponents with more
@@ -27,22 +31,26 @@ search.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
-from .core import ONE, ZERO, Game, PureProfile, as_fraction
+from .core import ONE, ZERO, Game, PureProfile, as_fraction, require_profile
 from .errors import InvalidInput
 from .mixed import (
     MixedProfile,
     MixedStrategy,
+    _chain_halves,
+    _chain_pay,
     _nearest,
     _refuse_too_many_draws,
+    _Row,
     _scaled_supports,
     _sorted_draws,
-    mixed_payoff,
     optimal_locations,
 )
 from .payoff import _SIDE_EPS, OffsetLocation, _in_unit
@@ -51,6 +59,8 @@ from .payoff import _SIDE_EPS, OffsetLocation, _in_unit
 _MAX_WITNESS = 10**5
 # a side by its offset on the doubled grid
 _SIDES = {offset: side for side, offset in _SIDE_EPS.items()}
+# a support's (row, weight) entries on the doubled grid, see _scaled_supports
+_Rows = Sequence[tuple[_Row, int]]
 
 
 @dataclass(frozen=True)
@@ -59,11 +69,13 @@ class DeviationResult:
 
     ``attained`` tells whether some all-exact subset of the candidate
     family reaches the supremum; otherwise the witness carries one-sided
-    limits. It says nothing of exact points off the family: a lone facility
-    strictly between two opponents earns the same anywhere in that gap, so
-    a supremum reported as not attained may still be earned by an exact
-    point inside a gap. ``gain`` is relative to the player's payoff in the
-    profile under certification (None when no baseline was supplied). The
+    limits. The search's one chain DP decides it, as the exact-candidate
+    count of a best chain. It says nothing of exact points off the family:
+    a lone facility strictly between two opponents earns the same anywhere
+    in that gap, so a supremum reported as not attained may still be
+    earned by an exact point inside a gap. ``gain`` is relative to the
+    player's payoff in the profile under certification, paid by the search
+    from its own opponent draws (None when no baseline was supplied). The
     supremum is always exact: every subset is valued on integers by the
     halves of ``mixed_payoff``'s cell formula.
     """
@@ -95,18 +107,16 @@ def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...
     return tuple(family)
 
 
-def _grid_family(opponents: Sequence[MixedStrategy]) -> tuple[int, list[tuple[int, int]]]:
-    """The candidate family as sorted integer pairs on the opponents' grid.
+def _grid_family(opponents: Sequence[MixedStrategy], half: int) -> list[tuple[int, int]]:
+    """The candidate family as sorted integer pairs on a grid of ``half``.
 
-    ``half`` is the lcm of the opponents' table scales, and each position
-    some support entry uses is read from its table as an integer ``q`` over
-    it. Each ``q`` gives ``(q, offset)`` for the offsets -1, 0 and +1 of
+    Every opponent table's scale divides ``half``, and each position some
+    support entry uses is read from its table as an integer ``q`` over it.
+    Each ``q`` gives ``(q, offset)`` for the offsets -1, 0 and +1 of
     ``_SIDE_EPS``, none below 0 and none above ``half``: the
     ``(position, side)`` list of ``candidate_family``, in its order.
     """
-    tables = [x._table for x in opponents]
-    half = math.lcm(*(own for own, _, _, _ in tables))
-    points = sorted({i * (half // own) for own, ints, _, _ in tables for i in set(ints)})
+    points = sorted({i * (half // own) for own, ints, _, _ in (x._table for x in opponents) for i in set(ints)})
     family = []
     for q in points:
         if q:
@@ -114,20 +124,23 @@ def _grid_family(opponents: Sequence[MixedStrategy]) -> tuple[int, list[tuple[in
         family.append((q, 0))
         if q < half:
             family.append((q, 1))
-    return half, family
+    return family
 
 
-def _padded(family: Sequence[tuple[int, int]], half: int, needed: int) -> tuple[int, list[tuple[int, int]]]:
+def _padded(
+    family: Sequence[tuple[int, int]], half: int, needed: int, supports: Sequence[_Rows]
+) -> tuple[int, list[tuple[int, int]], list[list[tuple[_Row, int]]]]:
     """The family with ``needed`` deterministic exact points strictly inside
     the gaps between its positions and the ends, on a grid fine enough for
-    all of them, and that grid's ``half``.
+    all of them, that grid's ``half``, and the supports' rows on it.
 
     Used when the player has more facilities than the candidate family has
     slots; interior extras never change the achievable mass once both ends
     of every gap are approached, so they only pad the witness. Fillers
     halve each gap, then quarter it, and so on, gap after gap, so a depth
-    ``d`` holds ``2**(d - 1)`` per gap; the grid is refined by ``2**depth``
-    for the deepest one needed.
+    ``d`` holds ``2**(d - 1)`` per gap; the grid, and every position of
+    the supports' rows, is refined by ``2**depth`` for the deepest one
+    needed.
     """
     ends = [0, *sorted({q for q, _ in family}), half]
     gaps = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
@@ -141,7 +154,8 @@ def _padded(family: Sequence[tuple[int, int]], half: int, needed: int) -> tuple[
         for num in range(1, 2**level, 2)
     )
     refined = [(q << depth, side) for q, side in family]
-    return half << depth, sorted([*refined, *itertools.islice(fillers, needed)])
+    rows = [[(tuple(x << depth for x in row), w) for row, w in support] for support in supports]
+    return half << depth, sorted([*refined, *itertools.islice(fillers, needed)]), rows
 
 
 def _refuse_too_large(m: int) -> None:
@@ -159,86 +173,101 @@ def _best_chain(
     tail: Sequence[int],
     pair: Sequence[Sequence[int]],
     m: int,
-    allowed: Sequence[bool],
-) -> tuple[int, list[int]] | None:
-    """The best chain of ``m`` allowed candidates and its value, None if
-    there is none; of equal chains, the lexicographically smallest.
+) -> tuple[int, bool, list[int]]:
+    """The best chain of ``m`` candidates: its value, whether an all-exact
+    chain reaches that value, and the chain, by one DP run over scores.
 
     ``pair[a][g]`` is the term of candidate ``a`` followed by ``a + 1 + g``.
-    A chain's j-th candidate is ``j + t`` with ``0 <= t <= slack = |F| - m``,
-    and ``t`` never falls along it. ``best[j][t]`` is the best value of its
-    facilities from the j-th on, the j-th being ``j + t``, tail included and
-    head left out; the witness is walked greedily from the smallest ``t``
-    that keeps the value.
+    Every term is scored: ``(m + 1)`` times its value, and a tail or pair
+    term adds 1 when its candidate ``a`` is exact. So a chain scores
+    ``(m + 1) * value + (its number of exact candidates)``, the count never
+    reaching ``m + 1``, and the best score holds the best value and, of the
+    chains with that value, the most exact candidates: ``attained`` is a
+    count of ``m``. A chain's j-th candidate is ``j + t`` with
+    ``0 <= t <= slack = |F| - m``, and ``t`` never falls along it.
+    ``best[j][t]`` is the best score of its facilities from the j-th on,
+    the j-th being ``j + t``, tail included and head left out. The witness
+    is walked greedily from the smallest ``t`` that keeps the goal: the
+    score when attained, which gives the smallest all-exact maximizer, and
+    otherwise the score floor-divided by ``m + 1``, the value, which gives
+    the smallest maximizer.
     """
     slack = len(head) - m
-    row = [tail[m - 1 + t] if allowed[m - 1 + t] else None for t in range(slack + 1)]
+    row = list(tail[m - 1 :])
     best = [row]
     for j in range(m - 2, -1, -1):
-        after, row = row, []
-        for t in range(slack + 1):
-            top = None
-            if allowed[j + t]:
-                weights = pair[j + t]
-                for u in range(t, slack + 1):
-                    if after[u] is not None:
-                        value = weights[u - t] + after[u]
-                        if top is None or value > top:
-                            top = value
-            row.append(top)
+        after = row
+        row = [max(map(add, pair[j + t], after[t:])) for t in range(slack + 1)]
         best.append(row)
     best.reverse()
-    totals = [None if v is None else head[t] + v for t, v in enumerate(best[0])]
-    if all(v is None for v in totals):
-        return None
-    top = max(v for v in totals if v is not None)
-    t = totals.index(top)
+    totals = list(map(add, head, best[0]))
+    top = max(totals)
+    value, count = divmod(top, m + 1)
+    attained = count == m
+    unit = 1 if attained else m + 1
+    t = next(t for t, score in enumerate(totals) if score // unit == top // unit)
     chain = [t]
     for j in range(1, m):
-        weights, goal, after = pair[j - 1 + t], best[j - 1][t], best[j]
-        t = next(u for u in range(t, slack + 1) if after[u] is not None and weights[u - t] + after[u] == goal)
+        weights, goal, after = pair[j - 1 + t], best[j - 1][t] // unit, best[j]
+        t = next(u for u in range(t, slack + 1) if (weights[u - t] + after[u]) // unit == goal)
         chain.append(j + t)
-    return top, chain
+    return value, attained, chain
 
 
 def _best_subset(
     family: Sequence[tuple[int, int]],
     half: int,
     m: int,
-    opponents: Sequence[MixedStrategy],
-) -> tuple[Fraction, bool, tuple[OffsetLocation, ...]]:
+    rows: Sequence[_Rows],
+    den: int,
+    own: tuple[_Rows, int] | None = None,
+) -> tuple[Fraction, bool, tuple[OffsetLocation, ...], Fraction | None]:
     """The one search of ``best_response`` and ``certify_no_deviation``,
     which refuse first (``_checked_family``): the best m-subset of the
     sorted ``family`` of ``(q, offset)`` pairs, positions ``q / half``,
     padded with gap fillers (``_padded``) when it is shorter than ``m``.
-    Every opponent table's scale divides ``half``.
+    ``rows`` holds each opponent's support as ``(row, weight)`` entries on
+    ``2 * half`` (``_scaled_supports``), and ``den`` is the product of
+    their probability denominators; ``own`` is the player's own support on
+    the same grid with its denominator, or None.
 
-    The family and the opponents' tables share one integer grid, doubled so
+    The family and the opponents' rows share one integer grid, doubled so
     every position is even: a candidate's position is ``2q`` and its key
     ``2q + offset``, so a one-sided key is odd and meets no opponent. Each
     draw is bisected once per candidate (``_nearest``). A subset's value is
     then a head term for its first candidate, a pair term for each pair of
     neighbours and a tail term for its last: the halves of ``_chain_pay``'s
-    cell, summed over the draws as integers. ``_best_chain`` maximizes
-    them over all candidates, and again over the exact ones alone.
+    cell, summed over the draws as integers, each draw's weight times
+    ``m + 1`` and each exact candidate's tail and pair terms plus 1, the
+    scores of ``_best_chain``'s one run. Against every draw the own chain
+    is paid by ``_chain_pay`` of its ``_chain_halves``, the cell formula
+    ``mixed_payoff`` pays it by.
+
     Returns the supremum, one Fraction built at the end, whether it is
-    attained, and the witness: the smallest all-exact maximizer if any,
-    else the smallest maximizer. Only the witness's ``m`` entries become
+    attained, the witness, the smallest all-exact maximizer if any, else
+    the smallest maximizer, and the gain over the own chain's payoff (None
+    without ``own``). Only the witness's ``m`` entries become
     ``OffsetLocation``s.
     """
+    own_rows, own_den = own or ((), 1)
     if m > len(family):  # one subset, never all-exact: the family holds a one-sided entry
-        half, family = _padded(family, half, m - len(family))
-    tables = [x._table for x in opponents]
+        half, family, (*rows, own_rows) = _padded(family, half, m - len(family), [*rows, own_rows])
     scale = 2 * half
-    split = math.lcm(*range(1, len(opponents) + 2))
+    score = m + 1
+    split = math.lcm(*range(1, len(rows) + 2))
     xs = [2 * q for q, _ in family]
     keys = [2 * q + side for q, side in family]
+    own_keys, own_halves = _chain_halves(own_rows, scale)
     # neighbours in a chain of m are at most |F| - m + 1 candidates apart
     reach = len(family) - m + 2 if m > 1 else 1
+    exact = [int(side == 0) for _, side in family]
     head = [0] * len(family)
-    tail = [0] * len(family)
-    pair = [[0] * (reach - 1) for _ in family]
-    for weight, opps in _sorted_draws(_scaled_supports(opponents, scale), scale):
+    tail = exact[:]
+    pair = [[e] * (reach - 1) for e in exact]
+    paid = 0
+    for weight, opps in _sorted_draws(rows, scale):
+        paid += weight * _chain_pay(own_keys, own_halves, opps, split)
+        weight *= score
         bounds = _nearest(keys, opps, split)
         for a, (x, (low, high, share)) in enumerate(zip(xs, bounds)):
             head[a] -= weight * share * (-x if -x > low else low)
@@ -246,43 +275,39 @@ def _best_subset(
             row = pair[a]
             for g, (y, (below, _, other)) in enumerate(zip(xs[a + 1 : a + reach], bounds[a + 1 : a + reach])):
                 row[g] += weight * (share * (y if y < high else high) - other * (x if x > below else below))
-    top, chain = _best_chain(head, tail, pair, m, [True] * len(family))
-    exact = _best_chain(head, tail, pair, m, [side == 0 for _, side in family])
-    attained = exact is not None and exact[0] == top
-    if attained:
-        chain = exact[1]
-    den = 2 * scale * split * math.prod(probs for _, _, probs, _ in tables)
+    value, attained, chain = _best_chain(head, tail, pair, m)
+    den *= 2 * scale * split
     entries = [family[i] for i in chain]
     witness = tuple(OffsetLocation._checked(Fraction(q, half), _SIDES[side]) for q, side in entries)
-    return Fraction(top, den), attained, witness
+    gain = None if own is None else Fraction(value * own_den - paid, den * own_den)
+    return Fraction(value, den), attained, witness, gain
 
 
-def _checked_family(opponents: Sequence[MixedStrategy], m: int) -> tuple[int, list[tuple[int, int]]]:
+def _checked_family(opponents: Sequence[MixedStrategy], half: int, m: int) -> list[tuple[int, int]]:
     """The grid family (``_grid_family``) of an m-facility player against
     the opponents, once its search is known to run: ``_refuse_too_large``,
     then the cap on the opponents' joint draws."""
     _refuse_too_large(m)
-    checked = _grid_family(opponents)
+    family = _grid_family(opponents, half)
     _refuse_too_many_draws(math.prod(len(x._table[3]) for x in opponents))
-    return checked
+    return family
 
 
 def _deviation(
-    checked: tuple[int, list[tuple[int, int]]],
-    opponents: Sequence[MixedStrategy],
+    family: Sequence[tuple[int, int]],
+    half: int,
     m: int,
-    current_payoff: Fraction | None,
+    rows: Sequence[_Rows],
+    den: int,
+    own: tuple[_Rows, int] | None = None,
 ) -> DeviationResult:
-    """The best response over a grid family that ``_checked_family`` returned."""
-    half, family = checked
+    """The best response over a grid family that ``_checked_family``
+    returned, with ``_best_subset``'s arguments."""
     if not family:
-        # no competition: every strategy collects the whole customer mass
-        best, attained = ONE, True
+        # no competition: every strategy, the own one too, collects the whole customer mass
         witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
-    else:
-        best, attained, witness = _best_subset(family, half, m, opponents)
-    gain = None if current_payoff is None else best - current_payoff
-    return DeviationResult(best, attained, witness, gain)
+        return DeviationResult(ONE, True, witness, None if own is None else ZERO)
+    return DeviationResult(*_best_subset(family, half, m, rows, den, own))
 
 
 def best_response(
@@ -300,7 +325,14 @@ def best_response(
     facilities, then ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP``
     opponent draws.
     """
-    return _deviation(_checked_family(opponents, m), opponents, m, current_payoff)
+    tables = [x._table for x in opponents]
+    half = math.lcm(*(own for own, _, _, _ in tables))
+    family = _checked_family(opponents, half, m)
+    den = math.prod(probs for _, _, probs, _ in tables)
+    result = _deviation(family, half, m, _scaled_supports(opponents, 2 * half), den)
+    if current_payoff is None:
+        return result
+    return dataclasses.replace(result, gain=result.supremum_payoff - current_payoff)
 
 
 def certify_no_deviation(
@@ -309,17 +341,36 @@ def certify_no_deviation(
     """Best response for every player; all gains <= 0 certifies equilibrium.
 
     Any strictly positive gain is a constructive refutation: its witness is
-    a beneficial deviation for that player. Every player's search is
-    checked, in player order, before the first one runs: ``InvalidInput``
-    or ``SupportTooLarge`` for any player is raised before any search.
+    a beneficial deviation for that player. The profile's shape is checked
+    first, then every player's search, in player order, before the first
+    one runs: ``InvalidInput`` or ``SupportTooLarge`` for any player is
+    raised before any search. Every table is scaled once, onto the lcm of
+    all the players' scales, and each player's search pays the player's
+    own chain against the opponent draws it enumerates anyway, so the gain
+    takes no separate ``mixed_payoff`` pass.
     """
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile)
-    current = mixed_payoff(game, profile)
+    require_profile(game, profile)
     strategies = profile.strategies
-    opponents = [strategies[:i] + strategies[i + 1 :] for i in range(game.num_players)]
-    families = [_checked_family(x, m) for x, m in zip(opponents, game.counts)]
-    return tuple(map(_deviation, families, opponents, game.counts, current))
+    tables = [x._table for x in strategies]
+    half = math.lcm(*(own for own, _, _, _ in tables))
+    families = [
+        _checked_family(strategies[:i] + strategies[i + 1 :], half, m) for i, m in enumerate(game.counts)
+    ]
+    supports = _scaled_supports(strategies, 2 * half)
+    dens = [probs for _, _, probs, _ in tables]
+    return tuple(
+        _deviation(
+            family,
+            half,
+            m,
+            supports[:i] + supports[i + 1 :],
+            math.prod(dens[:i] + dens[i + 1 :]),
+            (supports[i], dens[i]),
+        )
+        for i, (family, m) in enumerate(zip(families, game.counts))
+    )
 
 
 def is_equilibrium(results: Sequence[DeviationResult]) -> bool:

@@ -50,6 +50,7 @@ from hotelling import (
     two_player_equilibrium,
 )
 from hotelling.core import as_fraction, require_profile
+from hotelling.mixed import _scaled_supports
 from hotelling.oracle import _best_subset, candidate_family
 from hotelling.serialize import mixed_strategy_from_json, mixed_strategy_to_json
 
@@ -243,7 +244,8 @@ def best_subset(
     family's own denominators, as ``(q, offset)`` pairs."""
     half = math.lcm(*(x._table[0] for x in opponents), *(c.position.denominator for c in family))
     pairs = [(c.position.numerator * (half // c.position.denominator), _SIDE_ORDER[c.side]) for c in family]
-    return _best_subset(pairs, half, m, opponents)
+    rows = _scaled_supports(opponents, 2 * half)
+    return _best_subset(pairs, half, m, rows, math.prod(x._table[2] for x in opponents))[:3]
 
 
 def reference_gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocation]:

@@ -34,7 +34,7 @@ from hotelling import (
 import hotelling.mixed as mixed_module
 import hotelling.oracle as oracle_module
 from hotelling.cli import _atlas_multisets
-from hotelling.oracle import _grid_family, _refuse_too_large, candidate_family
+from hotelling.oracle import _best_chain, _grid_family, _refuse_too_large, candidate_family
 
 from helpers import (
     best_subset,
@@ -107,7 +107,8 @@ class TestCandidateFamily:
                 entries = list({rand_strategy(rng, k, max(q, k - 1)) for _ in range(rng.randint(1, 3))})
                 opponents.append(MixedStrategy.uniform(entries))
             positions = [loc for x in opponents for s, _ in x.support for loc in s]
-            half, family = _grid_family(opponents)
+            half = math.lcm(*(x._table[0] for x in opponents))
+            family = _grid_family(opponents, half)
             assert [(F(q, half), sides[side]) for q, side in family] == [
                 (c.position, c.side) for c in candidate_family(positions)
             ]
@@ -115,7 +116,7 @@ class TestCandidateFamily:
             seen["co-located"] += len(set(positions)) < len(positions)
             seen["ends"] += bool({F(0), F(1)} & set(positions))
         assert all(count >= 20 for count in seen.values()), seen
-        assert _grid_family([]) == (1, []) and candidate_family([]) == ()
+        assert _grid_family([], 1) == [] and candidate_family([]) == ()
 
 
 class TestBestResponse:
@@ -214,6 +215,19 @@ class TestBestResponse:
         monkeypatch.setattr(oracle_module, "_best_subset", refuse)
         with pytest.raises(error):
             certify_no_deviation(make_game(counts), profile)
+
+    def test_an_earlier_players_size_rule_comes_before_a_later_cap(self, monkeypatch):
+        # player 0 places four facilities over a limit of three, and players
+        # 1-3 each face 11 * 11 opponent draws over a cap of 100: the checks
+        # run in player order, so the size rule is raised, and no payoff
+        # pass over the draws runs before them
+        monkeypatch.setattr(mixed_module, "DEFAULT_SUPPORT_CAP", 100)
+        monkeypatch.setattr(oracle_module, "_MAX_WITNESS", 3)
+        eleven = MixedStrategy.uniform([(F(i, 10),) for i in range(11)])
+        profile = MixedProfile((point("1/5", "2/5", "3/5", "4/5"), eleven, eleven, eleven))
+        with pytest.raises(InvalidInput) as exc:
+            certify_no_deviation(make_game([4, 1, 1, 1]), profile)
+        assert str(exc.value) == "a witness of 4 facilities exceeds the limit of 3"
 
     def test_oversized_opponent_support_is_refused(self):
         # the 101**3 = 1,030,301 opponent draws exceed the support cap of
@@ -342,6 +356,76 @@ class TestGridComparison:
             )
             m = min(2, len(family))
             assert best_subset(enriched, m, opp)[0] == best_subset(family, m, opp)[0]
+
+
+def brute_chain(head, tail, pair, m, exact):
+    """Every m-chain of the candidates valued alone: the best value, whether
+    an all-exact chain reaches it, the smallest all-exact maximizer if any,
+    else the smallest maximizer, and every maximizer."""
+    values = {
+        chain: head[chain[0]] + sum(pair[a][b - a - 1] for a, b in zip(chain, chain[1:])) + tail[chain[-1]]
+        for chain in itertools.combinations(range(len(head)), m)
+    }
+    best = max(values.values())
+    maximizers = [chain for chain, value in values.items() if value == best]
+    all_exact = [chain for chain in maximizers if all(exact[i] for i in chain)]
+    return best, bool(all_exact), list((all_exact or maximizers)[0]), maximizers
+
+
+def scored_chain(head, tail, pair, m, exact):
+    """``_best_chain`` over the terms scored as the search scores them:
+    every term times m + 1, plus 1 on an exact candidate's tail and pair
+    terms."""
+    score = m + 1
+    return _best_chain(
+        [score * h for h in head],
+        [score * t + e for t, e in zip(tail, exact)],
+        [[score * p + e for p in row] for row, e in zip(pair, exact)],
+        m,
+    )
+
+
+class TestScoredChain:
+    """``_best_chain``'s one run over scored terms against every m-chain
+    valued alone: value, ``attained`` and witness."""
+
+    @pytest.mark.parametrize(
+        "head, tail, pair, m, exact, expected",
+        [
+            # the smallest maximizer, candidate 0, is one-sided, and the
+            # all-exact candidate 1 ties it: attained, with 1 as witness
+            ([0, 0, 0], [1, 1, 0], [[], [], []], 1, [0, 1, 1], (1, True, [1])),
+            # (0, 1) and (0, 2) both reach 5, with no and one exact
+            # candidate, and the all-exact (1, 2) earns 0: not attained, and
+            # the smallest maximizer, not the one with more exact candidates
+            ([0, 0, 0], [0, 0, 0], [[5, 5], [0, 0], [0, 0]], 2, [0, 0, 1], (5, False, [0, 1])),
+        ],
+    )
+    def test_tie_cases(self, head, tail, pair, m, exact, expected):
+        assert brute_chain(head, tail, pair, m, exact)[:3] == expected
+        assert scored_chain(head, tail, pair, m, exact) == expected
+
+    def test_random_terms_with_ties(self):
+        rng = random.Random(27)
+        seen = {"attained": 0, "exact tie": 0, "limit": 0, "counts differ": 0, "m=1": 0, "m=|F|": 0}
+        for _ in range(3000):
+            n = rng.randint(1, 8)
+            m = rng.randint(1, n)
+            reach = n - m + 2 if m > 1 else 1
+            head = [rng.randint(-1, 1) for _ in range(n)]
+            tail = [rng.randint(-1, 1) for _ in range(n)]
+            pair = [[rng.randint(-1, 2) for _ in range(reach - 1)] for _ in range(n)]
+            exact = [int(rng.random() < 0.7) for _ in range(n)]
+            *expected, maximizers = brute_chain(head, tail, pair, m, exact)
+            assert scored_chain(head, tail, pair, m, exact) == tuple(expected)
+            counts = {sum(exact[i] for i in chain) for chain in maximizers}
+            seen["attained"] += expected[1]
+            seen["exact tie"] += expected[1] and expected[2] != list(maximizers[0])
+            seen["limit"] += not expected[1]
+            seen["counts differ"] += not expected[1] and len(counts) > 1
+            seen["m=1"] += m == 1
+            seen["m=|F|"] += m == n
+        assert all(count >= 50 for count in seen.values()), seen
 
 
 def _split_optimum(rng: random.Random) -> list[PureStrategy]:
@@ -605,6 +689,58 @@ class TestCertify:
         assert results[1].gain == F(1, 32)
         assert tuple(o.position for o in results[1].witness) == optimal_locations(4)
         assert not is_equilibrium(results)
+
+    def test_gain_is_supremum_less_mixed_payoff(self):
+        # the baseline each search pays from its own opponent draws is the
+        # player's mixed_payoff: seeded pure profiles with co-located rivals
+        # and points at 0 and 1, mixtures with uneven weights, padded
+        # players and one-player games
+        rng = random.Random(27)
+        profiles = [
+            (make_game([1, 5]), PureProfile.of([0], [0, "1/4", "1/2", "3/4", 1])),
+            (make_game([1, 4]), PureProfile.of(["1/2"], [0, "1/4", "3/4", 1])),
+            (make_game([1]), PureProfile.of(["1/3"])),
+            (
+                make_game([2]),
+                MixedProfile(
+                    (MixedStrategy(((PureStrategy.of(0, 1), F(1, 3)), (PureStrategy.of("1/4", "1/2"), F(2, 3)))),)
+                ),
+            ),
+        ]
+        while len(profiles) < 240:
+            counts = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+            denom = rng.choice([2, 3, 4, 6])
+            if rng.random() < 0.5:
+                strategies = [rand_strategy(rng, c, max(denom, c - 1)) for c in counts]
+                profiles.append((make_game(counts), PureProfile(tuple(strategies))))
+                continue
+            mixtures = []
+            for c in counts:
+                entries = list({rand_strategy(rng, c, max(denom, c - 1)) for _ in range(rng.choice([1, 2, 3]))})
+                weights = [rng.randint(1, 4) for _ in entries]
+                mixtures.append(MixedStrategy(tuple((s, F(w, sum(weights))) for s, w in zip(entries, weights))))
+            profiles.append((make_game(counts), MixedProfile(tuple(mixtures))))
+        seen = {"co-located": 0, "ends": 0, "uneven": 0, "padded": 0, "one player": 0, "refuted": 0}
+        for game, profile in profiles:
+            mixed = MixedProfile.from_pure(profile) if isinstance(profile, PureProfile) else profile
+            results = certify_no_deviation(game, profile)
+            paid = mixed_payoff(game, mixed)
+            assert [r.gain for r in results] == [r.supremum_payoff - p for r, p in zip(results, paid)]
+            drawn = [[loc for s, _ in x.support for loc in s] for x in mixed.strategies]
+            positions = [loc for locs in drawn for loc in locs]
+            seen["co-located"] += any(
+                set(a) & set(b) for i, a in enumerate(drawn) for b in drawn[i + 1 :]
+            )
+            seen["ends"] += bool({F(0), F(1)} & set(positions))
+            seen["uneven"] += any(len({p for _, p in x.support}) > 1 for x in mixed.strategies)
+            seen["padded"] += any(
+                m > len(candidate_family([loc for j, locs in enumerate(drawn) if j != i for loc in locs]))
+                for i, m in enumerate(game.counts)
+                if game.num_players > 1
+            )
+            seen["one player"] += game.num_players == 1
+            seen["refuted"] += not is_equilibrium(results)
+        assert seen.pop("one player") == 2 and all(count >= 8 for count in seen.values()), seen
 
     def test_hotelling_midpoint(self):
         game = make_game([1, 1])
