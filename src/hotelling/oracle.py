@@ -13,8 +13,10 @@ The same fact makes the search polynomial: a facility's cell depends only
 on its nearest own neighbours and its nearest opponents, so a subset's
 value is a sum of terms over its first facility, each pair of neighbours
 and its last, the halves of ``mixed._chain_pay``'s cell, on integers
-throughout: the family's keys are read from the opponents' integer tables,
-and only the witness's entries become ``OffsetLocation``s. One dynamic
+throughout: every table goes once onto one grid, twice the lcm of their
+scales, so every position is even and a one-sided key odd; the family and
+the draws share it, and only the witness's entries become
+``OffsetLocation``s. One dynamic
 program over the sorted family finds the best chain of m candidates in
 ``O((draws + m) * |F|^2)`` steps; each term carries its candidate's exact
 indicator, so the same run also decides whether an all-exact chain reaches
@@ -22,16 +24,15 @@ the supremum (``attained``). When certifying, the search pays the player's
 own chain against the same opponent draws with the same cell formula, so
 the gain needs no second pass over them.
 
-Every answer is exact or refused: a witness of fewer than one or more than
-``_MAX_WITNESS`` facilities is an input error, and opponents with more
+Every answer is exact or refused by one size rule (``_refuse``): a
+witness size that is not an ``int``, or of fewer than one or more than
+``_MAX_WITNESS`` facilities, is an input error, and opponents with more
 than ``DEFAULT_SUPPORT_CAP`` joint draws raise ``SupportTooLarge``. Both
-are checked for every player before ``certify_no_deviation`` runs any
-search.
+entry points check it for every player before any search runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ from .payoff import _SIDE_EPS, OffsetLocation, _in_unit
 _MAX_WITNESS = 10**5
 # a side by its offset on the doubled grid
 _SIDES = {offset: side for side, offset in _SIDE_EPS.items()}
-# a support's (row, weight) entries on the doubled grid, see _scaled_supports
+# a support's (row, weight) entries on the doubled grid, see _grid
 _Rows = Sequence[tuple[_Row, int]]
 
 
@@ -75,9 +76,9 @@ class DeviationResult:
     in that gap, so a supremum reported as not attained may still be
     earned by an exact point inside a gap. ``gain`` is relative to the
     player's payoff in the profile under certification, paid by the search
-    from its own opponent draws (None when no baseline was supplied). The
-    supremum is always exact: every subset is valued on integers by the
-    halves of ``mixed_payoff``'s cell formula.
+    from its own opponent draws; ``best_response`` certifies no profile,
+    so its ``gain`` is None. The supremum is always exact: every subset is
+    valued on integers by the halves of ``mixed_payoff``'s cell formula.
     """
 
     supremum_payoff: Fraction
@@ -92,7 +93,7 @@ def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...
     Each position is coerced and range-checked once, as ``OffsetLocation``
     would check it, and its members are built without further checks. The
     search never calls it: it builds the same family as integer pairs from
-    the opponents' tables (``_grid_family``), and this list of
+    the opponents' positions on its grid (``_grid_family``), and this list of
     ``OffsetLocation``s is the reference the tests hold those pairs to.
     """
     family: list[OffsetLocation] = []
@@ -107,32 +108,44 @@ def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...
     return tuple(family)
 
 
-def _grid_family(opponents: Sequence[MixedStrategy], half: int) -> list[tuple[int, int]]:
-    """The candidate family as sorted integer pairs on a grid of ``half``.
+def _grid(strategies: Sequence[MixedStrategy]) -> tuple[int, list[list[tuple[_Row, int]]], list[set[int]], list[int]]:
+    """The one grid of the oracle: its scale, twice the lcm of the
+    strategies' table scales, so every position on it is even; then each
+    strategy's support as rows on it (``_scaled_supports``), the support's
+    distinct positions, and its probability denominator."""
+    tables = [x._table for x in strategies]
+    scale = 2 * math.lcm(*(own for own, _, _, _ in tables))
+    supports = _scaled_supports(strategies, scale)
+    points = [set(itertools.chain.from_iterable(row for row, _ in support)) for support in supports]
+    return scale, supports, points, [probs for _, _, probs, _ in tables]
 
-    Every opponent table's scale divides ``half``, and each position some
-    support entry uses is read from its table as an integer ``q`` over it.
-    Each ``q`` gives ``(q, offset)`` for the offsets -1, 0 and +1 of
-    ``_SIDE_EPS``, none below 0 and none above ``half``: the
-    ``(position, side)`` list of ``candidate_family``, in its order.
+
+def _grid_family(points: Sequence[set[int]], scale: int) -> list[tuple[int, int]]:
+    """The candidate family against opponents holding ``points``, each
+    one's distinct positions on the grid of ``scale`` (``_grid``), as
+    sorted integer pairs.
+
+    Each position ``x`` of their union gives ``(x, offset)`` for the
+    offsets -1, 0 and +1 of ``_SIDE_EPS``, none below 0 and none above
+    ``scale``: the ``(position, side)`` list of ``candidate_family``, in
+    its order, with positions ``x / scale``.
     """
-    points = sorted({i * (half // own) for own, ints, _, _ in (x._table for x in opponents) for i in set(ints)})
     family = []
-    for q in points:
-        if q:
-            family.append((q, -1))
-        family.append((q, 0))
-        if q < half:
-            family.append((q, 1))
+    for x in sorted(set().union(*points)):
+        if x:
+            family.append((x, -1))
+        family.append((x, 0))
+        if x < scale:
+            family.append((x, 1))
     return family
 
 
 def _padded(
-    family: Sequence[tuple[int, int]], half: int, needed: int, supports: Sequence[_Rows]
+    family: Sequence[tuple[int, int]], scale: int, needed: int, supports: Sequence[_Rows]
 ) -> tuple[int, list[tuple[int, int]], list[list[tuple[_Row, int]]]]:
     """The family with ``needed`` deterministic exact points strictly inside
     the gaps between its positions and the ends, on a grid fine enough for
-    all of them, that grid's ``half``, and the supports' rows on it.
+    all of them, that grid's scale, and the supports' rows on it.
 
     Used when the player has more facilities than the candidate family has
     slots; interior extras never change the achievable mass once both ends
@@ -140,9 +153,9 @@ def _padded(
     halve each gap, then quarter it, and so on, gap after gap, so a depth
     ``d`` holds ``2**(d - 1)`` per gap; the grid, and every position of
     the supports' rows, is refined by ``2**depth`` for the deepest one
-    needed.
+    needed. Every gap's ends are even, so every filler is too.
     """
-    ends = [0, *sorted({q for q, _ in family}), half]
+    ends = [0, *sorted({x for x, _ in family}), scale]
     gaps = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
     depth = 1
     while len(gaps) * (2**depth - 1) < needed:
@@ -153,19 +166,24 @@ def _padded(
         for a, b in gaps
         for num in range(1, 2**level, 2)
     )
-    refined = [(q << depth, side) for q, side in family]
+    refined = [(x << depth, side) for x, side in family]
     rows = [[(tuple(x << depth for x in row), w) for row, w in support] for support in supports]
-    return half << depth, sorted([*refined, *itertools.islice(fillers, needed)]), rows
+    return scale << depth, sorted([*refined, *itertools.islice(fillers, needed)]), rows
 
 
-def _refuse_too_large(m: int) -> None:
-    """The one size rule, checked by ``_checked_family`` before any filler or
-    draw is built: a witness of no facility, or of more than
-    ``_MAX_WITNESS`` facilities, is an input error."""
+def _refuse(m: int, draws: int) -> None:
+    """The one size rule, run for every player before any search, filler
+    or draw is built: a witness size ``m`` that is not an ``int`` (a
+    ``bool`` is not one), or is below one or above ``_MAX_WITNESS``, is an
+    input error, and more than ``DEFAULT_SUPPORT_CAP`` joint opponent
+    ``draws`` raise ``SupportTooLarge``."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InvalidInput(f"player must place an integer number of facilities, got m={m!r}")
     if m < 1:
         raise InvalidInput(f"player must place at least one facility, got m={m}")
     if m > _MAX_WITNESS:
         raise InvalidInput(f"a witness of {m} facilities exceeds the limit of {_MAX_WITNESS}")
+    _refuse_too_many_draws(draws)
 
 
 def _best_chain(
@@ -216,47 +234,48 @@ def _best_chain(
 
 def _best_subset(
     family: Sequence[tuple[int, int]],
-    half: int,
+    scale: int,
     m: int,
     rows: Sequence[_Rows],
     den: int,
     own: tuple[_Rows, int] | None = None,
-) -> tuple[Fraction, bool, tuple[OffsetLocation, ...], Fraction | None]:
+) -> DeviationResult:
     """The one search of ``best_response`` and ``certify_no_deviation``,
-    which refuse first (``_checked_family``): the best m-subset of the
-    sorted ``family`` of ``(q, offset)`` pairs, positions ``q / half``,
-    padded with gap fillers (``_padded``) when it is shorter than ``m``.
-    ``rows`` holds each opponent's support as ``(row, weight)`` entries on
-    ``2 * half`` (``_scaled_supports``), and ``den`` is the product of
-    their probability denominators; ``own`` is the player's own support on
-    the same grid with its denominator, or None.
+    which run ``_refuse`` first: the best m-subset of the sorted
+    ``family`` of ``(x, offset)`` pairs, positions ``x / scale``, padded
+    with gap fillers (``_padded``) when it is shorter than ``m``. ``rows``
+    holds each opponent's support as ``(row, weight)`` entries on the same
+    grid (``_grid``), and ``den`` is the product of their probability
+    denominators; ``own`` is the player's own support on that grid with
+    its denominator, or None. An empty family means no competition: every
+    strategy, the own one too, collects the whole customer mass.
 
-    The family and the opponents' rows share one integer grid, doubled so
-    every position is even: a candidate's position is ``2q`` and its key
-    ``2q + offset``, so a one-sided key is odd and meets no opponent. Each
-    draw is bisected once per candidate (``_nearest``). A subset's value is
-    then a head term for its first candidate, a pair term for each pair of
-    neighbours and a tail term for its last: the halves of ``_chain_pay``'s
-    cell, summed over the draws as integers, each draw's weight times
-    ``m + 1`` and each exact candidate's tail and pair terms plus 1, the
-    scores of ``_best_chain``'s one run. Against every draw the own chain
-    is paid by ``_chain_pay`` of its ``_chain_halves``, the cell formula
+    Every position is even, and a candidate's key is ``x + offset``, so a
+    one-sided key is odd and meets no opponent. Each draw is bisected once
+    per candidate (``_nearest``). A subset's value is then a head term for
+    its first candidate, a pair term for each pair of neighbours and a
+    tail term for its last: the halves of ``_chain_pay``'s cell, summed
+    over the draws as integers, each draw's weight times ``m + 1`` and
+    each exact candidate's tail and pair terms plus 1, the scores of
+    ``_best_chain``'s one run. Against every draw the own chain is paid by
+    ``_chain_pay`` of its ``_chain_halves``, the cell formula
     ``mixed_payoff`` pays it by.
 
-    Returns the supremum, one Fraction built at the end, whether it is
-    attained, the witness, the smallest all-exact maximizer if any, else
-    the smallest maximizer, and the gain over the own chain's payoff (None
-    without ``own``). Only the witness's ``m`` entries become
-    ``OffsetLocation``s.
+    The supremum is one Fraction built at the end; the witness is the
+    smallest all-exact maximizer if any, else the smallest maximizer, and
+    the gain is over the own chain's payoff (None without ``own``). Only
+    the witness's ``m`` entries become ``OffsetLocation``s.
     """
+    if not family:
+        witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
+        return DeviationResult(ONE, True, witness, None if own is None else ZERO)
     own_rows, own_den = own or ((), 1)
     if m > len(family):  # one subset, never all-exact: the family holds a one-sided entry
-        half, family, (*rows, own_rows) = _padded(family, half, m - len(family), [*rows, own_rows])
-    scale = 2 * half
+        scale, family, (*rows, own_rows) = _padded(family, scale, m - len(family), [*rows, own_rows])
     score = m + 1
     split = math.lcm(*range(1, len(rows) + 2))
-    xs = [2 * q for q, _ in family]
-    keys = [2 * q + side for q, side in family]
+    xs = [x for x, _ in family]
+    keys = [x + side for x, side in family]
     own_keys, own_halves = _chain_halves(own_rows, scale)
     # neighbours in a chain of m are at most |F| - m + 1 candidates apart
     reach = len(family) - m + 2 if m > 1 else 1
@@ -278,61 +297,26 @@ def _best_subset(
     value, attained, chain = _best_chain(head, tail, pair, m)
     den *= 2 * scale * split
     entries = [family[i] for i in chain]
-    witness = tuple(OffsetLocation._checked(Fraction(q, half), _SIDES[side]) for q, side in entries)
+    witness = tuple(OffsetLocation._checked(Fraction(x, scale), _SIDES[side]) for x, side in entries)
     gain = None if own is None else Fraction(value * own_den - paid, den * own_den)
-    return Fraction(value, den), attained, witness, gain
+    return DeviationResult(Fraction(value, den), attained, witness, gain)
 
 
-def _checked_family(opponents: Sequence[MixedStrategy], half: int, m: int) -> list[tuple[int, int]]:
-    """The grid family (``_grid_family``) of an m-facility player against
-    the opponents, once its search is known to run: ``_refuse_too_large``,
-    then the cap on the opponents' joint draws."""
-    _refuse_too_large(m)
-    family = _grid_family(opponents, half)
-    _refuse_too_many_draws(math.prod(len(x._table[3]) for x in opponents))
-    return family
-
-
-def _deviation(
-    family: Sequence[tuple[int, int]],
-    half: int,
-    m: int,
-    rows: Sequence[_Rows],
-    den: int,
-    own: tuple[_Rows, int] | None = None,
-) -> DeviationResult:
-    """The best response over a grid family that ``_checked_family``
-    returned, with ``_best_subset``'s arguments."""
-    if not family:
-        # no competition: every strategy, the own one too, collects the whole customer mass
-        witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
-        return DeviationResult(ONE, True, witness, None if own is None else ZERO)
-    return DeviationResult(*_best_subset(family, half, m, rows, den, own))
-
-
-def best_response(
-    opponents: Sequence[MixedStrategy],
-    m: int,
-    current_payoff: Fraction | None = None,
-) -> DeviationResult:
+def best_response(opponents: Sequence[MixedStrategy], m: int) -> DeviationResult:
     """Exact supremum payoff of an m-facility player against the opponents.
 
     Maximizes over ordered m-subsets of the offset candidate family, each
     valued in the eps -> 0+ limit. Ties are broken toward the
     lexicographically smallest witness; when the supremum is attained, the
-    witness reported is the smallest all-exact maximizer. Raises
-    ``InvalidInput`` for fewer than one or more than ``_MAX_WITNESS``
-    facilities, then ``SupportTooLarge`` beyond ``DEFAULT_SUPPORT_CAP``
-    opponent draws.
+    witness reported is the smallest all-exact maximizer. ``gain`` is
+    None: no profile is under certification. Raises ``InvalidInput`` for
+    a non-``int`` ``m`` or for fewer than one or more than
+    ``_MAX_WITNESS`` facilities, then ``SupportTooLarge`` beyond
+    ``DEFAULT_SUPPORT_CAP`` opponent draws.
     """
-    tables = [x._table for x in opponents]
-    half = math.lcm(*(own for own, _, _, _ in tables))
-    family = _checked_family(opponents, half, m)
-    den = math.prod(probs for _, _, probs, _ in tables)
-    result = _deviation(family, half, m, _scaled_supports(opponents, 2 * half), den)
-    if current_payoff is None:
-        return result
-    return dataclasses.replace(result, gain=result.supremum_payoff - current_payoff)
+    _refuse(m, math.prod(len(x._table[3]) for x in opponents))
+    scale, rows, points, dens = _grid(opponents)
+    return _best_subset(_grid_family(points, scale), scale, m, rows, math.prod(dens))
 
 
 def certify_no_deviation(
@@ -342,34 +326,31 @@ def certify_no_deviation(
 
     Any strictly positive gain is a constructive refutation: its witness is
     a beneficial deviation for that player. The profile's shape is checked
-    first, then every player's search, in player order, before the first
-    one runs: ``InvalidInput`` or ``SupportTooLarge`` for any player is
-    raised before any search. Every table is scaled once, onto the lcm of
-    all the players' scales, and each player's search pays the player's
-    own chain against the opponent draws it enumerates anyway, so the gain
-    takes no separate ``mixed_payoff`` pass.
+    first, then every player's ``_refuse``, in player order, before the
+    first search: ``InvalidInput`` or ``SupportTooLarge`` for any player
+    is raised before any search. Every table goes onto one grid
+    (``_grid``), each player's family is built from the other players'
+    positions on it, and each player's search pays the player's own chain
+    against the opponent draws it enumerates anyway, so the gain takes no
+    separate ``mixed_payoff`` pass.
     """
     if isinstance(profile, PureProfile):
         profile = MixedProfile.from_pure(profile)
     require_profile(game, profile)
-    strategies = profile.strategies
-    tables = [x._table for x in strategies]
-    half = math.lcm(*(own for own, _, _, _ in tables))
-    families = [
-        _checked_family(strategies[:i] + strategies[i + 1 :], half, m) for i, m in enumerate(game.counts)
-    ]
-    supports = _scaled_supports(strategies, 2 * half)
-    dens = [probs for _, _, probs, _ in tables]
+    sizes = [len(x._table[3]) for x in profile.strategies]
+    for i, m in enumerate(game.counts):
+        _refuse(m, math.prod(sizes[:i] + sizes[i + 1 :]))
+    scale, supports, points, dens = _grid(profile.strategies)
     return tuple(
-        _deviation(
-            family,
-            half,
+        _best_subset(
+            _grid_family(points[:i] + points[i + 1 :], scale),
+            scale,
             m,
             supports[:i] + supports[i + 1 :],
             math.prod(dens[:i] + dens[i + 1 :]),
             (supports[i], dens[i]),
         )
-        for i, (family, m) in enumerate(zip(families, game.counts))
+        for i, m in enumerate(game.counts)
     )
 
 

@@ -240,12 +240,14 @@ def best_subset(
 ) -> tuple[Fraction, bool, tuple[OffsetLocation, ...]]:
     """``oracle._best_subset`` over a sorted ``OffsetLocation`` family, which
     may be enriched beyond or cut from the candidate family: its entries go
-    onto the grid of the lcm of the opponents' table scales and of the
-    family's own denominators, as ``(q, offset)`` pairs."""
-    half = math.lcm(*(x._table[0] for x in opponents), *(c.position.denominator for c in family))
-    pairs = [(c.position.numerator * (half // c.position.denominator), _SIDE_ORDER[c.side]) for c in family]
-    rows = _scaled_supports(opponents, 2 * half)
-    return _best_subset(pairs, half, m, rows, math.prod(x._table[2] for x in opponents))[:3]
+    onto the oracle's one doubled grid, twice the lcm of the opponents'
+    table scales and of the family's own denominators, as ``(x, offset)``
+    pairs, and the opponents' rows onto the same grid."""
+    scale = 2 * math.lcm(*(x._table[0] for x in opponents), *(c.position.denominator for c in family))
+    pairs = [(c.position.numerator * (scale // c.position.denominator), _SIDE_ORDER[c.side]) for c in family]
+    rows = _scaled_supports(opponents, scale)
+    result = _best_subset(pairs, scale, m, rows, math.prod(x._table[2] for x in opponents))
+    return result.supremum_payoff, result.attained, result.witness
 
 
 def reference_gap_fillers(positions: Sequence[Fraction], needed: int) -> list[OffsetLocation]:

@@ -62,8 +62,8 @@ def test_results_are_exact_fractions():
     values.extend(mixed_payoff(make_game([2, 4]), olk))
     values.extend(mixed_payoff(make_game([1]), MixedProfile.from_pure(PureProfile.of(["1/2"]))))
     for opponents in ([make_olk(1, 2)], [MixedStrategy.point(PureStrategy.of("0", "1"))], []):
-        result = best_response(opponents, 2, current_payoff=Fraction(1, 2))
-        values.extend([result.supremum_payoff, result.gain])
+        result = best_response(opponents, 2)
+        values.extend([result.supremum_payoff, result.supremum_payoff - Fraction(1, 2)])
     values.extend([social_cost(["0", "1"]), social_cost(["1/2"])])
     # a mixed document read back: integers, repeated strings and coprime denominators
     document = {

@@ -34,7 +34,7 @@ from hotelling import (
 import hotelling.mixed as mixed_module
 import hotelling.oracle as oracle_module
 from hotelling.cli import _atlas_multisets
-from hotelling.oracle import _best_chain, _grid_family, _refuse_too_large, candidate_family
+from hotelling.oracle import _best_chain, _grid, _grid_family, _refuse, candidate_family
 
 from helpers import (
     best_subset,
@@ -95,8 +95,9 @@ class TestCandidateFamily:
 
     def test_grid_family_is_candidate_family(self):
         # seeded opponents whose tables have different scales, that share
-        # points and sit at 0 and 1: the integer pairs on the lcm of their
-        # scales are candidate_family's (position, side) list, in its order
+        # points and sit at 0 and 1: the integer pairs built from their
+        # scaled rows, on the one doubled grid, are candidate_family's
+        # (position, side) list, in its order
         sides = {-1: "below", 0: "exact", 1: "above"}
         rng = random.Random(26)
         seen = {"scales": 0, "co-located": 0, "ends": 0}
@@ -107,16 +108,16 @@ class TestCandidateFamily:
                 entries = list({rand_strategy(rng, k, max(q, k - 1)) for _ in range(rng.randint(1, 3))})
                 opponents.append(MixedStrategy.uniform(entries))
             positions = [loc for x in opponents for s, _ in x.support for loc in s]
-            half = math.lcm(*(x._table[0] for x in opponents))
-            family = _grid_family(opponents, half)
-            assert [(F(q, half), sides[side]) for q, side in family] == [
+            scale, _, points, _ = _grid(opponents)
+            family = _grid_family(points, scale)
+            assert [(F(x, scale), sides[side]) for x, side in family] == [
                 (c.position, c.side) for c in candidate_family(positions)
             ]
             seen["scales"] += len({x._table[0] for x in opponents}) > 1
             seen["co-located"] += len(set(positions)) < len(positions)
             seen["ends"] += bool({F(0), F(1)} & set(positions))
         assert all(count >= 20 for count in seen.values()), seen
-        assert _grid_family([], 1) == [] and candidate_family([]) == ()
+        assert _grid_family([], 2) == [] and candidate_family([]) == ()
 
 
 class TestBestResponse:
@@ -266,7 +267,16 @@ class TestBestResponse:
         assert time.perf_counter() - start < 0.1
         assert str(exc.value) == "a witness of 100001 facilities exceeds the limit of 100000"
         assert len(best_response([], 3).witness) == 3
-        _refuse_too_large(10**5)  # the bound itself is allowed
+        _refuse(10**5, 1)  # the bound itself is allowed
+
+    @pytest.mark.parametrize("m", [True, 2.0, F(2), "2", None], ids=["True", "float", "Fraction", "str", "None"])
+    @pytest.mark.parametrize("opponents", [[], [point("1/4", "3/4")]], ids=["alone", "opposed"])
+    def test_non_int_witness_size_is_refused(self, m, opponents):
+        # Game's rule for a facility count: an int that is not a bool; True
+        # is not read as 1, and the others raise no TypeError from the search
+        with pytest.raises(InvalidInput) as exc:
+            best_response(opponents, m)
+        assert str(exc.value) == f"player must place an integer number of facilities, got m={m!r}"
 
 
 class TestCompletenessArgument:
@@ -692,7 +702,8 @@ class TestCertify:
 
     def test_gain_is_supremum_less_mixed_payoff(self):
         # the baseline each search pays from its own opponent draws is the
-        # player's mixed_payoff: seeded pure profiles with co-located rivals
+        # player's mixed_payoff, and each search is best_response against
+        # the other players: seeded pure profiles with co-located rivals
         # and points at 0 and 1, mixtures with uneven weights, padded
         # players and one-player games
         rng = random.Random(27)
@@ -726,6 +737,14 @@ class TestCertify:
             results = certify_no_deviation(game, profile)
             paid = mixed_payoff(game, mixed)
             assert [r.gain for r in results] == [r.supremum_payoff - p for r, p in zip(results, paid)]
+            for i, (r, m) in enumerate(zip(results, game.counts)):
+                alone = best_response(mixed.strategies[:i] + mixed.strategies[i + 1 :], m)
+                assert alone.gain is None
+                assert (alone.supremum_payoff, alone.attained, alone.witness) == (
+                    r.supremum_payoff,
+                    r.attained,
+                    r.witness,
+                )
             drawn = [[loc for s, _ in x.support for loc in s] for x in mixed.strategies]
             positions = [loc for locs in drawn for loc in locs]
             seen["co-located"] += any(
