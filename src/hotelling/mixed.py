@@ -35,7 +35,8 @@ DEFAULT_SUPPORT_CAP = 10**6
 _Row = tuple[int, ...]
 # a facility's weighted own left and right neighbours, see _chain_pay
 _Halves = tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]
-# a support as integers, see _checked_table
+# a support as integers, (scale, ints, den, weights): every location, entry
+# after entry, as an integer over scale, and every probability over den
 _Table = tuple[int, list[int], int, list[int]]
 
 
@@ -58,65 +59,29 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, list(map(ints.__getitem__, ids))
 
 
-def _sound_table(table: _Table, size: int, placed: bool = False) -> bool:
+def _sound_table(table: _Table, size: int) -> bool:
     """Whether a table of ``size``-location rows passes every integer check.
 
-    Unless ``placed`` says the rows are known to lie in [0, 1] and strictly
-    increase, strict increase is one comparison of neighbouring columns,
-    and then the range one ``min`` of the first column and one ``max`` of
-    the last. Duplicates are one set of rows, and the weights must be
-    positive and sum to ``den``.
+    Strict increase is one comparison of neighbouring columns, and then the
+    range one ``min`` of the first column and one ``max`` of the last.
+    Duplicates are one set of rows, and the weights must be positive and
+    sum to ``den``.
     """
     scale, ints, den, weights = table
-    if not placed:
-        columns = [ints[j::size] for j in range(size)]
-        if not all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:])):
-            return False
-        if min(columns[0]) < 0 or max(columns[-1]) > scale:
-            return False
+    columns = [ints[j::size] for j in range(size)]
+    if not all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:])):
+        return False
+    if min(columns[0]) < 0 or max(columns[-1]) > scale:
+        return False
     return len(set(zip(*[iter(ints)] * size))) == len(weights) and min(weights) > 0 and sum(weights) == den
-
-
-def _checked_table(support: tuple) -> tuple[tuple[tuple[PureStrategy, Fraction], ...], _Table] | None:
-    """The support and its integer table if it passes every check, else None.
-
-    Entries must be ``(strategy, Fraction)`` tuples whose strategy is a
-    ``PureStrategy`` or a tuple of Fractions; anything else, and any fault,
-    is left to ``_checked_entries``. The locations are scaled once to
-    integers over the lcm of their denominators and checked by
-    ``_sound_table``; a ``PureStrategy``'s locations are in range and
-    increasing already, a tuple's are not. The table is ``(scale, ints,
-    den, weights)``: every location, entry after entry, as an integer over
-    ``scale``, and every probability as an integer over ``den``.
-    """
-    if set(map(type, support)) != {tuple} or set(map(len, support)) != {2}:
-        return None
-    strategies, probs = zip(*support)
-    kinds = set(map(type, strategies))
-    if not kinds <= {PureStrategy, tuple} or set(map(type, probs)) != {Fraction}:
-        return None
-    rows = [s.locations if type(s) is PureStrategy else s for s in strategies]
-    size = len(rows[0])
-    if not size or set(map(len, rows)) != {size}:
-        return None
-    flat = list(itertools.chain.from_iterable(rows))
-    unchecked = kinds != {PureStrategy}
-    if unchecked and set(map(type, flat)) != {Fraction}:
-        return None
-    table = (*_scaled(flat), *_scaled(probs))
-    if not _sound_table(table, size, placed=not unchecked):
-        return None
-    if unchecked:
-        support = tuple(zip([s if type(s) is PureStrategy else PureStrategy._checked(s) for s in strategies], probs))
-    return support, table
 
 
 def _checked_entries(support: tuple) -> tuple[tuple[PureStrategy, Fraction], ...]:
     """Convert and check the support entry by entry, raising its first fault.
 
-    This names what ``_checked_table`` only detects, and converts entries it
-    does not take: strategies given as other sequences, rationals as ``int``
-    or ``str``. A support it returns passes ``_checked_table``.
+    Strategies given as other sequences become ``PureStrategy``s, which
+    check their own locations, and rationals given as ``int`` or ``str``
+    become Fractions; then the support is checked as a whole.
     """
     entries = []
     for strategy, prob in support:
@@ -163,9 +128,11 @@ class MixedStrategy:
     support: tuple[tuple[PureStrategy, Fraction], ...]
 
     def __post_init__(self) -> None:
-        support = tuple(self.support)
-        checked, table = _checked_table(support) or _checked_table(_checked_entries(support))
-        object.__setattr__(self, "support", checked)
+        support = _checked_entries(tuple(self.support))
+        strategies, probs = zip(*support)
+        locations = list(itertools.chain.from_iterable(s.locations for s in strategies))
+        table = (*_scaled(locations), *_scaled(probs))
+        object.__setattr__(self, "support", support)
         # not a field, so repr shows the support alone
         object.__setattr__(self, "_table", table)
 
@@ -278,19 +245,6 @@ def _refuse_too_many_draws(size: int) -> None:
         raise SupportTooLarge(f"product support has {size} combinations (cap {DEFAULT_SUPPORT_CAP})")
 
 
-def _draws(supports: Sequence[Sequence[tuple[_Row, int]]]) -> Iterator[tuple[int, tuple[_Row, ...]]]:
-    """Every joint draw of independent players with its weight.
-
-    ``supports`` holds one sequence of ``(row, weight)`` entries per player,
-    as ``_scaled_supports`` builds them; a draw's weight is the product of
-    its entries' weights. Raises ``SupportTooLarge`` before the
-    first draw when there are more than ``DEFAULT_SUPPORT_CAP`` of them.
-    """
-    _refuse_too_many_draws(math.prod(len(x) for x in supports))
-    for combo in itertools.product(*supports):
-        yield math.prod(p for _, p in combo), tuple(s for s, _ in combo)
-
-
 def _scaled_supports(strategies: Sequence[MixedStrategy], scale: int) -> list[list[tuple[_Row, int]]]:
     """Each strategy's support as ``(row, weight)`` pairs from its table:
     locations as integers over ``scale``, which every table's own scale
@@ -304,10 +258,17 @@ def _scaled_supports(strategies: Sequence[MixedStrategy], scale: int) -> list[li
 
 
 def _sorted_draws(supports: Sequence[Sequence[tuple[_Row, int]]], scale: int) -> Iterator[tuple[int, list[int]]]:
-    """Each joint draw's weight and sorted positions, with repeats, between
-    sentinels ``-scale`` and ``3*scale`` beyond every own neighbour."""
-    for weight, drawn in _draws(supports):
-        yield weight, [-scale, *sorted(itertools.chain.from_iterable(drawn)), 3 * scale]
+    """Every joint draw of independent players: its weight, the product of
+    its entries' weights, and its positions sorted, with repeats, between
+    sentinels ``-scale`` and ``3*scale`` beyond every own neighbour.
+
+    ``supports`` holds one sequence of ``(row, weight)`` entries per player,
+    as ``_scaled_supports`` builds them. Callers refuse more than
+    ``DEFAULT_SUPPORT_CAP`` draws with ``_refuse_too_many_draws`` first.
+    """
+    for combo in itertools.product(*supports):
+        positions = sorted(itertools.chain.from_iterable(row for row, _ in combo))
+        yield math.prod(w for _, w in combo), [-scale, *positions, 3 * scale]
 
 
 def _chain_halves(support: Sequence[tuple[_Row, int]], scale: int) -> tuple[list[int], list[_Halves]]:
@@ -384,13 +345,15 @@ def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     split = math.lcm(*range(1, game.num_players + 1))
     den = 2 * scale * split * math.prod(probs for _, _, probs, _ in tables)
     supports = _scaled_supports(profile.strategies, scale)
-    chains = [_chain_halves(support, scale) for support in supports]
     joint = math.prod(len(support) for support in supports)
     draws = [joint // len(support) for support in supports]
+    # the remainder goes to a player facing most opponent draws, so the
+    # others face at most the second-most: the cap refuses before any work
+    _refuse_too_many_draws(max(sorted(draws)[:-1], default=0))
+    chains = [_chain_halves(support, scale) for support in supports]
     halves = [sum(len(left) + len(right) for left, right in chain[1]) for chain in chains]
-    # the remainder goes to the player facing most opponent draws, then most
-    # halves; the others follow in that order, so each faces at most the
-    # second-most draws, and the cap in _draws refuses before any work
+    # of the players facing most draws, the one with most halves takes the
+    # remainder; the others follow in that order
     remainder, *direct = sorted(
         range(game.num_players), key=lambda i: (draws[i], halves[i]), reverse=True
     )

@@ -49,14 +49,6 @@ def parse_fraction(text: Any, path: str = "value") -> Fraction:
         raise InvalidInput(f"{path}: invalid rational {text!r}") from exc
 
 
-def _parse_new(known: dict[str, Fraction], text: Any, path: str) -> Fraction:
-    """parse_fraction, remembering a parsed string in ``known``."""
-    value = parse_fraction(text, path)
-    if type(text) is str:  # only strings: True == 1 must not find 1's entry
-        known[text] = value
-    return value
-
-
 def game_to_json(game: Game) -> dict:
     return {"counts": list(game.counts)}
 
@@ -122,8 +114,9 @@ def _table_from_json(data: list) -> MixedStrategy | None:
     whose rationals are all strings. Each distinct location string and
     each distinct probability string is parsed once, the locations and
     probabilities are scaled to integers as ``MixedStrategy`` scales them,
-    and the table is checked by ``_sound_table``. Returns None for anything else, a bad string or a
-    fault, which the entry-by-entry decoder then names.
+    and the table is checked by ``_sound_table``. Returns None for anything
+    else, a bad string or a fault, which the entry-by-entry decoder then
+    names.
     """
     if set(map(type, data)) != {dict}:
         return None
@@ -154,37 +147,19 @@ def _scaled_texts(texts: list[str]) -> tuple[int, list[int]]:
 
 
 def _entries_from_json(data: list, path: str) -> MixedStrategy:
-    """Decode a mixed document entry by entry, raising its first fault."""
-    # each distinct rational string is parsed once, at its first occurrence,
-    # so an invalid one is reported with that occurrence's path; an entry
-    # whose strings are all known is read with one map over them, and the
-    # support is checked as a whole by MixedStrategy
-    known: dict[str, Fraction] = {}
+    """Decode a mixed document entry by entry, raising its first fault in
+    reading order; the support is then checked as a whole by
+    ``MixedStrategy``."""
     support = []
     for i, entry in enumerate(data):
-        try:
-            if not isinstance(entry, dict) or "strategy" not in entry or "prob" not in entry:
-                raise InvalidInput(f"{path}[{i}]: expected an object with 'strategy' and 'prob'")
-            texts = entry["strategy"]
-            if not isinstance(texts, list):
-                raise InvalidInput(f"{path}[{i}].strategy: expected a list of rationals")
-            try:  # only strings are keys of known, so True never finds 1's entry
-                locs = tuple(map(known.__getitem__, texts))
-            except (KeyError, TypeError):  # a new string, or a value that is not one
-                locs = tuple(
-                    known[x] if type(x) is str and x in known
-                    else _parse_new(known, x, f"{path}[{i}].strategy[{j}]")
-                    for j, x in enumerate(texts)
-                )
-            p = entry["prob"]
-            prob = known[p] if type(p) is str and p in known else _parse_new(known, p, f"{path}[{i}].prob")
-        except InvalidInput:
-            # faults are reported in reading order: a strategy fault in an
-            # earlier entry comes before this one
-            for earlier, _ in support:
-                PureStrategy(earlier)
-            raise
-        support.append((locs, prob))
+        if not isinstance(entry, dict) or "strategy" not in entry or "prob" not in entry:
+            raise InvalidInput(f"{path}[{i}]: expected an object with 'strategy' and 'prob'")
+        texts = entry["strategy"]
+        if not isinstance(texts, list):
+            raise InvalidInput(f"{path}[{i}].strategy: expected a list of rationals")
+        locs = tuple(parse_fraction(x, f"{path}[{i}].strategy[{j}]") for j, x in enumerate(texts))
+        prob = parse_fraction(entry["prob"], f"{path}[{i}].prob")
+        support.append((PureStrategy(locs), prob))
     return MixedStrategy(tuple(support))
 
 

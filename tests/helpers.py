@@ -14,10 +14,11 @@ multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
 ``reference_pure_best_response`` solves the best response against pure
 opponents as a knapsack over their points, a second route to the oracle's
 supremum that shares none of its code.
-``reference_support`` checks a mixed support entry by entry, the reference
-for ``MixedStrategy``'s one-table check. ``TABLE_ROUTES`` groups equal
-strategies built by every route into ``MixedStrategy``; it is shared with
-the golden corpus, which records their ``repr``.
+``reference_support`` checks a mixed support entry by entry on Fractions,
+the reference for ``MixedStrategy``'s check on integer ratios, from which
+it builds its table. ``TABLE_ROUTES`` groups equal strategies built by
+every route into ``MixedStrategy``; it is shared with the golden corpus,
+which records their ``repr``.
 """
 
 from __future__ import annotations

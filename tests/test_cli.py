@@ -327,6 +327,12 @@ class TestRationals:
                 "mixed_strategies[0][1].strategy[0]: expected a rational string, got bool",
                 id="boolean-after-equal-integer",
             ),
+            pytest.param(
+                # the entry's probability is read before its strategy is checked
+                [support_entry(["3/4", "1/4"], "1/0")],
+                "mixed_strategies[0][0].prob: invalid rational '1/0'",
+                id="probability-before-strategy-fault",
+            ),
         ],
     )
     def test_invalid_rational_named_at_first_occurrence(self, support, message):

@@ -127,11 +127,10 @@ SUPPORT_FAULTS = (
 def rand_support(rng, fault):
     """A seeded support with the named fault, or none for "valid".
 
-    Most supports hold only Fractions, in ``PureStrategy``s and tuples, the
-    input the one-table check judges itself; the others mix in lists, ints
-    and strings, which it leaves to the entry-by-entry check. Locations are
-    either shared objects or fresh ones, so equal values are often held by
-    distinct objects.
+    Most supports hold only Fractions, in ``PureStrategy``s and tuples; the
+    others mix in lists, ints and strings, which the check converts first.
+    Locations are either shared objects or fresh ones, so equal values are
+    often held by distinct objects.
     """
     exact = rng.random() < 0.6
     if fault == "empty-support":
@@ -615,19 +614,38 @@ class TestMixedPayoff:
         # before player 0, within the cap, enumerates anything
         consumed = []
 
-        def counted(supports):
-            for item in real_draws(supports):
+        def counted(supports, scale):
+            for item in real_draws(supports, scale):
                 consumed.append(item)
                 yield item
 
-        real_draws = mixed_module._draws
+        real_draws = mixed_module._sorted_draws
         monkeypatch.setattr(mixed_module, "DEFAULT_SUPPORT_CAP", 100)
-        monkeypatch.setattr(mixed_module, "_draws", counted)
+        monkeypatch.setattr(mixed_module, "_sorted_draws", counted)
         points = MixedStrategy.uniform([PureStrategy((F(i, 10),)) for i in range(11)])
         profile = MixedProfile((points, make_olk(2, 5), make_olk(2, 5)))
         with pytest.raises(SupportTooLarge):
             mixed_payoff(make_game([1, 2, 2]), profile)
         assert consumed == []
+
+    def test_cap_refuses_before_any_chain(self, monkeypatch):
+        # the profile of test_cap_refuses_before_any_draw: no player's chain
+        # is folded before the refusal, whose message names the 110 draws
+        folded = []
+
+        def counted(support, scale):
+            folded.append(len(support))
+            return real_halves(support, scale)
+
+        real_halves = mixed_module._chain_halves
+        monkeypatch.setattr(mixed_module, "DEFAULT_SUPPORT_CAP", 100)
+        monkeypatch.setattr(mixed_module, "_chain_halves", counted)
+        points = MixedStrategy.uniform([PureStrategy((F(i, 10),)) for i in range(11)])
+        profile = MixedProfile((points, make_olk(2, 5), make_olk(2, 5)))
+        with pytest.raises(SupportTooLarge) as exc:
+            mixed_payoff(make_game([1, 2, 2]), profile)
+        assert str(exc.value) == "product support has 110 combinations (cap 100)"
+        assert folded == []
 
 
 class TestMeasure:
