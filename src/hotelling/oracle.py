@@ -17,12 +17,20 @@ throughout: every table goes once onto one grid, twice the lcm of their
 scales, so every position is even and a one-sided key odd; the family and
 the draws share it, and only the witness's entries become
 ``OffsetLocation``s. One dynamic
-program over the sorted family finds the best chain of m candidates in
-``O((draws + m) * |F|^2)`` steps; each term carries its candidate's exact
-indicator, so the same run also decides whether an all-exact chain reaches
-the supremum (``attained``). When certifying, the search pays the player's
-own chain against the same opponent draws with the same cell formula, so
-the gain needs no second pass over them.
+program over the sorted family finds the best chain of m candidates; each
+term carries its candidate's exact indicator, so the same run also decides
+whether an all-exact chain reaches the supremum (``attained``). With
+``m = 1`` there are no pair terms. Otherwise a pair of candidates is far
+when the positions every opponent draw holds put each one's nearest
+opponent between them; its term then splits into one half per candidate,
+so only the near pairs, a band of width ``w`` (``_band_width``), need the
+draws, and one suffix maximum per DP row covers the far ones: ``O((draws +
+m) * |F| * (w + 1))`` steps (``_best_band``). When no pair is far, as
+against a mixture that holds no position in every entry, the band holds
+every pair a chain can use, ``w = |F| - m + 1``, and the same run takes
+``O((draws + m) * |F|^2)`` steps. When certifying, the search pays the
+player's own chain against the same opponent draws with the same cell
+formula, so the gain needs no second pass over them.
 
 Every answer is exact or refused by one size rule (``_refuse``): a
 witness size that is not an ``int``, or of fewer than one or more than
@@ -35,9 +43,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, le
 from typing import Iterable, Sequence
 
 from .core import ONE, ZERO, Game, PureProfile, as_fraction, require_profile
@@ -108,52 +117,76 @@ def candidate_family(positions: Iterable[Fraction]) -> tuple[OffsetLocation, ...
     return tuple(family)
 
 
-def _grid(strategies: Sequence[MixedStrategy]) -> tuple[int, list[list[tuple[_Row, int]]], list[set[int]], list[int]]:
+def _grid(strategies: Sequence[MixedStrategy]) -> tuple[int, list[list[tuple[_Row, int]]], list[tuple[int, int, int]], list[int]]:
     """The one grid of the oracle: its scale, twice the lcm of the
     strategies' table scales, so every position on it is even; then each
-    strategy's support as rows on it (``_scaled_supports``), the support's
-    distinct positions, and its probability denominator."""
+    strategy's support as rows on it (``_scaled_supports``); every
+    position once, sorted, as ``(x, some, every)``, with ``some`` the bit
+    mask of the strategies that hold ``x`` in some entry and ``every`` of
+    those that hold it in every entry; and each strategy's probability
+    denominator."""
     tables = [x._table for x in strategies]
     scale = 2 * math.lcm(*(own for own, _, _, _ in tables))
     supports = _scaled_supports(strategies, scale)
-    points = [set(itertools.chain.from_iterable(row for row, _ in support)) for support in supports]
-    return scale, supports, points, [probs for _, _, probs, _ in tables]
+    some: dict[int, int] = {}
+    every: dict[int, int] = {}
+    for i, support in enumerate(supports):
+        bit = 1 << i
+        rows = [row for row, _ in support]
+        positions = set(itertools.chain.from_iterable(rows))
+        for x in positions:
+            some[x] = some.get(x, 0) | bit
+        for x in positions.intersection(*rows):
+            every[x] = every.get(x, 0) | bit
+    table = [(x, some[x], every.get(x, 0)) for x in sorted(some)]
+    return scale, supports, table, [probs for _, _, probs, _ in tables]
 
 
-def _grid_family(points: Sequence[set[int]], scale: int) -> list[tuple[int, int]]:
-    """The candidate family against opponents holding ``points``, each
-    one's distinct positions on the grid of ``scale`` (``_grid``), as
-    sorted integer pairs.
+def _grid_family(
+    table: Sequence[tuple[int, int, int]], scale: int, own: int = 0
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The candidate family against the strategies of ``table``
+    (``_grid``) but those of the bit mask ``own``, as sorted integer
+    pairs, and the positions that every joint draw of those strategies
+    holds.
 
-    Each position ``x`` of their union gives ``(x, offset)`` for the
-    offsets -1, 0 and +1 of ``_SIDE_EPS``, none below 0 and none above
-    ``scale``: the ``(position, side)`` list of ``candidate_family``, in
-    its order, with positions ``x / scale``.
+    Each position ``x`` they hold gives ``(x, offset)`` for the offsets
+    -1, 0 and +1 of ``_SIDE_EPS``, none below 0 and none above ``scale``:
+    the ``(position, side)`` list of ``candidate_family``, in its order,
+    with positions ``x / scale``. Every draw holds a position that one of
+    them holds in every entry: a point mass's positions, or those common
+    to all entries of a mixed support.
     """
+    others = ~own
     family = []
-    for x in sorted(set().union(*points)):
-        if x:
-            family.append((x, -1))
-        family.append((x, 0))
-        if x < scale:
-            family.append((x, 1))
-    return family
+    held = []
+    for x, some, every in table:
+        if some & others:
+            if x:
+                family.append((x, -1))
+            family.append((x, 0))
+            if x < scale:
+                family.append((x, 1))
+            if every & others:
+                held.append(x)
+    return family, held
 
 
 def _padded(
-    family: Sequence[tuple[int, int]], scale: int, needed: int, supports: Sequence[_Rows]
-) -> tuple[int, list[tuple[int, int]], list[list[tuple[_Row, int]]]]:
+    family: Sequence[tuple[int, int]], held: Sequence[int], scale: int, needed: int, supports: Sequence[_Rows]
+) -> tuple[int, list[tuple[int, int]], list[int], list[list[tuple[_Row, int]]]]:
     """The family with ``needed`` deterministic exact points strictly inside
     the gaps between its positions and the ends, on a grid fine enough for
-    all of them, that grid's scale, and the supports' rows on it.
+    all of them, that grid's scale, and the held positions and the
+    supports' rows on it.
 
     Used when the player has more facilities than the candidate family has
     slots; interior extras never change the achievable mass once both ends
     of every gap are approached, so they only pad the witness. Fillers
     halve each gap, then quarter it, and so on, gap after gap, so a depth
-    ``d`` holds ``2**(d - 1)`` per gap; the grid, and every position of
-    the supports' rows, is refined by ``2**depth`` for the deepest one
-    needed. Every gap's ends are even, so every filler is too.
+    ``d`` holds ``2**(d - 1)`` per gap; the grid, and every held position
+    and position of the supports' rows, is refined by ``2**depth`` for the
+    deepest one needed. Every gap's ends are even, so every filler is too.
     """
     ends = [0, *sorted({x for x, _ in family}), scale]
     gaps = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
@@ -168,7 +201,7 @@ def _padded(
     )
     refined = [(x << depth, side) for x, side in family]
     rows = [[(tuple(x << depth for x in row), w) for row, w in support] for support in supports]
-    return scale << depth, sorted([*refined, *itertools.islice(fillers, needed)]), rows
+    return scale << depth, sorted([*refined, *itertools.islice(fillers, needed)]), [x << depth for x in held], rows
 
 
 def _refuse(m: int, draws: int) -> None:
@@ -186,36 +219,84 @@ def _refuse(m: int, draws: int) -> None:
     _refuse_too_many_draws(draws)
 
 
-def _best_chain(
+def _band_width(xs: Sequence[int], keys: Sequence[int], held: Sequence[int], scale: int, slack: int) -> int:
+    """How many candidates past each candidate its pair terms may still
+    need the draws for, up to ``slack + 1``, the most a chain's neighbours
+    are apart.
+
+    Every draw holds each ``held`` position, so candidate ``a``'s nearest
+    opponent above, ``R_a``, is at most the first held position above its
+    key, and ``b``'s nearest below, ``L_b``, at least the last held one
+    below its key (the sentinels when there is none). When ``x_b`` is at
+    or above the first and ``x_a`` at or below the second, the pair term
+    of ``a`` before ``b`` is ``share_a * R_a - share_b * L_b`` in every
+    draw: the pair is far. Both bounds rise with the candidate index, so
+    a pair is far when a nearer ``b`` after the same ``a`` is: the width
+    is the smallest ``w`` for which every pair ``(a, a + 1 + w)`` is far,
+    tried from 0, and every pair with ``w`` or more candidates between is
+    far too.
+    """
+    above = [*held, 3 * scale]
+    below = [-scale, *held]
+    bounds_r = list(map(above.__getitem__, map(bisect_right, itertools.repeat(held), keys)))
+    bounds_l = list(map(below.__getitem__, map(bisect_left, itertools.repeat(held), keys)))
+    width = 0
+    while width <= slack and not (
+        all(map(le, bounds_r, xs[width + 1 :])) and all(map(le, xs, bounds_l[width + 1 :]))
+    ):
+        width += 1
+    return width
+
+
+def _best_band(
     head: Sequence[int],
     tail: Sequence[int],
     pair: Sequence[Sequence[int]],
+    up: Sequence[int],
+    down: Sequence[int],
     m: int,
 ) -> tuple[int, bool, list[int]]:
     """The best chain of ``m`` candidates: its value, whether an all-exact
     chain reaches that value, and the chain, by one DP run over scores.
 
-    ``pair[a][g]`` is the term of candidate ``a`` followed by ``a + 1 + g``.
-    Every term is scored: ``(m + 1)`` times its value, and a tail or pair
-    term adds 1 when its candidate ``a`` is exact. So a chain scores
+    ``pair[a][g]`` is the term of candidate ``a`` followed by ``a + 1 + g``
+    for ``g`` below the band's width, every row as wide, and any later
+    ``b``'s term is ``up[a] + down[b]``: the far pairs (``_band_width``).
+    Every term is scored: ``(m + 1)`` times its value, and a tail, pair or
+    ``up`` term adds 1 when its candidate ``a`` is exact. So a chain scores
     ``(m + 1) * value + (its number of exact candidates)``, the count never
     reaching ``m + 1``, and the best score holds the best value and, of the
     chains with that value, the most exact candidates: ``attained`` is a
     count of ``m``. A chain's j-th candidate is ``j + t`` with
     ``0 <= t <= slack = |F| - m``, and ``t`` never falls along it.
     ``best[j][t]`` is the best score of its facilities from the j-th on,
-    the j-th being ``j + t``, tail included and head left out. The witness
-    is walked greedily from the smallest ``t`` that keeps the goal: the
-    score when attained, which gives the smallest all-exact maximizer, and
-    otherwise the score floor-divided by ``m + 1``, the value, which gives
-    the smallest maximizer.
+    the j-th being ``j + t``, tail included and head left out.
+
+    A row of ``best`` is the elementwise maximum of the band's diagonals,
+    each one added to the row after, and of ``up`` plus one suffix maximum
+    (``accumulate``) of ``down`` plus the row after, for the far part:
+    ``O(m * (slack + 1) * (width + 1))`` steps in all. A band of width
+    ``slack + 1`` holds every pair a chain can use, and then ``up`` and
+    ``down`` are never read. The witness is walked greedily from the
+    smallest ``t`` that keeps the goal, reading a far weight as ``up[a] +
+    down[b]``: the score when attained, which gives the smallest all-exact
+    maximizer, and otherwise the score floor-divided by ``m + 1``, the
+    value, which gives the smallest maximizer.
     """
     slack = len(head) - m
+    diagonals = list(zip(*pair))[: slack + 1]
+    width = len(diagonals)
     row = list(tail[m - 1 :])
     best = [row]
     for j in range(m - 2, -1, -1):
         after = row
-        row = [max(map(add, pair[j + t], after[t:])) for t in range(slack + 1)]
+        suffix = list(itertools.accumulate(map(add, down[j + 1 + slack : j + width : -1], reversed(after[width:])), max))
+        suffix.reverse()
+        row = list(map(add, up[j : j + 1 + slack - width], suffix))
+        for g in range(width - 1, -1, -1):
+            diagonal = diagonals[g]
+            row = [s if s > r else r for s, r in zip(map(add, diagonal[j:], after[g:]), row)]
+            row.append(diagonal[j + slack - g] + after[slack])
         best.append(row)
     best.reverse()
     totals = list(map(add, head, best[0]))
@@ -226,14 +307,19 @@ def _best_chain(
     t = next(t for t, score in enumerate(totals) if score // unit == top // unit)
     chain = [t]
     for j in range(1, m):
-        weights, goal, after = pair[j - 1 + t], best[j - 1][t] // unit, best[j]
-        t = next(u for u in range(t, slack + 1) if (weights[u - t] + after[u]) // unit == goal)
+        a, goal, after = j - 1 + t, best[j - 1][t] // unit, best[j]
+        t = next(
+            u
+            for u in range(t, slack + 1)
+            if ((diagonals[u - t][a] if u - t < width else up[a] + down[j + u]) + after[u]) // unit == goal
+        )
         chain.append(j + t)
     return value, attained, chain
 
 
 def _best_subset(
     family: Sequence[tuple[int, int]],
+    held: Sequence[int],
     scale: int,
     m: int,
     rows: Sequence[_Rows],
@@ -245,10 +331,12 @@ def _best_subset(
     ``family`` of ``(x, offset)`` pairs, positions ``x / scale``, padded
     with gap fillers (``_padded``) when it is shorter than ``m``. ``rows``
     holds each opponent's support as ``(row, weight)`` entries on the same
-    grid (``_grid``), and ``den`` is the product of their probability
-    denominators; ``own`` is the player's own support on that grid with
-    its denominator, or None. An empty family means no competition: every
-    strategy, the own one too, collects the whole customer mass.
+    grid (``_grid``), ``held`` the sorted positions that every joint draw
+    of them holds (``_grid_family``), and ``den`` is the product of their
+    probability denominators; ``own`` is the player's own support on that
+    grid with its denominator, or None. An empty family means no
+    competition: every strategy, the own one too, collects the whole
+    customer mass.
 
     Every position is even, and a candidate's key is ``x + offset``, so a
     one-sided key is odd and meets no opponent. Each draw is bisected once
@@ -256,10 +344,18 @@ def _best_subset(
     its first candidate, a pair term for each pair of neighbours and a
     tail term for its last: the halves of ``_chain_pay``'s cell, summed
     over the draws as integers, each draw's weight times ``m + 1`` and
-    each exact candidate's tail and pair terms plus 1, the scores of
-    ``_best_chain``'s one run. Against every draw the own chain is paid by
-    ``_chain_pay`` of its ``_chain_halves``, the cell formula
-    ``mixed_payoff`` pays it by.
+    each exact candidate's tail, pair and ``up`` terms plus 1, the scores
+    of one ``_best_band`` run. With ``m = 1`` there are no pair terms.
+    Otherwise neighbours in a chain are at most ``slack + 1`` candidates
+    apart, ``slack`` being ``|F| - m``, and every pair further apart than
+    the ``held`` positions' band (``_band_width``) is far. Each draw adds
+    every candidate's far halves, ``up`` (with the exact indicator) and
+    ``down``, beside its head and tail terms, and the band's ``w`` pair
+    terms per candidate, one diagonal (one ``b - a``) at a time:
+    ``draws * |F| * (w + 1)`` steps, and ``w`` is ``slack + 1``, every
+    pair summed, when no pair is far. Against every
+    draw the own chain is paid by ``_chain_pay`` of its ``_chain_halves``,
+    the cell formula ``mixed_payoff`` pays it by.
 
     The supremum is one Fraction built at the end; the witness is the
     smallest all-exact maximizer if any, else the smallest maximizer, and
@@ -271,30 +367,35 @@ def _best_subset(
         return DeviationResult(ONE, True, witness, None if own is None else ZERO)
     own_rows, own_den = own or ((), 1)
     if m > len(family):  # one subset, never all-exact: the family holds a one-sided entry
-        scale, family, (*rows, own_rows) = _padded(family, scale, m - len(family), [*rows, own_rows])
+        scale, family, held, (*rows, own_rows) = _padded(family, held, scale, m - len(family), [*rows, own_rows])
     score = m + 1
     split = math.lcm(*range(1, len(rows) + 2))
     xs = [x for x, _ in family]
     keys = [x + side for x, side in family]
     own_keys, own_halves = _chain_halves(own_rows, scale)
-    # neighbours in a chain of m are at most |F| - m + 1 candidates apart
-    reach = len(family) - m + 2 if m > 1 else 1
+    slack = len(family) - m
+    width = _band_width(xs, keys, held, scale, slack) if m > 1 else 0
     exact = [int(side == 0) for _, side in family]
     head = [0] * len(family)
     tail = exact[:]
-    pair = [[e] * (reach - 1) for e in exact]
+    pair = [[e] * width for e in exact] if width else []
+    up = exact[:]
+    down = [0] * len(family)
     paid = 0
     for weight, opps in _sorted_draws(rows, scale):
         paid += weight * _chain_pay(own_keys, own_halves, opps, split)
         weight *= score
         bounds = _nearest(keys, opps, split)
         for a, (x, (low, high, share)) in enumerate(zip(xs, bounds)):
-            head[a] -= weight * share * (-x if -x > low else low)
-            tail[a] += weight * share * (2 * scale - x if 2 * scale - x < high else high)
-            row = pair[a]
-            for g, (y, (below, _, other)) in enumerate(zip(xs[a + 1 : a + reach], bounds[a + 1 : a + reach])):
+            share *= weight
+            head[a] -= share * (-x if -x > low else low)
+            tail[a] += share * (2 * scale - x if 2 * scale - x < high else high)
+            up[a] += share * high
+            down[a] -= share * low
+        for g in range(width):
+            for row, x, (_, high, share), y, (below, _, other) in zip(pair, xs, bounds, xs[g + 1 :], bounds[g + 1 :]):
                 row[g] += weight * (share * (y if y < high else high) - other * (x if x > below else below))
-    value, attained, chain = _best_chain(head, tail, pair, m)
+    value, attained, chain = _best_band(head, tail, pair, up, down, m)
     den *= 2 * scale * split
     entries = [family[i] for i in chain]
     witness = tuple(OffsetLocation._checked(Fraction(x, scale), _SIDES[side]) for x, side in entries)
@@ -315,8 +416,8 @@ def best_response(opponents: Sequence[MixedStrategy], m: int) -> DeviationResult
     ``DEFAULT_SUPPORT_CAP`` opponent draws.
     """
     _refuse(m, math.prod(len(x._table[3]) for x in opponents))
-    scale, rows, points, dens = _grid(opponents)
-    return _best_subset(_grid_family(points, scale), scale, m, rows, math.prod(dens))
+    scale, rows, table, dens = _grid(opponents)
+    return _best_subset(*_grid_family(table, scale), scale, m, rows, math.prod(dens))
 
 
 def certify_no_deviation(
@@ -340,10 +441,10 @@ def certify_no_deviation(
     sizes = [len(x._table[3]) for x in profile.strategies]
     for i, m in enumerate(game.counts):
         _refuse(m, math.prod(sizes[:i] + sizes[i + 1 :]))
-    scale, supports, points, dens = _grid(profile.strategies)
+    scale, supports, table, dens = _grid(profile.strategies)
     return tuple(
         _best_subset(
-            _grid_family(points[:i] + points[i + 1 :], scale),
+            *_grid_family(table, scale, 1 << i),
             scale,
             m,
             supports[:i] + supports[i + 1 :],

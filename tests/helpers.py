@@ -243,11 +243,13 @@ def best_subset(
     may be enriched beyond or cut from the candidate family: its entries go
     onto the oracle's one doubled grid, twice the lcm of the opponents'
     table scales and of the family's own denominators, as ``(x, offset)``
-    pairs, and the opponents' rows onto the same grid."""
+    pairs, and the opponents' rows, and the positions that every entry of
+    some opponent holds, onto the same grid."""
     scale = 2 * math.lcm(*(x._table[0] for x in opponents), *(c.position.denominator for c in family))
     pairs = [(c.position.numerator * (scale // c.position.denominator), _SIDE_ORDER[c.side]) for c in family]
     rows = _scaled_supports(opponents, scale)
-    result = _best_subset(pairs, scale, m, rows, math.prod(x._table[2] for x in opponents))
+    held = sorted({x for support in rows for x in set(support[0][0]).intersection(*(row for row, _ in support))})
+    result = _best_subset(pairs, held, scale, m, rows, math.prod(x._table[2] for x in opponents))
     return result.supremum_payoff, result.attained, result.witness
 
 
