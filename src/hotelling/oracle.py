@@ -16,9 +16,10 @@ and its last, the halves of ``mixed._chain_pay``'s cell, on integers
 throughout: every table goes once onto one grid, twice the lcm of their
 scales, so every position is even and a one-sided key odd; the family and
 the draws share it, and only the witness's entries become
-``OffsetLocation``s. One dynamic
-program over the sorted family finds the best chain of m candidates; each
-term carries its candidate's exact indicator, so the same run also decides
+``OffsetLocation``s. One dynamic program over the sorted family finds the
+best chain of m candidates, or takes the whole family when it holds fewer:
+the extra facilities are exact gap fillers, which add no mass and join the
+witness, not the grid. Each term carries its candidate's exact indicator, so the same run also decides
 whether an all-exact chain reaches the supremum (``attained``). With
 ``m = 1`` there are no pair terms. Otherwise a pair of candidates is far
 when the positions every opponent draw holds put each one's nearest
@@ -172,38 +173,6 @@ def _grid_family(
     return family, held
 
 
-def _padded(
-    family: Sequence[tuple[int, int]], held: Sequence[int], scale: int, needed: int, supports: Sequence[_Rows]
-) -> tuple[int, list[tuple[int, int]], list[int], list[list[tuple[_Row, int]]]]:
-    """The family with ``needed`` deterministic exact points strictly inside
-    the gaps between its positions and the ends, on a grid fine enough for
-    all of them, that grid's scale, and the held positions and the
-    supports' rows on it.
-
-    Used when the player has more facilities than the candidate family has
-    slots; interior extras never change the achievable mass once both ends
-    of every gap are approached, so they only pad the witness. Fillers
-    halve each gap, then quarter it, and so on, gap after gap, so a depth
-    ``d`` holds ``2**(d - 1)`` per gap; the grid, and every held position
-    and position of the supports' rows, is refined by ``2**depth`` for the
-    deepest one needed. Every gap's ends are even, so every filler is too.
-    """
-    ends = [0, *sorted({x for x, _ in family}), scale]
-    gaps = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
-    depth = 1
-    while len(gaps) * (2**depth - 1) < needed:
-        depth += 1
-    fillers = (
-        ((a << depth) + ((b - a) * num << (depth - level)), 0)
-        for level in range(1, depth + 1)
-        for a, b in gaps
-        for num in range(1, 2**level, 2)
-    )
-    refined = [(x << depth, side) for x, side in family]
-    rows = [[(tuple(x << depth for x in row), w) for row, w in support] for support in supports]
-    return scale << depth, sorted([*refined, *itertools.islice(fillers, needed)]), [x << depth for x in held], rows
-
-
 def _refuse(m: int, draws: int) -> None:
     """The one size rule, run for every player before any search, filler
     or draw is built: a witness size ``m`` that is not an ``int`` (a
@@ -295,7 +264,7 @@ def _best_band(
         row = list(map(add, up[j : j + 1 + slack - width], suffix))
         for g in range(width - 1, -1, -1):
             diagonal = diagonals[g]
-            row = [s if s > r else r for s, r in zip(map(add, diagonal[j:], after[g:]), row)]
+            row = [s if s > r else r for s, r in zip(map(add, diagonal[j : j + 1 + slack - g], after[g:]), row)]
             row.append(diagonal[j + slack - g] + after[slack])
         best.append(row)
     best.reverse()
@@ -328,8 +297,7 @@ def _best_subset(
 ) -> DeviationResult:
     """The one search of ``best_response`` and ``certify_no_deviation``,
     which run ``_refuse`` first: the best m-subset of the sorted
-    ``family`` of ``(x, offset)`` pairs, positions ``x / scale``, padded
-    with gap fillers (``_padded``) when it is shorter than ``m``. ``rows``
+    ``family`` of ``(x, offset)`` pairs, positions ``x / scale``. ``rows``
     holds each opponent's support as ``(row, weight)`` entries on the same
     grid (``_grid``), ``held`` the sorted positions that every joint draw
     of them holds (``_grid_family``), and ``den`` is the product of their
@@ -361,13 +329,20 @@ def _best_subset(
     smallest all-exact maximizer if any, else the smallest maximizer, and
     the gain is over the own chain's payoff (None without ``own``). Only
     the witness's ``m`` entries become ``OffsetLocation``s.
+
+    A family shorter than ``m`` is searched alone, its one chain being the
+    whole family, and its witness is padded, not its grid: an exact point
+    strictly inside a gap between the family's positions and the ends adds
+    no mass once both ends of the gap are approached. The ``m - |F|``
+    fillers are made straight as Fractions, each gap's midpoint gap after
+    gap, then its odd quarters, and so on, and sorted into the witness.
     """
     if not family:
         witness = tuple(OffsetLocation(x, "exact") for x in optimal_locations(m))
         return DeviationResult(ONE, True, witness, None if own is None else ZERO)
     own_rows, own_den = own or ((), 1)
-    if m > len(family):  # one subset, never all-exact: the family holds a one-sided entry
-        scale, family, held, (*rows, own_rows) = _padded(family, held, scale, m - len(family), [*rows, own_rows])
+    needed = max(m - len(family), 0)  # the whole family, never all-exact: it holds a one-sided entry
+    m -= needed
     score = m + 1
     split = math.lcm(*range(1, len(rows) + 2))
     xs = [x for x, _ in family]
@@ -399,6 +374,16 @@ def _best_subset(
     den *= 2 * scale * split
     entries = [family[i] for i in chain]
     witness = tuple(OffsetLocation._checked(Fraction(x, scale), _SIDES[side]) for x, side in entries)
+    if needed:
+        ends = [0, *sorted(set(xs)), scale]
+        gaps = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
+        fillers = (
+            OffsetLocation._checked(Fraction((a << level) + (b - a) * num, scale << level), "exact")
+            for level in itertools.count(1)
+            for a, b in gaps
+            for num in range(1, 2**level, 2)
+        )
+        witness = tuple(sorted([*witness, *itertools.islice(fillers, needed)]))
     gain = None if own is None else Fraction(value * own_den - paid, den * own_den)
     return DeviationResult(Fraction(value, den), attained, witness, gain)
 

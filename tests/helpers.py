@@ -10,7 +10,8 @@ multi-unit mass report; ``combined_strategy`` builds joint-strategy fixtures.
 ``reference_best_response`` values every subset of a family through
 ``limit_payoff``, the reference for the oracle's per-draw chain cells;
 ``best_subset`` runs the oracle's search over such a family, and
-``reference_gap_fillers`` pads a family as the oracle does, in Fractions.
+``reference_gap_fillers`` lists the gap fillers that pad the oracle's
+witness past its family, by a loop of its own.
 ``reference_pure_best_response`` solves the best response against pure
 opponents as a knapsack over their points, a second route to the oracle's
 supremum that shares none of its code.
@@ -257,7 +258,8 @@ def reference_gap_fillers(positions: Sequence[Fraction], needed: int) -> list[Of
     """Exact points strictly inside the gaps between the positions and the
     ends, in ``Fraction`` arithmetic: each gap's midpoint, gap after gap,
     then its odd quarters, then its odd eighths, until ``needed`` are made.
-    The reference for the oracle's fillers on a refined integer grid."""
+    The reference for the fillers the oracle sorts into a witness longer
+    than its candidate family."""
     pts = sorted(set(positions))
     gaps = [(a, b) for a, b in zip([Fraction(0), *pts], [*pts, Fraction(1)]) if a < b]
     fillers: list[OffsetLocation] = []

@@ -29,6 +29,7 @@ from hotelling import (
     make_olk,
     mixed_payoff,
     optimal_locations,
+    two_player_equilibrium,
     verify_multi_unit,
 )
 import hotelling.mixed as mixed_module
@@ -39,7 +40,6 @@ from hotelling.oracle import (
     _best_subset,
     _grid,
     _grid_family,
-    _padded,
     _refuse,
     candidate_family,
 )
@@ -174,6 +174,38 @@ class TestBestResponse:
         family = candidate_family([F(1, 3)])
         assert result.witness == tuple(sorted([*family, *reference_gap_fillers([F(1, 3)], 9)]))
         assert result.supremum_payoff == 1 and not result.attained
+
+    def test_padded_search_runs_the_family_alone(self, monkeypatch):
+        # more facilities than candidates: the chain DP sees the family
+        # alone, its one chain of |F| candidates, and the gap fillers join
+        # only the witness; in a certification too, beside the other
+        # player's search of one facility over ten candidates
+        searched = []
+        best_band = oracle_module._best_band
+
+        def recorded(head, tail, pair, up, down, m):
+            searched.append((m, len(head)))
+            return best_band(head, tail, pair, up, down, m)
+
+        monkeypatch.setattr(oracle_module, "_best_band", recorded)
+        for opponents, m in [([point("1/2")], 4), ([point(0, 1)], 5), ([make_olk(2, 4)], 15)]:
+            family = candidate_family({loc for x in opponents for s, _ in x.support for loc in s})
+            result = best_response(opponents, m)
+            assert searched[-1] == (len(family), len(family))
+            assert len(result.witness) == m and set(family) < set(result.witness)
+        results = certify_no_deviation(make_game([4, 1]), PureProfile.of([0, "1/4", "3/4", 1], ["1/2"]))
+        assert searched[-2:] == [(3, 3), (1, 10)]
+        assert [r.gain for r in results] == [F(1, 4), 0]
+
+    def test_twenty_thousand_facilities_against_one_point(self):
+        # the three candidates around 1/2 and 19,997 fillers, down to the
+        # gaps' odd 2**14ths, in one strictly increasing witness
+        result = best_response([point("1/2")], 20_000)
+        family = candidate_family([F(1, 2)])
+        assert result.witness == tuple(sorted([*family, *reference_gap_fillers([F(1, 2)], 19_997)]))
+        assert (result.supremum_payoff, result.attained) == (1, False)
+        keys = [c.sort_key() for c in result.witness]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_five_facilities_over_thirty_candidates(self):
         # C(30, 5) = 142,506 subsets: the chain search answers exactly, as
@@ -682,9 +714,6 @@ class TestBandSearch:
             assert result == _best_subset(family, [], scale, m, rows, den)
             used, full = narrow[-2:]
             assert not full
-            if m > len(family):
-                fine, _, refined, _ = _padded(family, held, scale, m - len(family), rows)
-                assert [F(x, fine) for x in refined] == [F(x, scale) for x in held]
             positions = [loc for x in opponents for s, _ in x.support for loc in s]
             mixed = any(len(x.support) > 1 for x in opponents)
             seen["pure band"] += used and not mixed
@@ -709,6 +738,57 @@ class TestBandSearch:
             best_response([point(*optimal_locations(k))], l)
             assert narrow[-1] is True
         assert len(narrow) == 6
+
+
+def _mirrored(strategy: MixedStrategy) -> MixedStrategy:
+    """The strategy with every position x moved to 1 - x."""
+    return MixedStrategy(tuple((PureStrategy(tuple(1 - x for x in reversed(s))), p) for s, p in strategy.support))
+
+
+class TestMetamorphic:
+    """Relations between the oracle's own answers, which need no reference
+    and so reach sizes the references cannot: mirroring every position,
+    permuting the players, and adding facilities."""
+
+    @pytest.mark.parametrize(
+        "counts, construct",
+        [
+            ((6, 12), two_player_equilibrium),
+            ((2, 3, 10), lambda game: construct_mixed(game, find_partition(game))),
+            ((3, 3, 12), lambda game: construct_mixed(game, find_partition(game))),
+            ((100, 100, 100), lambda game: MixedProfile.from_pure(construct_pure(game))),
+        ],
+        ids=["6,12", "2,3,10", "3,3,12", "100,100,100"],
+    )
+    def test_mirror_and_permutation(self, counts, construct):
+        # mirroring keeps each player's supremum, attained and gain, though
+        # the smallest witness may change; permuting the players permutes
+        # the results, witnesses included
+        game = make_game(counts)
+        profile = construct(game)
+        results = certify_no_deviation(game, profile)
+        mirrored = certify_no_deviation(game, MixedProfile(tuple(map(_mirrored, profile.strategies))))
+        assert [(r.supremum_payoff, r.attained, r.gain) for r in mirrored] == [
+            (r.supremum_payoff, r.attained, r.gain) for r in results
+        ]
+        for order in list(itertools.permutations(range(len(counts))))[1:]:
+            permuted = MixedProfile(tuple(profile.strategies[i] for i in order))
+            assert list(certify_no_deviation(make_game([counts[i] for i in order]), permuted)) == [
+                results[i] for i in order
+            ]
+
+    def test_supremum_never_falls_as_m_rises(self):
+        # from one facility to three past the family's size, across the
+        # padding boundary: never falling, and constant once the whole
+        # family is taken
+        rng = random.Random(21)
+        for _ in range(40):
+            opponents = _rand_opponents(rng)
+            scale, _, table, _ = _grid(opponents)
+            size = len(_grid_family(table, scale)[0])
+            sups = [best_response(opponents, m).supremum_payoff for m in range(1, size + 4)]
+            assert all(a <= b for a, b in zip(sups, sups[1:])), sups
+            assert len(set(sups[size - 1 :])) == 1, sups
 
 
 class TestKnapsackAgreement:
