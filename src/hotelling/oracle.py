@@ -18,20 +18,22 @@ scales, so every position is even and a one-sided key odd; the family and
 the draws share it, and only the witness's entries become
 ``OffsetLocation``s. One dynamic program over the sorted family finds the
 best chain of m candidates, or takes the whole family when it holds fewer:
-the extra facilities are exact gap fillers, which add no mass and join the
-witness, not the grid. Each term carries its candidate's exact indicator, so the same run also decides
-whether an all-exact chain reaches the supremum (``attained``). With
-``m = 1`` there are no pair terms. Otherwise a pair of candidates is far
-when the positions every opponent draw holds put each one's nearest
-opponent between them; its term then splits into one half per candidate,
-so only the near pairs, a band of width ``w`` (``_band_width``), need the
-draws, and one suffix maximum per DP row covers the far ones: ``O((draws +
-m) * |F| * (w + 1))`` steps (``_best_band``). When no pair is far, as
-against a mixture that holds no position in every entry, the band holds
-every pair a chain can use, ``w = |F| - m + 1``, and the same run takes
-``O((draws + m) * |F|^2)`` steps. When certifying, the search pays the
-player's own chain against the same opponent draws with the same cell
-formula, so the gain needs no second pass over them.
+the extra facilities are exact gap fillers, which add no mass and join
+the witness, not the grid. Each term carries its candidate's exact
+indicator, so the same run also decides whether an all-exact chain
+reaches the supremum (``attained``). With ``m = 1`` there are no pair
+terms. Otherwise a pair of candidates is far when the positions every
+opponent draw holds put each one's nearest opponent between them: neither
+cell then sees the other, so the chain breaks there, and the pair's term
+is the first one's tail plus the second one's head. Only the near pairs,
+a band of width ``w`` (``_band_width``), need the draws, and one suffix
+maximum per DP row covers the far ones: ``O((draws + m) * |F| * (w +
+1))`` steps (``_best_band``). When no pair is far, as against a mixture
+that holds no position in every entry, the band holds every pair a chain
+can use, ``w = |F| - m + 1``, and the same run takes ``O((draws + m) *
+|F|^2)`` steps. When certifying, the search pays the player's own chain
+against the same opponent draws with the same cell formula, so the gain
+needs no second pass over them.
 
 Every answer is exact or refused by one size rule (``_refuse``): a
 witness size that is not an ``int``, or of fewer than one or more than
@@ -199,11 +201,12 @@ def _band_width(xs: Sequence[int], keys: Sequence[int], held: Sequence[int], sca
     below its key (the sentinels when there is none). When ``x_b`` is at
     or above the first and ``x_a`` at or below the second, the pair term
     of ``a`` before ``b`` is ``share_a * R_a - share_b * L_b`` in every
-    draw: the pair is far. Both bounds rise with the candidate index, so
-    a pair is far when a nearer ``b`` after the same ``a`` is: the width
-    is the smallest ``w`` for which every pair ``(a, a + 1 + w)`` is far,
-    tried from 0, and every pair with ``w`` or more candidates between is
-    far too.
+    draw: the pair is far. Both nearest opponents are then real, inside
+    ``[0, scale]``, so the term is ``a``'s tail plus ``b``'s head. Both
+    bounds rise with the candidate index, so a pair is far when a nearer
+    ``b`` after the same ``a`` is: the width is the smallest ``w`` for
+    which every pair ``(a, a + 1 + w)`` is far, tried from 0, and every
+    pair with ``w`` or more candidates between is far too.
     """
     above = [*held, 3 * scale]
     below = [-scale, *held]
@@ -221,8 +224,6 @@ def _best_band(
     head: Sequence[int],
     tail: Sequence[int],
     pair: Sequence[Sequence[int]],
-    up: Sequence[int],
-    down: Sequence[int],
     m: int,
 ) -> tuple[int, bool, list[int]]:
     """The best chain of ``m`` candidates: its value, whether an all-exact
@@ -230,27 +231,28 @@ def _best_band(
 
     ``pair[a][g]`` is the term of candidate ``a`` followed by ``a + 1 + g``
     for ``g`` below the band's width, every row as wide, and any later
-    ``b``'s term is ``up[a] + down[b]``: the far pairs (``_band_width``).
-    Every term is scored: ``(m + 1)`` times its value, and a tail, pair or
-    ``up`` term adds 1 when its candidate ``a`` is exact. So a chain scores
-    ``(m + 1) * value + (its number of exact candidates)``, the count never
-    reaching ``m + 1``, and the best score holds the best value and, of the
-    chains with that value, the most exact candidates: ``attained`` is a
-    count of ``m``. A chain's j-th candidate is ``j + t`` with
-    ``0 <= t <= slack = |F| - m``, and ``t`` never falls along it.
-    ``best[j][t]`` is the best score of its facilities from the j-th on,
-    the j-th being ``j + t``, tail included and head left out.
+    ``b``'s term is ``tail[a] + head[b]``: the far pairs, where the chain
+    breaks (``_band_width``). Every term is scored: ``(m + 1)`` times its
+    value, and a tail or pair term adds 1 when its candidate ``a`` is
+    exact. So a chain scores ``(m + 1) * value + (its number of exact
+    candidates)``, the count never reaching ``m + 1``, and the best score
+    holds the best value and, of the chains with that value, the most
+    exact candidates: ``attained`` is a count of ``m``. A chain's j-th
+    candidate is ``j + t`` with ``0 <= t <= slack = |F| - m``, and ``t``
+    never falls along it. ``best[j][t]`` is the best score of its
+    facilities from the j-th on, the j-th being ``j + t``, tail included
+    and head left out.
 
     A row of ``best`` is the elementwise maximum of the band's diagonals,
-    each one added to the row after, and of ``up`` plus one suffix maximum
-    (``accumulate``) of ``down`` plus the row after, for the far part:
-    ``O(m * (slack + 1) * (width + 1))`` steps in all. A band of width
-    ``slack + 1`` holds every pair a chain can use, and then ``up`` and
-    ``down`` are never read. The witness is walked greedily from the
-    smallest ``t`` that keeps the goal, reading a far weight as ``up[a] +
-    down[b]``: the score when attained, which gives the smallest all-exact
-    maximizer, and otherwise the score floor-divided by ``m + 1``, the
-    value, which gives the smallest maximizer.
+    each one added to the row after, and of ``tail`` plus one suffix
+    maximum (``accumulate``) of ``head`` plus the row after, for the far
+    part: ``O(m * (slack + 1) * (width + 1))`` steps in all. A band of
+    width ``slack + 1`` holds every pair a chain can use, and has no far
+    part. The witness is walked greedily from the smallest ``t`` that
+    keeps the goal, reading a far weight as ``tail[a] + head[b]``: the
+    score when attained, which gives the smallest all-exact maximizer,
+    and otherwise the score floor-divided by ``m + 1``, the value, which
+    gives the smallest maximizer.
     """
     slack = len(head) - m
     diagonals = list(zip(*pair))[: slack + 1]
@@ -259,9 +261,9 @@ def _best_band(
     best = [row]
     for j in range(m - 2, -1, -1):
         after = row
-        suffix = list(itertools.accumulate(map(add, down[j + 1 + slack : j + width : -1], reversed(after[width:])), max))
+        suffix = list(itertools.accumulate(map(add, head[j + 1 + slack : j + width : -1], reversed(after[width:])), max))
         suffix.reverse()
-        row = list(map(add, up[j : j + 1 + slack - width], suffix))
+        row = list(map(add, tail[j : j + 1 + slack - width], suffix))
         for g in range(width - 1, -1, -1):
             diagonal = diagonals[g]
             row = [s if s > r else r for s, r in zip(map(add, diagonal[j : j + 1 + slack - g], after[g:]), row)]
@@ -280,7 +282,7 @@ def _best_band(
         t = next(
             u
             for u in range(t, slack + 1)
-            if ((diagonals[u - t][a] if u - t < width else up[a] + down[j + u]) + after[u]) // unit == goal
+            if ((diagonals[u - t][a] if u - t < width else tail[a] + head[j + u]) + after[u]) // unit == goal
         )
         chain.append(j + t)
     return value, attained, chain
@@ -312,18 +314,18 @@ def _best_subset(
     its first candidate, a pair term for each pair of neighbours and a
     tail term for its last: the halves of ``_chain_pay``'s cell, summed
     over the draws as integers, each draw's weight times ``m + 1`` and
-    each exact candidate's tail, pair and ``up`` terms plus 1, the scores
-    of one ``_best_band`` run. With ``m = 1`` there are no pair terms.
-    Otherwise neighbours in a chain are at most ``slack + 1`` candidates
-    apart, ``slack`` being ``|F| - m``, and every pair further apart than
-    the ``held`` positions' band (``_band_width``) is far. Each draw adds
-    every candidate's far halves, ``up`` (with the exact indicator) and
-    ``down``, beside its head and tail terms, and the band's ``w`` pair
-    terms per candidate, one diagonal (one ``b - a``) at a time:
+    each exact candidate's tail and pair terms plus 1, the scores of one
+    ``_best_band`` run. With ``m = 1`` there are no pair terms. Otherwise
+    neighbours in a chain are at most ``slack + 1`` candidates apart,
+    ``slack`` being ``|F| - m``, and every pair further apart than the
+    ``held`` positions' band (``_band_width``) is far: a chain break,
+    valued by the tail and head terms alone. Each draw adds every
+    candidate's head and tail terms and the band's ``w`` pair terms per
+    candidate, one diagonal (one ``b - a``) at a time:
     ``draws * |F| * (w + 1)`` steps, and ``w`` is ``slack + 1``, every
-    pair summed, when no pair is far. Against every
-    draw the own chain is paid by ``_chain_pay`` of its ``_chain_halves``,
-    the cell formula ``mixed_payoff`` pays it by.
+    pair summed, when no pair is far. Against every draw the own chain is
+    paid by ``_chain_pay`` of its ``_chain_halves``, the cell formula
+    ``mixed_payoff`` pays it by.
 
     The supremum is one Fraction built at the end; the witness is the
     smallest all-exact maximizer if any, else the smallest maximizer, and
@@ -354,8 +356,6 @@ def _best_subset(
     head = [0] * len(family)
     tail = exact[:]
     pair = [[e] * width for e in exact] if width else []
-    up = exact[:]
-    down = [0] * len(family)
     paid = 0
     for weight, opps in _sorted_draws(rows, scale):
         paid += weight * _chain_pay(own_keys, own_halves, opps, split)
@@ -365,12 +365,10 @@ def _best_subset(
             share *= weight
             head[a] -= share * (-x if -x > low else low)
             tail[a] += share * (2 * scale - x if 2 * scale - x < high else high)
-            up[a] += share * high
-            down[a] -= share * low
         for g in range(width):
             for row, x, (_, high, share), y, (below, _, other) in zip(pair, xs, bounds, xs[g + 1 :], bounds[g + 1 :]):
                 row[g] += weight * (share * (y if y < high else high) - other * (x if x > below else below))
-    value, attained, chain = _best_band(head, tail, pair, up, down, m)
+    value, attained, chain = _best_band(head, tail, pair, m)
     den *= 2 * scale * split
     entries = [family[i] for i in chain]
     witness = tuple(OffsetLocation._checked(Fraction(x, scale), _SIDES[side]) for x, side in entries)

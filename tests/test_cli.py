@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, JSON round-trips, atlas, SVG."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -799,6 +800,70 @@ class TestRoundTrip:
                 assert profile_document(*parse_profile_document(doc)) == doc
                 if kind != "mixed" or len(counts) == 2:
                     assert quiet("verify", "--profile", str(path)) == 0
+
+
+# values a mutation puts in place of a document's value: wrong types,
+# faulty rationals and a few valid ones
+MUTANT_VALUES = [None, True, -1, 0, 1, 1.5, "1/2", "1/0", "3/2", "1e5", "", [], {}]
+# keys a mutation adds to an object: the document's own and an unknown one
+MUTANT_KEYS = ["game", "counts", "strategies", "mixed_strategies", "strategy", "prob", "extra"]
+
+
+def json_nodes(doc, path=()):
+    """Every value of a JSON document with its path of keys and indices,
+    the document itself first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_nodes(value, path + (key,))
+
+
+def mutated(doc, rng: random.Random):
+    """A copy of ``doc`` with one value replaced, one key or entry deleted,
+    one list entry duplicated, or one key added to an object."""
+    doc = copy.deepcopy(doc)
+    nodes = dict(json_nodes(doc))
+    kind = rng.choice(["replace", "delete", "duplicate", "add"])
+    if kind == "add":
+        node = rng.choice([node for node in nodes.values() if isinstance(node, dict)])
+        node[rng.choice(MUTANT_KEYS)] = copy.deepcopy(rng.choice(MUTANT_VALUES))
+        return doc
+    paths = [path for path in nodes if path and (kind != "duplicate" or isinstance(nodes[path[:-1]], list))]
+    path = rng.choice(paths)
+    parent, key = nodes[path[:-1]], path[-1]
+    if kind == "replace":
+        parent[key] = copy.deepcopy(rng.choice(MUTANT_VALUES))
+    elif kind == "delete":
+        del parent[key]
+    else:
+        parent.insert(key, copy.deepcopy(parent[key]))
+    return doc
+
+
+class TestMutatedDocuments:
+    def test_every_mutation_exits_with_a_verdict_or_an_input_error(self, capsys, tmp_path):
+        # seeded mutations of four small documents: a two-player
+        # equilibrium, a partition mixture, a pure construction and a
+        # (1,2) document whose mixer weighs its entries 1/3 and 2/3; verify,
+        # payoff and best-response each exit 0, 1 or 2 and never raise
+        docs = [
+            run_json(capsys, "construct", "--game", *argv)[1]
+            for argv in [("2,4", "--kind", "two-player"), ("1,1,4", "--kind", "mixed"), ("2,2,3", "--kind", "pure")]
+        ]
+        docs.append({"game": {"counts": [1, 2]}, "mixed_strategies": [
+            [{"strategy": ["1/4"], "prob": "1/3"}, {"strategy": ["3/4"], "prob": "2/3"}],
+            [{"strategy": ["1/3", "1/2"], "prob": "1/1"}],
+        ]})
+        rng = random.Random(33)
+        path = tmp_path / "mutated.json"
+        codes = set()
+        for i in range(400):
+            path.write_text(json.dumps(mutated(docs[i % len(docs)], rng)))
+            for argv in [("verify", "--profile"), ("payoff", "--profile"), ("best-response", "--m", "2", "--against")]:
+                code, _, _ = run(capsys, *argv, str(path))
+                assert code in (0, 1, 2), (argv, path.read_text())
+                codes.add(code)
+        assert codes == {0, 1, 2}
 
 
 JSON_VALUES = st.recursive(

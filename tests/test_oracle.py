@@ -183,9 +183,9 @@ class TestBestResponse:
         searched = []
         best_band = oracle_module._best_band
 
-        def recorded(head, tail, pair, up, down, m):
+        def recorded(head, tail, pair, m):
             searched.append((m, len(head)))
-            return best_band(head, tail, pair, up, down, m)
+            return best_band(head, tail, pair, m)
 
         monkeypatch.setattr(oracle_module, "_best_band", recorded)
         for opponents, m in [([point("1/2")], 4), ([point(0, 1)], 5), ([make_olk(2, 4)], 15)]:
@@ -422,28 +422,18 @@ def brute_chain(head, tail, pair, m, exact):
     return best, bool(all_exact), list((all_exact or maximizers)[0]), maximizers
 
 
-def scored_band(head, tail, pair, up, down, m, exact):
+def scored_band(head, tail, pair, m, exact):
     """``_best_band`` over the terms scored as the search scores them:
-    every term times m + 1, plus 1 on an exact candidate's tail, pair and
-    ``up`` terms, and ``down`` times m + 1 alone, since a far pair's
-    indicator is in ``up``."""
+    every term times m + 1, plus 1 on an exact candidate's tail and pair
+    terms, so a far pair, ``tail[a] + head[b]``, carries ``a``'s
+    indicator."""
     score = m + 1
     return _best_band(
         [score * h for h in head],
         [score * t + e for t, e in zip(tail, exact)],
         [[score * p + e for p in row] for row, e in zip(pair, exact)],
-        [score * u + e for u, e in zip(up, exact)],
-        [score * d for d in down],
         m,
     )
-
-
-def scored_chain(head, tail, pair, m, exact):
-    """``scored_band`` with every pair term in the band: ``pair``'s rows
-    hold every pair a chain can use, so ``up`` and ``down`` are never
-    read."""
-    zeros = [0] * len(head)
-    return scored_band(head, tail, pair, zeros, zeros, m, exact)
 
 
 def near_and_far_tie(maximizers, width):
@@ -477,7 +467,7 @@ class TestScoredChain:
     )
     def test_tie_cases(self, head, tail, pair, m, exact, expected):
         assert brute_chain(head, tail, pair, m, exact)[:3] == expected
-        assert scored_chain(head, tail, pair, m, exact) == expected
+        assert scored_band(head, tail, pair, m, exact) == expected
 
     def test_random_terms_with_ties(self):
         rng = random.Random(27)
@@ -491,7 +481,7 @@ class TestScoredChain:
             pair = [[rng.randint(-1, 2) for _ in range(reach - 1)] for _ in range(n)]
             exact = [int(rng.random() < 0.7) for _ in range(n)]
             *expected, maximizers = brute_chain(head, tail, pair, m, exact)
-            assert scored_chain(head, tail, pair, m, exact) == tuple(expected)
+            assert scored_band(head, tail, pair, m, exact) == tuple(expected)
             counts = {sum(exact[i] for i in chain) for chain in maximizers}
             seen["attained"] += expected[1]
             seen["exact tie"] += expected[1] and expected[2] != list(maximizers[0])
@@ -502,10 +492,10 @@ class TestScoredChain:
         assert all(count >= 50 for count in seen.values()), seen
 
     def test_band_against_every_chain(self):
-        # pair terms past a random band are up[a] + down[b]: the band DP on
-        # the band and the halves agrees with every chain valued on the
-        # expanded terms, from a band of width 0, where every pair is far,
-        # to one of width slack + 1, where none is
+        # pair terms past a random band are tail[a] + head[b], a chain
+        # break: the band DP on the band, head and tail agrees with every
+        # chain valued on the expanded terms, from a band of width 0, where
+        # every pair is far, to one of width slack + 1, where none is
         rng = random.Random(30)
         seen = {"width 0": 0, "no far pair": 0, "m=|F|": 0, "near-far tie": 0, "attained": 0, "limit": 0}
         for _ in range(3000):
@@ -515,16 +505,14 @@ class TestScoredChain:
             width = rng.randint(0, slack + 1)
             head = [rng.randint(-1, 1) for _ in range(n)]
             tail = [rng.randint(-1, 1) for _ in range(n)]
-            up = [rng.randint(-1, 1) for _ in range(n)]
-            down = [rng.randint(-1, 1) for _ in range(n)]
             band = [[rng.randint(-1, 2) for _ in range(width)] for _ in range(n)]
             expanded = [
-                [band[a][g] if g < width else up[a] + down[a + 1 + g] for g in range(min(slack + 1, n - 1 - a))]
+                [band[a][g] if g < width else tail[a] + head[a + 1 + g] for g in range(min(slack + 1, n - 1 - a))]
                 for a in range(n)
             ]
             exact = [int(rng.random() < 0.7) for _ in range(n)]
             *expected, maximizers = brute_chain(head, tail, expanded, m, exact)
-            assert scored_band(head, tail, band, up, down, m, exact) == tuple(expected)
+            assert scored_band(head, tail, band, m, exact) == tuple(expected)
             seen["width 0"] += width == 0
             seen["no far pair"] += width == slack + 1
             seen["m=|F|"] += m == n
@@ -724,6 +712,49 @@ class TestBandSearch:
             seen["full"] += not used
         assert len(narrow) == 800
         assert all(count >= 20 for count in seen.values()), seen
+
+    def test_far_pair_terms_are_tail_plus_head(self, monkeypatch):
+        # a far pair is a chain break: summed from the draws, as the search
+        # with no held position sums it, its term is the first candidate's
+        # tail plus the second one's head, scores and exact indicators
+        # included, and the held positions change neither head nor tail
+        terms = []
+        widths = []
+        best_band = oracle_module._best_band
+        band_width = oracle_module._band_width
+
+        def recorded_band(head, tail, pair, m):
+            terms.append((head, tail, pair))
+            return best_band(head, tail, pair, m)
+
+        def recorded_width(xs, keys, held, scale, slack):
+            widths.append(band_width(xs, keys, held, scale, slack))
+            return widths[-1]
+
+        monkeypatch.setattr(oracle_module, "_best_band", recorded_band)
+        monkeypatch.setattr(oracle_module, "_band_width", recorded_width)
+        rng = random.Random(33)
+        far = {"pure": 0, "mixed": 0}
+        for i in range(400):
+            if i % 2:
+                opponents = _rand_opponents(rng)
+            else:
+                denom = rng.choice([4, 6, 8, 12])
+                opponents = [MixedStrategy.point(rand_strategy(rng, rng.randint(1, 3), denom)) for _ in range(rng.randint(1, 3))]
+            scale, rows, table, dens = _grid(opponents)
+            family, held = _grid_family(table, scale)
+            m = rng.randint(2, len(family))
+            _best_subset(family, held, scale, m, rows, math.prod(dens))
+            _best_subset(family, [], scale, m, rows, math.prod(dens))
+            (head, tail, _), (full_head, full_tail, pair) = terms[-2:]
+            assert (head, tail) == (full_head, full_tail)
+            width = widths[-2]
+            kind = "mixed" if any(len(x.support) > 1 for x in opponents) else "pure"
+            for a, row in enumerate(pair):
+                for g in range(width, min(len(row), len(family) - 1 - a)):
+                    assert row[g] == tail[a] + head[a + 1 + g]
+                    far[kind] += 1
+        assert far["pure"] + far["mixed"] >= 1000 and far["mixed"] >= 200, far
 
     def test_mixture_holding_no_position_sums_every_pair(self, monkeypatch):
         # the k-facility player against make_olk(l, k) with l < k: no
