@@ -206,8 +206,13 @@ def _band_width(xs: Sequence[int], keys: Sequence[int], held: Sequence[int], sca
     bounds rise with the candidate index, so a pair is far when a nearer
     ``b`` after the same ``a`` is: the width is the smallest ``w`` for
     which every pair ``(a, a + 1 + w)`` is far, tried from 0, and every
-    pair with ``w`` or more candidates between is far too.
+    pair with ``w`` or more candidates between is far too. With no
+    ``held`` position the bounds are all sentinels, so no pair is far and
+    the width is ``slack + 1`` at once (``slack + 1`` is below ``|F|``,
+    since the search asks only for ``m >= 2``).
     """
+    if not held:
+        return slack + 1
     above = [*held, 3 * scale]
     below = [-scale, *held]
     bounds_r = list(map(above.__getitem__, map(bisect_right, itertools.repeat(held), keys)))
@@ -243,32 +248,44 @@ def _best_band(
     facilities from the j-th on, the j-th being ``j + t``, tail included
     and head left out.
 
-    A row of ``best`` is the elementwise maximum of the band's diagonals,
-    each one added to the row after, and of ``tail`` plus one suffix
-    maximum (``accumulate``) of ``head`` plus the row after, for the far
-    part: ``O(m * (slack + 1) * (width + 1))`` steps in all. A band of
-    width ``slack + 1`` holds every pair a chain can use, and has no far
-    part. The witness is walked greedily from the smallest ``t`` that
-    keeps the goal, reading a far weight as ``tail[a] + head[b]``: the
-    score when attained, which gives the smallest all-exact maximizer,
-    and otherwise the score floor-divided by ``m + 1``, the value, which
-    gives the smallest maximizer.
+    Both row builders take ``O(m * (slack + 1) * (width + 1))`` steps,
+    and the band's width picks one. A band of width ``slack + 1`` holds
+    every pair a chain can use and has no far part; its rows are built
+    per state, each one the maximum of a candidate's pair terms plus the
+    row after. A narrower band's row is the elementwise maximum of the
+    band's diagonals, each one added to the row after, and of ``tail``
+    plus one suffix maximum (``accumulate``) of ``head`` plus the row
+    after, for the far part. There are two because each wins where the
+    other loses: at full width one ``max`` per state costs less than
+    ``slack + 1`` diagonal passes per row, and on a narrow band a few
+    diagonal passes cost less than one ``max`` call per state. The
+    witness is walked greedily from the smallest ``t`` that keeps the
+    goal, reading a far weight as ``tail[a] + head[b]``: the score when
+    attained, which gives the smallest all-exact maximizer, and otherwise
+    the score floor-divided by ``m + 1``, the value, which gives the
+    smallest maximizer.
     """
     slack = len(head) - m
-    diagonals = list(zip(*pair))[: slack + 1]
-    width = len(diagonals)
+    width = len(pair[0]) if pair else 0
     row = list(tail[m - 1 :])
     best = [row]
-    for j in range(m - 2, -1, -1):
-        after = row
-        suffix = list(itertools.accumulate(map(add, head[j + 1 + slack : j + width : -1], reversed(after[width:])), max))
-        suffix.reverse()
-        row = list(map(add, tail[j : j + 1 + slack - width], suffix))
-        for g in range(width - 1, -1, -1):
-            diagonal = diagonals[g]
-            row = [s if s > r else r for s, r in zip(map(add, diagonal[j : j + 1 + slack - g], after[g:]), row)]
-            row.append(diagonal[j + slack - g] + after[slack])
-        best.append(row)
+    if width > slack:
+        for j in range(m - 2, -1, -1):
+            after = row
+            row = [max(map(add, p, after[t:])) for t, p in enumerate(pair[j : j + 1 + slack])]
+            best.append(row)
+    else:
+        diagonals = list(zip(*pair))[:width]
+        for j in range(m - 2, -1, -1):
+            after = row
+            suffix = list(itertools.accumulate(map(add, head[j + 1 + slack : j + width : -1], reversed(after[width:])), max))
+            suffix.reverse()
+            row = list(map(add, tail[j : j + 1 + slack - width], suffix))
+            for g in range(width - 1, -1, -1):
+                diagonal = diagonals[g]
+                row = [s if s > r else r for s, r in zip(map(add, diagonal[j : j + 1 + slack - g], after[g:]), row)]
+                row.append(diagonal[j + slack - g] + after[slack])
+            best.append(row)
     best.reverse()
     totals = list(map(add, head, best[0]))
     top = max(totals)
@@ -282,7 +299,7 @@ def _best_band(
         t = next(
             u
             for u in range(t, slack + 1)
-            if ((diagonals[u - t][a] if u - t < width else tail[a] + head[j + u]) + after[u]) // unit == goal
+            if ((pair[a][u - t] if u - t < width else tail[a] + head[j + u]) + after[u]) // unit == goal
         )
         chain.append(j + t)
     return value, attained, chain

@@ -23,6 +23,7 @@ from hotelling import (
     construct_pure,
     exists_pure,
     find_partition,
+    has_dominant_player,
     is_equilibrium,
     limit_payoff,
     make_game,
@@ -52,6 +53,7 @@ from helpers import (
     reference_best_response,
     reference_gap_fillers,
     reference_pure_best_response,
+    reference_pure_supremum,
 )
 
 F = Fraction
@@ -934,6 +936,46 @@ class TestKnapsackAgreement:
         assert spent < 1.5, spent
 
 
+class TestPureClosedForm:
+    """The oracle against ``reference_pure_supremum``: pure opponents valued
+    by their gap pieces alone, cheap enough to check every player of pure
+    constructions of up to a thousand facilities, where the search runs
+    banded DP rows that no other reference reaches."""
+
+    def test_large_constructions(self):
+        players = 0
+        for counts in [(50, 50, 50, 50), (100, 100, 100), (200, 200), (500, 500)]:
+            profile = construct_pure(make_game(counts))
+            results = certify_no_deviation(make_game(counts), profile)
+            for player, (m, result) in enumerate(zip(counts, results)):
+                rest = [x for i, s in enumerate(profile.strategies) if i != player for x in s]
+                assert result.supremum_payoff == reference_pure_supremum(rest, m), (counts, player)
+                assert result.gain == 0, (counts, player)
+                players += 1
+        assert players == 11
+
+    def test_seeded_point_masses(self):
+        # 1-3 pure opponents on grids i/q with q from 4 to 30, ends and
+        # shared points included, m from 1 past the family's size; the
+        # knapsack checks the closed form on the same calls
+        rng = random.Random(21)
+        seen = {"co-located": 0, "ends": 0, "padded": 0, "m >= 10": 0}
+        for _ in range(300):
+            q = rng.randint(4, 30)
+            strategies = [rand_strategy(rng, rng.randint(1, 4), q) for _ in range(rng.randint(1, 3))]
+            positions = [x for s in strategies for x in s]
+            m = rng.randint(1, 14)
+            result = best_response([MixedStrategy.point(s) for s in strategies], m)
+            supremum = reference_pure_supremum(positions, m)
+            assert result.supremum_payoff == supremum, (strategies, m)
+            assert reference_pure_best_response(positions, m) == supremum
+            seen["co-located"] += len(set(positions)) < len(positions)
+            seen["ends"] += bool({F(0), F(1)} & set(positions))
+            seen["padded"] += m > len(candidate_family(positions))
+            seen["m >= 10"] += m >= 10
+        assert all(count >= 20 for count in seen.values()), seen
+
+
 class TestCertify:
     def test_two_player_equilibrium_gains(self):
         game = make_game([2, 4])
@@ -1083,6 +1125,20 @@ class TestCertify:
             verdict = verify_multi_unit(game, profile).verdict
             certified = is_equilibrium(certify_no_deviation(game, profile))
             assert verdict == certified, (counts, profile)
+
+    def test_every_pure_construction_agrees_with_structural_verifier(self):
+        # construct_pure of every game without a dominant player, 4 <= n <= 20:
+        # the T3/T4 verifier and the oracle both certify it
+        games = 0
+        for counts in _atlas_multisets(20):
+            game = make_game(counts)
+            if game.n < 4 or has_dominant_player(game) is not None:
+                continue
+            profile = construct_pure(game)
+            assert verify_multi_unit(game, profile).verdict, counts
+            assert is_equilibrium(certify_no_deviation(game, profile)), counts
+            games += 1
+        assert games == 2143
 
     def test_monopoly_routes_agree(self):
         for counts in ([1], [3], [5]):
