@@ -169,10 +169,6 @@ def mixed_strategy_from_json(data: Any, path: str = "mixed") -> MixedStrategy:
     return _table_from_json(data) or _entries_from_json(data, path)
 
 
-def mixed_profile_to_json(profile: MixedProfile) -> list:
-    return [mixed_strategy_to_json(x) for x in profile.strategies]
-
-
 def mixed_profile_from_json(data: Any, path: str = "mixed_strategies") -> MixedProfile:
     if not isinstance(data, list) or not data:
         raise InvalidInput(f"{path}: expected a non-empty list of mixed strategies")
@@ -193,7 +189,7 @@ def profile_document(game: Game, profile: PureProfile | MixedProfile) -> dict:
     """Self-contained document bundling a game with one of its profiles."""
     doc = _profile_tree(game, profile)
     if "mixed_strategies" in doc:
-        doc["mixed_strategies"] = mixed_profile_to_json(profile)
+        doc["mixed_strategies"] = [mixed_strategy_to_json(x) for x in profile.strategies]
     return doc
 
 

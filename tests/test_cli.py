@@ -28,6 +28,7 @@ from hotelling import (
     two_player_equilibrium,
 )
 from hotelling.cli import _emit, main
+from hotelling.equilibrium import CONDITION_NAMES
 from hotelling.serialize import (
     document_text,
     mass_report_to_json,
@@ -644,6 +645,7 @@ class TestScalarCommands:
             ("best-response", "--against", "1/4", "--m", "1", "--grid", "100"),
             ("best-response", "--against", "1/4", "--m", "1", "--grid", "1"),
             ("best-response", "--against", "1/4", "--m", "5", "--grid", "2"),
+            ("best-response", "--against", "1/4", "--m", "1", "--grid", "16"),
         ],
     )
     def test_flag_outside_its_command_rejected(self, argv):
@@ -720,6 +722,157 @@ class TestScalarCommands:
         assert len(doc["witness"]) == 5
 
 
+def response(sup, attained, *witness, **fields):
+    """A best-response document, each witness entry written "position side";
+    ``fields`` override its keys, and with ``player`` and ``gain`` it is a
+    verify deviation."""
+    return {
+        "sup": sup,
+        "attained": attained,
+        "witness": [dict(zip(("position", "side"), entry.split())) for entry in witness],
+        "gain": None,
+        "exhaustive": True,
+        **fields,
+    }
+
+
+def verdict(*conditions, deviation=None):
+    """A verify document from each condition's id and witness, None where
+    the condition passes."""
+    doc = {
+        "verdict": all(witness is None for _, witness in conditions),
+        "conditions": [
+            {"id": c, "name": CONDITION_NAMES[c], "passed": witness is None, "witness": witness}
+            for c, witness in conditions
+        ],
+    }
+    if deviation is not None:
+        doc["deviation"] = deviation
+    return doc
+
+
+class Length:
+    """Equal to any list of ``size`` entries, for an output too long to spell out."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __eq__(self, other):
+        return isinstance(other, list) and len(other) == self.size
+
+    def __repr__(self):
+        return f"Length({self.size})"
+
+
+# the documents the contract cases read, named in their argv as "@name": a
+# JSON document, or the construct arguments that write one
+DOCUMENTS = {
+    "7,14": ("construct", "--game", "7,14", "--kind", "two-player"),
+    "200,200": ("construct", "--game", "200,200", "--kind", "pure"),
+    # a (1,2) mixer weighing its entries 1/3 and 2/3, against a fixed player
+    "weighted": {"game": {"counts": [1, 2]}, "mixed_strategies": [
+        [support_entry(["1/4"], "1/3"), support_entry(["3/4"], "2/3")],
+        [support_entry(["1/3", "1/2"], "1/1")],
+    ]},
+    # 1/2 is held in both entries, so it lies between a far pair's ends
+    "shared-half": {"game": {"counts": [2]}, "mixed_strategies": [
+        [support_entry(["1/4", "1/2"], "1/2"), support_entry(["1/2", "3/4"], "1/2")],
+    ]},
+    # no position is held in both entries, so the band holds every pair
+    "quarters": {"game": {"counts": [1]}, "mixed_strategies": [
+        [support_entry(["1/4"], "1/2"), support_entry(["3/4"], "1/2")],
+    ]},
+    # JSON integers, which the entry-by-entry decoder reads
+    "integers": {"game": {"counts": [1, 1]}, "mixed_strategies": [
+        [support_entry([0], 1)], [support_entry(["1/2"], "1/1")],
+    ]},
+    "zero-denominator": {"game": {"counts": [1, 1]}, "mixed_strategies": [
+        [support_entry(["1/4"], "1/2"), support_entry(["3/4"], "1/0")],
+        [support_entry(["1/2"], "1/1")],
+    ]},
+}
+
+CONTRACT_CASES = [
+    pytest.param(("verify", "--profile", "@7,14"), 0, verdict(("C1", None), ("C2", None)), "", id="verify-7,14"),
+    pytest.param(("payoff", "--profile", "@7,14"), 0, ["1/4", "3/4"], "", id="payoff-7,14"),
+    pytest.param(("best-response", "--against", "@weighted", "--m", "2"), 0,
+                 response("41/72", False, "1/4 below", "3/4 above"), "", id="weighted-mixer"),
+    pytest.param(("best-response", "--against", "@shared-half", "--m", "3"), 0,
+                 response("3/4", False, "1/4 below", "1/2 below", "1/2 above"), "", id="far-pair-in-a-mixture"),
+    pytest.param(("best-response", "--against", "@quarters", "--m", "2"), 0,
+                 response("3/4", True, "1/4 exact", "3/4 exact"), "", id="full-band-m2"),
+    pytest.param(("best-response", "--against", "@quarters", "--m", "3"), 0,
+                 response("7/8", False, "1/4 below", "1/4 above", "3/4 below"), "", id="full-band-m3"),
+    # the family holds nothing below 0 or above 1
+    pytest.param(("best-response", "--against", "0,1", "--m", "1"), 0,
+                 response("1/2", False, "0/1 above"), "", id="ends-m1"),
+    # more facilities than the family's four candidates: the exact gap filler 1/2 joins them
+    pytest.param(("best-response", "--against", "0,1", "--m", "5"), 0,
+                 response("1/1", False, "0/1 exact", "0/1 above", "1/2 exact", "1/1 below", "1/1 exact"), "",
+                 id="ends-padded"),
+    # most pairs of candidates are far: chain breaks scored by head and tail terms alone
+    pytest.param(("best-response", "--against", "@200,200", "--m", "20"), 0,
+                 response("1/20", False, *(f"{F(2 * i + 1, 400)} {side}" for i in range(10)
+                                           for side in ("below", "above"))), "", id="200,200-m20"),
+    # the witness limit: three candidates around 1/2 and 99,997 exact gap fillers
+    pytest.param(("best-response", "--against", "1/2", "--m", "100000"), 0,
+                 response("1/1", False, witness=Length(100_000)), "", id="witness-limit"),
+    pytest.param(("verify", "--profile", "1/4;3/4"), 1,
+                 verdict(("T4-1", None), ("T4-2", None), ("T4-3", {"condition": "T3-1", "position": "1/4"}),
+                         deviation=response("3/4", False, "3/4 below", player=0, gain="1/4")),
+                 "", id="verify-T4-3-fails"),
+    pytest.param(("verify", "--profile", "1/6,1/2;1/6,5/6;5/6"), 1,
+                 verdict(("T4-1", {"player": 0, "position": "1/2", "neighbor": "1/6"}),
+                         ("T4-2", {"player": 0, "position_low": "1/6", "mass_low": "1/6",
+                                   "position_high": "1/2", "mass_high": "1/3"}),
+                         ("T4-3", None),
+                         deviation=response("2/3", False, "1/6 above", "5/6 below", player=0, gain="1/6")),
+                 "", id="verify-T4-1-and-T4-2-fail"),
+    # four facilities against the three candidates around 1/2: the padded
+    # path, its gain paid from the search's own draws
+    pytest.param(("verify", "--profile", "1/2;0,1/4,3/4,1"), 1,
+                 verdict(("T4-1", {"player": 1, "position": "0/1", "neighbor": "1/4"}),
+                         ("T4-2", {"player": 1, "position_low": "0/1", "mass_low": "1/8",
+                                   "position_high": "1/4", "mass_high": "1/4"}),
+                         ("T4-3", {"condition": "T3-1", "position": "0/1"}),
+                         deviation=response("1/1", False, "1/4 exact", "1/2 below", "1/2 exact", "1/2 above",
+                                            player=1, gain="1/4")),
+                 "", id="verify-padded-deviation"),
+    # player 1's family keeps 1/2, which player 0 also holds, and leaves out
+    # player 1's own lone 3/4
+    pytest.param(("verify", "--profile", "1/2;1/2,3/4"), 1,
+                 verdict(("T4-1", {"player": 1, "position": "3/4", "neighbor": "1/2"}),
+                         ("T4-2", {"player": 1, "position_low": "1/2", "mass_low": "5/16",
+                                   "position_high": "3/4", "mass_high": "3/8"}),
+                         ("T4-3", {"condition": "T3-1", "position": "3/4"}),
+                         deviation=response("1/1", False, "1/2 below", "1/2 above", player=1, gain="5/16")),
+                 "", id="verify-shared-point-family"),
+    pytest.param(("payoff", "--profile", "@integers"), 0, ["1/4", "3/4"], "", id="integer-values"),
+    pytest.param(("payoff", "--profile", "@zero-denominator"), 2, None,
+                 "input error: mixed_strategies[0][1].prob: invalid rational '1/0'", id="zero-denominator-prob"),
+]
+
+
+class TestContractCases:
+    """Exit codes and parsed outputs of the CLI on fixed inputs, one row
+    each: a new contract case is a new row here."""
+
+    @pytest.mark.parametrize("argv,code,stdout,stderr", CONTRACT_CASES)
+    def test_case(self, capsys, tmp_path, argv, code, stdout, stderr):
+        args = []
+        for arg in argv:
+            if arg.startswith("@"):
+                source, arg = DOCUMENTS[arg[1:]], str(tmp_path / "document.json")
+                if isinstance(source, tuple):
+                    assert run(capsys, *source, "--out", arg)[0] == 0
+                else:
+                    Path(arg).write_text(json.dumps(source))
+            args.append(arg)
+        got_code, got, err = run_json(capsys, *args)
+        assert (got_code, got) == (code, stdout)
+        assert stderr in err
+
+
 class TestAtlas:
     def test_small_table(self, capsys):
         code, doc, _ = run_json(capsys, "atlas", "--max-n", "3")
@@ -760,7 +913,7 @@ class TestAtlas:
         assert code == 0
         assert (svg_dir / "game_2_2.svg").read_text().startswith("<svg")
         header = csv_path.read_text().splitlines()[0]
-        assert header.startswith("counts,")
+        assert header == "counts,n,players,dominant_player,pure_exists,reason,construction,verified,partition_plan"
 
 
 class TestRoundTrip:
@@ -941,8 +1094,13 @@ class TestWriterBytes:
             (("payoff", "--full", "--profile", "0,1/4,1/2;1/4,1/2,3/4;1/2,1"),
              lambda: mass_report_to_json(masses(PureProfile.of(["0", "1/4", "1/2"], ["1/4", "1/2", "3/4"],
                                                                ["1/2", "1"])))),
+            # 3,432 support entries
+            (("construct", "--game", "7,14", "--kind", "two-player"),
+             lambda: profile_document(Game((7, 14)), two_player_equilibrium(Game((7, 14))))),
+            (("payoff", "--full", "--profile", "1/4,1/2;1/2,3/4;1/4"),
+             lambda: mass_report_to_json(masses(PureProfile.of(["1/4", "1/2"], ["1/2", "3/4"], ["1/4"])))),
         ],
-        ids=["construct-two-player", "payoff-full-co-located"],
+        ids=["construct-two-player", "payoff-full-co-located", "construct-two-player-7,14", "payoff-full-three-players"],
     )
     def test_direct_paths_write_the_encoders_bytes(self, capsys, tmp_path, argv, expected, to_file):
         text = json.dumps(expected(), indent=2) + "\n"

@@ -790,8 +790,9 @@ class TestMetamorphic:
             ((2, 3, 10), lambda game: construct_mixed(game, find_partition(game))),
             ((3, 3, 12), lambda game: construct_mixed(game, find_partition(game))),
             ((100, 100, 100), lambda game: MixedProfile.from_pure(construct_pure(game))),
+            ((200, 200), lambda game: MixedProfile.from_pure(construct_pure(game))),
         ],
-        ids=["6,12", "2,3,10", "3,3,12", "100,100,100"],
+        ids=["6,12", "2,3,10", "3,3,12", "100,100,100", "200,200"],
     )
     def test_mirror_and_permutation(self, counts, construct):
         # mirroring keeps each player's supremum, attained and gain, though
@@ -1125,6 +1126,28 @@ class TestCertify:
             verdict = verify_multi_unit(game, profile).verdict
             certified = is_equilibrium(certify_no_deviation(game, profile))
             assert verdict == certified, (counts, profile)
+
+    def test_agreement_on_seeded_profiles_up_to_sixteen_facilities(self):
+        # players share points and sit at 0 and 1; every refuting witness,
+        # replayed through the limit evaluator, pays its supremum
+        rng = random.Random(35)
+        pool = [(2, 2, 2, 2, 2, 2), (4, 4, 4, 4), (1, 2, 3, 4, 5), (8, 8), (3, 5), (2, 3, 4)]
+        seen = {"shared": 0, "ends": 0, "refuted": 0}
+        for _ in range(300):
+            game = make_game(rng.choice(pool))
+            profile = rand_profile(rng, game, denom=rng.randint(8, 24))
+            results = certify_no_deviation(game, profile)
+            assert verify_multi_unit(game, profile).verdict == is_equilibrium(results), profile
+            points = [x for s in profile.strategies for x in s]
+            seen["shared"] += len(set(points)) < len(points)
+            seen["ends"] += 0 in points or 1 in points
+            for player, result in enumerate(results):
+                if result.gain > 0:
+                    entries = [list(s) for s in profile.strategies]
+                    entries[player] = list(result.witness)
+                    assert limit_payoff(entries, deviator=player).payoffs[player] == result.supremum_payoff
+                    seen["refuted"] += 1
+        assert all(seen.values()), seen
 
     def test_every_pure_construction_agrees_with_structural_verifier(self):
         # construct_pure of every game without a dominant player, 4 <= n <= 20:
