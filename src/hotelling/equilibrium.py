@@ -228,37 +228,41 @@ def exists_pure(game: Game) -> ExistenceResult:
     return ExistenceResult(False, "three single-facility players admit only a mixed equilibrium")
 
 
+def _refuse_dominant(game: Game) -> None:
+    dom = has_dominant_player(game)
+    if dom is not None:
+        raise ConstructionUnavailable(f"player {dom} is dominant: the game has no pure equilibrium")
+
+
+def _paired(
+    players: Sequence[int], counts: Sequence[int], positions: Sequence[Fraction], held: list[list[Fraction]]
+) -> PureProfile:
+    """Deal every position twice onto ``held``, cycling through
+    ``positions`` in consecutive blocks of ``counts[player]`` for
+    ``players`` in order, and return each player's holdings sorted.
+
+    When no player's count exceeds ``len(positions)``, which no dominant
+    player means, no block is long enough to receive both copies of a
+    position.
+    """
+    dealt = itertools.cycle(positions)
+    for player in players:
+        held[player].extend(itertools.islice(dealt, counts[player]))
+    return PureProfile(tuple(PureStrategy(tuple(sorted(own))) for own in held))
+
+
 def construct_even(game: Game) -> PureProfile:
     """Pure equilibrium for even n >= 4 without a dominant player.
 
     Places facilities at (2r-1)/n for r in 1..n/2, twice each, and hands
-    them out in consecutive blocks of the ascending player order; absent a
-    dominant player no block is long enough to receive both copies of a
-    position.
+    them out in consecutive blocks of the ascending player order
+    (``_paired``).
     """
-    dom = has_dominant_player(game)
-    if dom is not None:
-        raise ConstructionUnavailable(
-            f"player {dom} is dominant: the game has no pure equilibrium"
-        )
+    _refuse_dominant(game)
     if game.n % 2 != 0 or game.n < 4:
         raise ConstructionUnavailable(f"even construction needs even n >= 4, got n={game.n}")
-
-    n = game.n
-    half = n // 2
-    sequence = [Fraction(2 * (k % half) + 1, n) for k in range(n)]
-    order = game.ascending_order()
-
-    per_player: dict[int, list[Fraction]] = {}
-    cursor = 0
-    for player in order:
-        block = sequence[cursor : cursor + game.counts[player]]
-        per_player[player] = sorted(block)
-        cursor += game.counts[player]
-
-    return PureProfile(
-        tuple(PureStrategy(tuple(per_player[i])) for i in range(game.num_players))
-    )
+    positions = [Fraction(2 * r + 1, game.n) for r in range(game.n // 2)]
+    return _paired(game.ascending_order(), game.counts, positions, [[] for _ in game.counts])
 
 
 def construct_odd(game: Game) -> PureProfile:
@@ -268,63 +272,41 @@ def construct_odd(game: Game) -> PureProfile:
     consists of a left pair at p, an alternating run of 2*n1 - 1 lone
     facilities (odd ranks to the smallest player at (i+2)p, even ranks at
     (i+1)p + ip/n1 to whichever other player has the most facilities left,
-    ties to the earliest), and pairs every 2p up to n/(n+1). The smallest
+    ties to the earliest), and pairs every 2p up to n/(n+1), dealt to the
+    other players as ``construct_even`` deals its pairs. The smallest
     player's facilities each attract p(1 + 1/n1); every other facility
     attracts exactly p.
     """
-    dom = has_dominant_player(game)
-    if dom is not None:
-        raise ConstructionUnavailable(
-            f"player {dom} is dominant: the game has no pure equilibrium"
-        )
+    _refuse_dominant(game)
     # an odd n split between one or two players has a dominant one, so N >= 3 here
     if game.n % 2 == 0 or game.n < 5:
         raise ConstructionUnavailable(f"odd construction needs odd n >= 5, got n={game.n}")
 
-    n = game.n
-    p = Fraction(1, n + 1)
-    order = game.ascending_order()
-    n1 = game.counts[order[0]]
-
-    allocation: dict[int, list[Fraction]] = {i: [] for i in range(game.num_players)}
-    remaining = {i: game.counts[i] for i in range(game.num_players)}
+    p = Fraction(1, game.n + 1)
+    smallest, *others = game.ascending_order()
+    n1 = game.counts[smallest]
+    held: list[list[Fraction]] = [[] for _ in game.counts]
+    remaining = list(game.counts)
 
     def give(player: int, position: Fraction) -> None:
-        allocation[player].append(position)
+        held[player].append(position)
         remaining[player] -= 1
 
-    give(order[-1], p)
-    give(order[-2], p)
-
+    give(others[-1], p)
+    give(others[-2], p)
     for i in range(1, 2 * n1):
         if i % 2 == 1:
-            give(order[0], (i + 2) * p)
+            give(smallest, (i + 2) * p)
         else:
-            # the smallest player takes only odd ranks; candidates are the rest,
-            # ties resolved toward the earliest player in ascending order
-            target = order[1]
-            for j in order[2:]:
-                if remaining[j] > remaining[target]:
-                    target = j
-            give(target, (i + 1) * p + Fraction(i, n1) * p)
+            # max keeps the first of equal counts: ties go to the earliest player
+            give(max(others, key=remaining.__getitem__), (i + 1) * p + Fraction(i, n1) * p)
 
-    residual = [remaining[j] for j in order[1:]]
-    assert remaining[order[0]] == 0
+    residual = [remaining[j] for j in others]
+    assert remaining[smallest] == 0
     # residual counts must again lack a dominant player for the pairing to work
     assert all(2 * c <= sum(residual) for c in residual), (game.counts, residual)
-
-    pair_total = n - (2 * n1 + 1)
-    half = pair_total // 2
-    cursor = 0
-    for j in order[1:]:
-        for _ in range(remaining[j]):
-            r = cursor % half
-            allocation[j].append(2 * n1 * p + 3 * p + 2 * p * r)
-            cursor += 1
-
-    return PureProfile(
-        tuple(PureStrategy(tuple(sorted(allocation[i]))) for i in range(game.num_players))
-    )
+    positions = [(2 * n1 + 3 + 2 * r) * p for r in range(sum(residual) // 2)]
+    return _paired(others, remaining, positions, held)
 
 
 def construct_pure(game: Game) -> PureProfile:

@@ -335,9 +335,9 @@ def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     opponents, so a player's payoff sums ``_chain_pay`` of its
     ``_chain_halves`` over the joint draws of its opponents alone, never
     over its own support. The cells partition [0, 1] in every draw, so one
-    player is paid the remainder instead: the one facing most opponent
-    draws, and of those the one with most halves, whose halves times draws
-    cost most. The sums become Fractions once, at the end.
+    player is paid the remainder instead: the first of those facing most
+    opponent draws, whose chain is never folded. The sums become Fractions
+    once, at the end.
     """
     require_profile(game, profile)
     tables = [mixed._table for mixed in profile.strategies]
@@ -347,20 +347,15 @@ def mixed_payoff(game: Game, profile: MixedProfile) -> tuple[Fraction, ...]:
     supports = _scaled_supports(profile.strategies, scale)
     joint = math.prod(len(support) for support in supports)
     draws = [joint // len(support) for support in supports]
-    # the remainder goes to a player facing most opponent draws, so the
-    # others face at most the second-most: the cap refuses before any work
-    _refuse_too_many_draws(max(sorted(draws)[:-1], default=0))
-    chains = [_chain_halves(support, scale) for support in supports]
-    halves = [sum(len(left) + len(right) for left, right in chain[1]) for chain in chains]
-    # of the players facing most draws, the one with most halves takes the
-    # remainder; the others follow in that order
-    remainder, *direct = sorted(
-        range(game.num_players), key=lambda i: (draws[i], halves[i]), reverse=True
-    )
+    # the remainder goes to the first player facing most opponent draws, so
+    # the others face at most the second-most: the cap refuses before any work
+    remainder, *direct = sorted(range(game.num_players), key=draws.__getitem__, reverse=True)
+    _refuse_too_many_draws(max((draws[i] for i in direct), default=0))
     totals = [0] * game.num_players
     for i in direct:
+        keys, halves = _chain_halves(supports[i], scale)
         for weight, opponents in _sorted_draws(supports[:i] + supports[i + 1 :], scale):
-            totals[i] += weight * _chain_pay(*chains[i], opponents, split)
+            totals[i] += weight * _chain_pay(keys, halves, opponents, split)
     totals[remainder] = den - sum(totals)
     return tuple(Fraction(t, den) for t in totals)
 

@@ -790,6 +790,16 @@ DOCUMENTS = {
         [support_entry(["1/4"], "1/2"), support_entry(["3/4"], "1/0")],
         [support_entry(["1/2"], "1/1")],
     ]},
+    # regular supports summing to 1, so they take the decoder's table route,
+    # each with an entry that is not positive
+    "zero-prob": {"game": {"counts": [1, 1]}, "mixed_strategies": [
+        [support_entry(["1/4"], "0"), support_entry(["3/4"], "1/1")],
+        [support_entry(["1/2"], "1/1")],
+    ]},
+    "negative-prob": {"game": {"counts": [1, 1]}, "mixed_strategies": [
+        [support_entry(["1/4"], "-1/2"), support_entry(["3/4"], "3/2")],
+        [support_entry(["1/2"], "1/1")],
+    ]},
 }
 
 CONTRACT_CASES = [
@@ -850,6 +860,10 @@ CONTRACT_CASES = [
     pytest.param(("payoff", "--profile", "@integers"), 0, ["1/4", "3/4"], "", id="integer-values"),
     pytest.param(("payoff", "--profile", "@zero-denominator"), 2, None,
                  "input error: mixed_strategies[0][1].prob: invalid rational '1/0'", id="zero-denominator-prob"),
+    pytest.param(("payoff", "--profile", "@zero-prob"), 2, None,
+                 "input error: probability 0 is not positive", id="zero-prob"),
+    pytest.param(("payoff", "--profile", "@negative-prob"), 2, None,
+                 "input error: probability -1/2 is not positive", id="negative-prob"),
 ]
 
 

@@ -48,6 +48,7 @@ from hotelling.equilibrium import (
     COND_PAIRED_EXTREMES,
 )
 
+from hotelling.cli import _atlas_multisets
 from hotelling.serialize import profile_document
 
 from helpers import flatten, limit_value, midpoint_report, rand_profile
@@ -357,6 +358,22 @@ class TestConstructPure:
         for counts in [(1, 2), (1, 1, 1), (1, 1, 4)]:
             with pytest.raises(ConstructionUnavailable):
                 construct_pure(make_game(counts))
+
+    def test_player_order_follows_ascending_rank(self):
+        # the golden corpus pins only ascending counts: in any player order,
+        # the player at ascending rank k gets the k-th strategy of those
+        games = orders = 0
+        for counts in _atlas_multisets(10):
+            if not exists_pure(make_game(counts)):
+                continue
+            ascending = construct_pure(make_game(counts)).strategies
+            games += 1
+            for order in set(itertools.permutations(counts)):
+                game = make_game(order)
+                strategies = construct_pure(game).strategies
+                assert [strategies[i] for i in game.ascending_order()] == list(ascending), order
+                orders += 1
+        assert (games, orders) == (85, 862)
 
     def test_flattened_structure_of_constructions(self):
         # paired owners earn alike; a lone facility with paired neighbors earns more

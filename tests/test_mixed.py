@@ -470,7 +470,7 @@ def rand_mixed_profile(rng, kind):
     so opponents often sit on own points; open-ends: player 0 holds 0 and 1
     and nobody else reaches either; many-mixers: three to five players, two
     or more of them mixing; tied-cost: every player plays one mixture, so
-    all tie in opponent draws and halves when the remainder is chosen.
+    all tie in opponent draws when the remainder is chosen.
     """
     if kind == "own-neighbours":
         counts = [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
@@ -588,6 +588,12 @@ class TestMixedPayoff:
         with pytest.raises(SupportTooLarge):
             mixed_payoff(game, profile)
 
+    def test_support_cap_boundary(self):
+        # exactly DEFAULT_SUPPORT_CAP joint draws pass, one more is refused
+        mixed_module._refuse_too_many_draws(10**6)
+        with pytest.raises(SupportTooLarge, match=r"^product support has 1000001 combinations \(cap 1000000\)$"):
+            mixed_module._refuse_too_many_draws(10**6 + 1)
+
     def test_symmetric_uniform_three_players(self):
         # two players are paid from 11**2 opponent draws each, the third the rest
         game = make_game([1, 1, 1])
@@ -607,6 +613,23 @@ class TestMixedPayoff:
         last = MixedProfile((five, five, five, pure))
         first = mixed_payoff(game, MixedProfile((pure, five, five, five)))
         assert mixed_payoff(game, last) == first[1:] + first[:1] == enumerated_payoffs(last)
+
+    def test_only_players_paid_directly_are_folded(self, monkeypatch):
+        # the pure player faces most draws and takes the remainder, so only
+        # the three mixers' chains are folded, each once
+        folded = []
+
+        def counted(support, scale):
+            folded.append(len(support))
+            return real_halves(support, scale)
+
+        real_halves = mixed_module._chain_halves
+        monkeypatch.setattr(mixed_module, "_chain_halves", counted)
+        five = MixedStrategy.uniform([PureStrategy((F(i, 4),)) for i in range(5)])
+        pure = MixedStrategy.point(PureStrategy((F(1, 3),)))
+        profile = MixedProfile((five, pure, five, five))
+        assert mixed_payoff(make_game([1, 1, 1, 1]), profile) == enumerated_payoffs(profile)
+        assert folded == [5, 5, 5]
 
     def test_cap_refuses_before_any_draw(self, monkeypatch):
         # 11 single points and two 10-entry pair mixtures face 100, 110 and

@@ -679,6 +679,24 @@ def record_narrow_bands(monkeypatch) -> list[bool]:
     return narrow
 
 
+def smallest_band_width(family, held, slack):
+    """The smallest band width by brute force: each candidate's bounds by a
+    linear scan of ``held``, the first held position above its key and the
+    last below, and ``_band_width``'s far test applied to every pair; the
+    width is at most ``slack + 1``, which it is when nothing is held."""
+    if not held:
+        return slack + 1
+    above = [next((h for h in held if h > x + side), None) for x, side in family]
+    below = [next((h for h in reversed(held) if h < x + side), None) for x, side in family]
+
+    def far(a, b):
+        return None not in (above[a], below[b]) and family[b][0] >= above[a] and family[a][0] <= below[b]
+
+    size = len(family)
+    width = next(w for w in range(size) if all(far(a, b) for a in range(size) for b in range(a + 1 + w, size)))
+    return min(width, slack + 1)
+
+
 class TestBandSearch:
     """The search with the held positions, where pairs past the band are
     far, against the same search with none held, where the band holds
@@ -757,6 +775,41 @@ class TestBandSearch:
                     assert row[g] == tail[a] + head[a + 1 + g]
                     far[kind] += 1
         assert far["pure"] + far["mixed"] >= 1000 and far["mixed"] >= 200, far
+
+    def test_band_width_is_the_smallest(self, monkeypatch):
+        # the width each search passes on is the brute-force smallest one;
+        # whenever anything is held it is at least 1, because a held x's
+        # (x, below) and (x, exact), or (0, exact) and (0, above), are never
+        # far, so a search for the width could start at 1 and change nothing
+        widths = []
+        band_width = oracle_module._band_width
+
+        def recorded(*args):
+            widths.append(band_width(*args))
+            return widths[-1]
+
+        monkeypatch.setattr(oracle_module, "_band_width", recorded)
+        rng = random.Random(37)
+        seen = {"none held": 0, "capped": 0, "odd": 0}
+        for i in range(400):
+            if i % 2:
+                opponents = _rand_opponents(rng)
+            else:
+                denom = rng.choice([4, 6, 8, 12])
+                opponents = [MixedStrategy.point(rand_strategy(rng, rng.randint(1, 3), denom)) for _ in range(rng.randint(1, 3))]
+            scale, rows, table, dens = _grid(opponents)
+            family, held = _grid_family(table, scale)
+            m = rng.randint(2, len(family) + 2)
+            widths.clear()
+            _best_subset(family, held, scale, m, rows, math.prod(dens))
+            slack = len(family) - min(m, len(family))
+            expected = smallest_band_width(family, held, slack)
+            assert widths == [expected], (opponents, m)
+            assert expected >= 1
+            seen["none held"] += not held
+            seen["capped"] += bool(held) and smallest_band_width(family, held, len(family)) > slack + 1
+            seen["odd"] += bool(held) and expected % 2 and expected <= slack
+        assert all(count >= 20 for count in seen.values()), seen
 
     def test_mixture_holding_no_position_sums_every_pair(self, monkeypatch):
         # the k-facility player against make_olk(l, k) with l < k: no
